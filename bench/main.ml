@@ -796,9 +796,9 @@ let debugload () =
      percent of CPU and latency stays in the millisecond range.\n"
 
 (* ---------------------------------------------------------------- *)
-(* E8 — virtual vs patch breakpoints: armed-site overhead + hit     *)
-(* latency.  Writes BENCH_vbp.json; BENCH_VBP_MAX_HIT_CYCLES gates  *)
-(* the hit-latency column in CI.                                    *)
+(* vbp — page-permission virtual breakpoints: armed-site overhead   *)
+(* and hit latency.  Writes BENCH_vbp.json; BENCH_VBP_MAX_HIT_CYCLES *)
+(* gates the hit-latency column in CI.                              *)
 (* ---------------------------------------------------------------- *)
 
 module Breakpoints = Core.Breakpoints
@@ -806,9 +806,9 @@ module Stub = Core.Stub
 
 (* A compute loop on page 0x1000 counting laps in r7, a never-executed
    [dead] site on the same (hot) page, and room from page 0x2000 up for
-   bulk cold sites.  Virtual mode pays per-fetch on pages that carry an
-   armed site; patch mode pays only at plant time — this guest makes
-   both costs visible. *)
+   bulk cold sites.  Every fetch from a page carrying an armed site
+   faults, so this guest makes the hot-page cost visible while cold
+   sites stay free until fetched. *)
 let vbp_guest () =
   let a = Asm.create ~origin:0x1000 () in
   Asm.movi a Isa.sp (Asm.imm 0x20000);
@@ -824,32 +824,16 @@ let vbp_guest () =
 
 (* Arm [n] sites directly in the stub's table before the shadow is
    warm: one on the hot page ([dead]), the rest spread over the cold
-   pages from 0x2000.  Patch mode additionally plants the BRK bytes, as
-   the stub would. *)
+   pages from 0x2000. *)
 let vbp_arm_sites mon program n =
-  let mem = Machine.mem (Monitor.machine mon) in
   let table = Stub.breakpoints (Monitor.stub mon) in
-  let plant addr =
-    let saved =
-      if Breakpoints.mode table = Breakpoints.Patch then begin
-        let orig = Bytes.create Isa.width in
-        for i = 0 to Isa.width - 1 do
-          Bytes.set orig i (Char.chr (Vmm_hw.Phys_mem.read_u8 mem (addr + i)))
-        done;
-        Isa.write mem addr Isa.Brk;
-        Bytes.to_string orig
-      end
-      else ""
-    in
-    ignore (Breakpoints.add table ~addr ~saved)
-  in
-  plant (Asm.symbol program "dead");
+  let arm addr = ignore (Breakpoints.add table ~addr) in
+  arm (Asm.symbol program "dead");
   for i = 1 to n - 1 do
-    plant (0x2000 + (i * Isa.width))
+    arm (0x2000 + (i * Isa.width))
   done
 
-let vbp_run mode ~sites =
-  Unix.putenv "LWVMM_BP" mode;
+let vbp_run ~sites =
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs () in
   let mon = Monitor.install m in
   let p = vbp_guest () in
@@ -861,8 +845,7 @@ let vbp_run mode ~sites =
 (* Hit latency: with [sites] cold sites armed, insert one breakpoint on
    the hot loop over the wire and measure cycles from the resume that
    follows the OK to the Break notification leaving the stub. *)
-let vbp_hit_cycles mode ~sites =
-  Unix.putenv "LWVMM_BP" mode;
+let vbp_hit_cycles ~sites =
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:bench_costs () in
   let mon = Monitor.install m in
   let p = vbp_guest () in
@@ -886,63 +869,41 @@ let vbp_hit_cycles mode ~sites =
 
 let vbp () =
   section
-    "E8 -- page-permission virtual breakpoints vs patch mode\n\
+    "vbp -- page-permission virtual breakpoints\n\
      (armed-site execution overhead and break-in latency)";
-  let prev_mode = Sys.getenv_opt "LWVMM_BP" in
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "LWVMM_BP" (Option.value prev_mode ~default:""))
-  @@ fun () ->
-  let site_counts = [ 1; 100; 5000 ] in
-  let rows = ref [] in
-  Printf.printf "%-8s %7s %12s %10s %12s\n" "mode" "sites" "laps" "overhead"
-    "hit cycles";
-  List.iter
-    (fun mode ->
-      let baseline = vbp_run mode ~sites:0 in
-      List.iter
-        (fun sites ->
-          let laps = vbp_run mode ~sites in
-          let overhead =
-            if laps = 0 then infinity
-            else (float_of_int baseline /. float_of_int laps) -. 1.0
-          in
-          let hit = vbp_hit_cycles mode ~sites in
-          Printf.printf "%-8s %7d %12d %9.1f%% %12d\n" mode sites laps
-            (100.0 *. overhead) hit;
-          rows :=
-            Json.Obj
-              [
-                ("mode", Json.String mode);
-                ("sites", Json.Int sites);
-                ("laps_baseline", Json.Int baseline);
-                ("laps", Json.Int laps);
-                ("overhead", Json.Float overhead);
-                ("hit_cycles", Json.Int hit);
-              ]
-            :: !rows)
-        site_counts)
-    [ "patch"; "virtual" ];
-  let rows = List.rev !rows in
+  Printf.printf "%7s %12s %10s %12s\n" "sites" "laps" "overhead" "hit cycles";
+  let baseline = vbp_run ~sites:0 in
+  let rows =
+    List.map
+      (fun sites ->
+        let laps = vbp_run ~sites in
+        let overhead =
+          if laps = 0 then infinity
+          else (float_of_int baseline /. float_of_int laps) -. 1.0
+        in
+        let hit = vbp_hit_cycles ~sites in
+        Printf.printf "%7d %12d %9.1f%% %12d\n" sites laps (100.0 *. overhead)
+          hit;
+        (hit, Json.Obj
+           [
+             ("sites", Json.Int sites);
+             ("laps_baseline", Json.Int baseline);
+             ("laps", Json.Int laps);
+             ("overhead", Json.Float overhead);
+             ("hit_cycles", Json.Int hit);
+           ]))
+      [ 1; 100; 5000 ]
+  in
   write_json "BENCH_vbp.json"
-    (Json.Obj (run_header "vbp" @ [ ("rows", Json.List rows) ]));
+    (Json.Obj (run_header "vbp" @ [ ("rows", Json.List (List.map snd rows)) ]));
   Printf.printf
-    "\nVirtual mode trades per-fetch faults on armed pages for untouched\n\
-     guest text; cold armed sites are free until fetched in either mode.\n";
+    "\nArmed pages pay a fault per fetch in exchange for untouched guest\n\
+     text; cold armed sites are free until fetched.\n";
   match Sys.getenv_opt "BENCH_VBP_MAX_HIT_CYCLES" with
   | None -> ()
   | Some limit ->
     let limit = int_of_string limit in
-    let worst =
-      List.fold_left
-        (fun acc row ->
-          match row with
-          | Json.Obj fields ->
-            (match List.assoc_opt "hit_cycles" fields with
-             | Some (Json.Int c) -> max acc c
-             | _ -> acc)
-          | _ -> acc)
-        0 rows
-    in
+    let worst = List.fold_left (fun acc (hit, _) -> max acc hit) 0 rows in
     if worst > limit then begin
       Printf.eprintf "vbp: worst hit latency %d cycles exceeds gate %d\n" worst
         limit;

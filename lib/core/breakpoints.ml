@@ -1,33 +1,17 @@
-type mode = Patch | Virtual
-
-let mode_of_env () =
-  match Sys.getenv_opt "LWVMM_BP" with
-  | Some "patch" -> Patch
-  | Some _ | None -> Virtual
-
 type t = {
-  mode : mode;
-  table : (int, string) Hashtbl.t;
+  table : (int, unit) Hashtbl.t;
   pages : (int, int) Hashtbl.t; (* page base -> armed-site count *)
   observe : (int, unit) Hashtbl.t;
-      (* observe-only sites (race witnesses): they keep their page NX in
-         virtual mode but never stop the guest — an exec fault there is
-         noted and stepped through transparently *)
+      (* observe-only sites (race witnesses): they keep their page NX but
+         never stop the guest — an exec fault there is noted and stepped
+         through transparently *)
 }
 
 let page_mask = lnot (Vmm_hw.Mmu.page_size - 1)
 let page_of addr = addr land page_mask
 
-let create ?mode () =
-  let mode = match mode with Some m -> m | None -> mode_of_env () in
-  {
-    mode;
-    table = Hashtbl.create 16;
-    pages = Hashtbl.create 8;
-    observe = Hashtbl.create 8;
-  }
-
-let mode t = t.mode
+let create () =
+  { table = Hashtbl.create 16; pages = Hashtbl.create 8; observe = Hashtbl.create 8 }
 
 let page_incr t page =
   Hashtbl.replace t.pages page
@@ -39,23 +23,29 @@ let page_decr t page =
   | Some n -> Hashtbl.replace t.pages page (n - 1)
   | None -> ()
 
-let add t ~addr ~saved =
-  if Hashtbl.mem t.table addr then false
+(* The stub's sites and the observe sites are two address sets sharing
+   the per-page refcounts. *)
+let set_add t set addr =
+  if Hashtbl.mem set addr then false
   else begin
-    Hashtbl.add t.table addr saved;
+    Hashtbl.add set addr ();
     page_incr t (page_of addr);
     true
   end
 
-let remove t ~addr =
-  match Hashtbl.find_opt t.table addr with
-  | Some saved ->
-    Hashtbl.remove t.table addr;
+let set_remove t set addr =
+  if Hashtbl.mem set addr then begin
+    Hashtbl.remove set addr;
     page_decr t (page_of addr);
-    Some saved
-  | None -> None
+    true
+  end
+  else false
 
-let saved_at t ~addr = Hashtbl.find_opt t.table addr
+let sorted_keys set =
+  List.sort compare (Hashtbl.fold (fun addr () acc -> addr :: acc) set [])
+
+let add t ~addr = set_add t t.table addr
+let remove t ~addr = set_remove t t.table addr
 let mem t ~addr = Hashtbl.mem t.table addr
 let count t = Hashtbl.length t.table
 
@@ -65,35 +55,17 @@ let page_armed t ~page =
 let armed_pages t =
   List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.pages [])
 
-let addresses t =
-  List.sort compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) t.table [])
-
-let add_observe t ~addr =
-  if Hashtbl.mem t.observe addr then false
-  else begin
-    Hashtbl.add t.observe addr ();
-    page_incr t (page_of addr);
-    true
-  end
-
-let remove_observe t ~addr =
-  if Hashtbl.mem t.observe addr then begin
-    Hashtbl.remove t.observe addr;
-    page_decr t (page_of addr);
-    true
-  end
-  else false
-
+let addresses t = sorted_keys t.table
+let add_observe t ~addr = set_add t t.observe addr
+let remove_observe t ~addr = set_remove t t.observe addr
 let observe_mem t ~addr = Hashtbl.mem t.observe addr
 let observe_count t = Hashtbl.length t.observe
-
-let observed t =
-  List.sort compare (Hashtbl.fold (fun addr () acc -> addr :: acc) t.observe [])
+let observed t = sorted_keys t.observe
 
 (* Detach clears only the stub's breakpoints: observe sites belong to the
    monitor's race-witness machinery and keep their page refcounts. *)
 let clear t =
-  let entries = Hashtbl.fold (fun addr saved acc -> (addr, saved) :: acc) t.table [] in
-  List.iter (fun (addr, _) -> page_decr t (page_of addr)) entries;
+  let addrs = addresses t in
+  List.iter (fun addr -> page_decr t (page_of addr)) addrs;
   Hashtbl.reset t.table;
-  entries
+  addrs

@@ -1,38 +1,22 @@
-(** Breakpoint table for the debug stub — dual mode.
+(** Breakpoint table for the debug stub.
 
-    [Patch] is the legacy mechanism: plant a [BRK] in guest text and
-    remember the original bytes so continue/step-over can restore and
-    re-insert them.  [Virtual] is the page-permission design (Price 2019):
+    Breakpoints are page-permission virtual breakpoints (Price 2019):
     guest text is never touched; instead every page holding an armed site
     is mapped no-execute in the shadow tables and the monitor fields the
-    resulting exec faults.  The table itself is mode-agnostic — it always
-    records addresses, saved bytes (empty in virtual mode) and per-page
-    armed-site counts; the stub and monitor consult [mode] to decide what
-    arming means. *)
-
-type mode = Patch | Virtual
+    resulting exec faults.  The table records the armed addresses, the
+    monitor's observe-only sites, and per-page armed-site counts that
+    the shadow fill consults to decide NX. *)
 
 type t
 
-(** [create ?mode ()] — default mode comes from the [LWVMM_BP] environment
-    variable ("patch" selects [Patch]; anything else, or unset, selects
-    [Virtual]). *)
-val create : ?mode:mode -> unit -> t
+val create : unit -> t
 
-val mode : t -> mode
+(** [add t ~addr] arms a breakpoint; [false] when one already exists at
+    [addr]. *)
+val add : t -> addr:int -> bool
 
-(** [mode_of_env ()] — the mode [create] would pick from [LWVMM_BP]. *)
-val mode_of_env : unit -> mode
-
-(** [add t ~addr ~saved] registers a breakpoint; [false] when one already
-    exists at [addr] (the caller must not double-patch). *)
-val add : t -> addr:int -> saved:string -> bool
-
-(** [remove t ~addr] unregisters and returns the saved bytes. *)
-val remove : t -> addr:int -> string option
-
-(** [saved_at t ~addr] — saved bytes without removing. *)
-val saved_at : t -> addr:int -> string option
+(** [remove t ~addr] disarms; [true] if a breakpoint was present. *)
+val remove : t -> addr:int -> bool
 
 val mem : t -> addr:int -> bool
 val count : t -> int
@@ -52,9 +36,9 @@ val addresses : t -> int list
 
 (** Observe-only sites: the monitor's race-witness machinery arms these
     on statically-reported race windows.  They share the per-page
-    armed-site counts (so their pages map NX in virtual mode) but live
-    outside the stub's table — an exec fault at one never stops the
-    guest, and {!clear} (stub detach) leaves them armed. *)
+    armed-site counts (so their pages map NX) but live outside the
+    stub's table — an exec fault at one never stops the guest, and
+    {!clear} (stub detach) leaves them armed. *)
 
 (** [add_observe t ~addr] — [false] if already observed. *)
 val add_observe : t -> addr:int -> bool
@@ -69,6 +53,6 @@ val observe_count : t -> int
 val observed : t -> int list
 
 (** [clear t] forgets the stub's breakpoints (detach); returns the
-    entries that were present so the caller can unpatch/disarm them.
-    Observe-only sites survive. *)
-val clear : t -> (int * string) list
+    sorted addresses that were armed so the caller can disarm their
+    pages.  Observe-only sites survive. *)
+val clear : t -> int list

@@ -613,9 +613,7 @@ let emulate_io t port pc =
 let vbp_page_armed t addr =
   match t.stub with
   | Some stub ->
-    let bps = Stub.breakpoints stub in
-    Breakpoints.mode bps = Breakpoints.Virtual
-    && Breakpoints.page_armed bps ~page:addr
+    Breakpoints.page_armed (Stub.breakpoints stub) ~page:addr
   | None -> false
 
 let fill_shadow t ~vaddr ~frame ~writable ~user =
@@ -692,9 +690,8 @@ let handle_vbp_fault t ~vaddr ~pc =
     trace t Vmm_sim.Trace.Info
       (Printf.sprintf "virtual breakpoint hit at pc 0x%x" pc);
     emit_event t "monitor.vbp" (Event.Vbp_hit { pc });
-    (* Same stop the BRK trap would have produced: Break at the site's
-       pc, before the instruction executes — wire-identical to patch
-       mode.  (During an [rs] replay the stub grants itself a pass and
+    (* Same stop a guest BRK would have produced: Break at the site's
+       pc, before the instruction executes.  (During an [rs] replay the stub grants itself a pass and
        sets the trap flag instead of stopping; the retried fetch then
        takes the step-through path below.) *)
     Stub.on_breakpoint stub ~pc
@@ -1224,21 +1221,9 @@ let register_metrics t =
   let vbps f =
     match t.stub with Some stub -> f (Stub.breakpoints stub) | None -> 0
   in
-  g "bp_virtual_mode" (fun () ->
-      vbps (fun bps ->
-          match Breakpoints.mode bps with
-          | Breakpoints.Virtual -> 1
-          | Breakpoints.Patch -> 0));
-  g "bp_virtual_armed_sites" (fun () ->
-      vbps (fun bps ->
-          if Breakpoints.mode bps = Breakpoints.Virtual then
-            Breakpoints.count bps
-          else 0));
+  g "bp_virtual_armed_sites" (fun () -> vbps Breakpoints.count);
   g "bp_virtual_armed_pages" (fun () ->
-      vbps (fun bps ->
-          if Breakpoints.mode bps = Breakpoints.Virtual then
-            List.length (Breakpoints.armed_pages bps)
-          else 0));
+      vbps (fun bps -> List.length (Breakpoints.armed_pages bps)));
   g "bp_virtual_exec_faults_total" (fun () -> t.c_vbp_faults);
   g "bp_virtual_hits_total" (fun () -> t.c_vbp_hits);
   g "bp_virtual_step_throughs_total" (fun () -> t.c_vbp_steps)
@@ -1291,8 +1276,8 @@ let restart_guest t =
     (* Pre-restart checkpoints describe a dead history line. *)
     t.checkpoints <- [];
     (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
-    (* The restore overwrote planted BRK bytes with boot-image bytes;
-       the stub re-plants its breakpoints and forgets any stop state. *)
+    (* The stub forgets any stop state; its breakpoints re-arm lazily
+       on the cleared shadow. *)
     Stub.note_restart (get_stub t);
     (* Re-register every gauge so a restarted world never serves metric
        reads through callbacks registered against superseded state. *)
@@ -1569,8 +1554,7 @@ let arm_race_sites t =
   disarm_race_sites t;
   if t.race_witness then
     match (t.stub, t.last_verify) with
-    | Some stub, Some r
-      when Breakpoints.mode (Stub.breakpoints stub) = Breakpoints.Virtual ->
+    | Some stub, Some r ->
       let sample = take race_sample_cap r.Verifier.race_sites in
       t.race_sites <-
         Array.of_list
@@ -1788,22 +1772,6 @@ let install ?(passthrough = default_passthrough) machine =
            }
          ~target:(make_target t) ~dispatch_cost:costs.Costs.stub_dispatch
          ~engine:(Machine.engine machine) ());
-  (* A planted breakpoint must head its own translated block: the BRK
-     patch itself already invalidates the compiled text (write
-     generations), but pinning keeps the translator from re-compiling a
-     run that would bury the trap site mid-block.  The predicate reads
-     the live table, so it tracks Z0/z0 traffic with no further hooks.
-     Patch mode only: virtual breakpoints never appear in guest text —
-     the armed page is NX in the shadow, and since every block dispatch
-     performs a real exec translation, a compiled run reaching the page
-     faults at the exact boundary pc with no per-site pinning. *)
-  Cpu.set_jit_pin cpu (fun pc ->
-      match t.stub with
-      | Some stub ->
-        let bps = Stub.breakpoints stub in
-        Breakpoints.mode bps = Breakpoints.Patch
-        && Breakpoints.mem bps ~addr:pc
-      | None -> false);
   register_metrics t;
   (* Open direct device access; everything else traps. *)
   List.iter

@@ -279,8 +279,7 @@ val verify_report_text : t -> string
     upgrades the site to "witnessed" ([race.witness] flight note, [qV]
     trailer, [static-races] crash-bundle section).  Observation is
     flight-ring only — the record/replay event stream and golden digests
-    are unchanged — and requires virtual breakpoint mode (a no-op under
-    [Patch]). *)
+    are unchanged. *)
 
 (** [set_race_witness t flag] — arm (sampling the latest report) or
     disarm.  Sites re-sample automatically on the next boot. *)

@@ -37,8 +37,7 @@ type target = {
 type run_state =
   | Running
   | Stopped of Command.stop_reason
-  | Step_over of int  (** stepping off a breakpoint, then keep running *)
-  | Client_step of int option  (** host-requested step; re-patch addr after *)
+  | Client_step  (** host-requested single step *)
   | Replaying of { as_step : bool }
       (** re-executing forward from a restored checkpoint toward a
           retirement target; [as_step] when driven by [rs] (breakpoints
@@ -52,17 +51,11 @@ type t = {
       (** option only to tie the construction knot; always Some after create *)
   breakpoints : Breakpoints.t;
   mutable state : run_state;
-  mutable replay_bp : int option;
-      (** breakpoint being silently stepped across during an [rs] replay *)
   mutable commands : int;
   mutable notifications : int;
   mutable link_downs : int;
   mutable reverse_ops : int;
 }
-
-let brk_bytes = Bytes.to_string (Isa.encode Isa.Brk)
-
-let virtual_mode t = Breakpoints.mode t.breakpoints = Breakpoints.Virtual
 
 let get_endpoint t =
   match t.endpoint with Some e -> e | None -> assert false
@@ -73,9 +66,8 @@ let end_replay t =
   match t.state with
   | Replaying _ ->
     t.target.set_retire_stop None;
-    t.target.set_replay_mute false;
-    t.replay_bp <- None
-  | Running | Stopped _ | Step_over _ | Client_step _ -> ()
+    t.target.set_replay_mute false
+  | Running | Stopped _ | Client_step -> ()
 
 let rec create ?link_config ~target ~dispatch_cost ~engine () =
   let t =
@@ -85,7 +77,6 @@ let rec create ?link_config ~target ~dispatch_cost ~engine () =
       endpoint = None;
       breakpoints = Breakpoints.create ();
       state = Running;
-      replay_bp = None;
       commands = 0;
       notifications = 0;
       link_downs = 0;
@@ -105,7 +96,7 @@ let rec create ?link_config ~target ~dispatch_cost ~engine () =
       t.link_downs <- t.link_downs + 1;
       match t.state with
       | Stopped _ -> ()
-      | Running | Step_over _ | Client_step _ | Replaying _ ->
+      | Running | Client_step | Replaying _ ->
         end_replay t;
         let pc = t.target.current_pc () in
         t.target.set_step false;
@@ -125,133 +116,41 @@ and stop_with t reason =
   t.target.stop ();
   t.state <- Stopped reason
 
-(* Breakpoint arming.
+(* Breakpoint arming never touches guest memory: the address goes in
+   the table and the monitor is told to drop the page's shadow mapping,
+   so the next fetch from it refills no-execute and every subsequent
+   fetch traps ([vbp_arm]/[vbp_disarm] are that resync; the NX decision
+   itself is recomputed from the table at fill time).  An unreadable
+   address is refused so [Z0] still answers E0E there. *)
 
-   Patch mode plants BRK over the guest's instruction and remembers the
-   original bytes.  Virtual mode never touches guest memory: the address
-   goes in the table and the monitor is told to drop the page's shadow
-   mapping, so the next fetch from it refills no-execute and every
-   subsequent fetch traps ([vbp_arm]/[vbp_disarm] are that resync; the
-   NX decision itself is recomputed from the table at fill time). *)
-
-and patch_brk t addr =
+and arm_breakpoint t addr =
   match t.target.read_memory ~addr ~len:Isa.width with
-  | None -> false (* unmapped/invalid address in both modes *)
-  | Some saved ->
-    if virtual_mode t then begin
-      if Breakpoints.add t.breakpoints ~addr ~saved:"" then
-        t.target.vbp_arm ~page:addr;
-      true (* re-arming an armed site is idempotent *)
-    end
-    else if Breakpoints.add t.breakpoints ~addr ~saved then
-      t.target.write_memory ~addr ~data:brk_bytes
-    else true (* already present: idempotent *)
+  | None -> false
+  | Some _ ->
+    if Breakpoints.add t.breakpoints ~addr then t.target.vbp_arm ~page:addr;
+    true (* re-arming an armed site is idempotent *)
 
-and unpatch_brk t addr =
-  match Breakpoints.remove t.breakpoints ~addr with
-  | Some saved ->
-    if virtual_mode t then t.target.vbp_disarm ~page:addr
-    else ignore (t.target.write_memory ~addr ~data:saved)
-  | None -> ()
+and disarm_breakpoint t addr =
+  if Breakpoints.remove t.breakpoints ~addr then
+    t.target.vbp_disarm ~page:addr
 
-(* Make patches invisible: splice saved bytes into data read from memory.
-   Virtual mode has nothing to hide — guest text is pristine — so reads
-   pass through untouched (splicing stale plant-time bytes would in fact
-   corrupt the view of self-modifying text). *)
-and splice_saved t ~addr ~len data =
-  if virtual_mode t then data
-  else splice_saved_patch t ~addr ~len data
+(* Resuming off a breakpoint hit grants a one-shot pass: the monitor
+   steps through the first exec fault at this pc instead of re-reporting
+   the hit we resumed from.  The site stays armed the whole time. *)
 
-and splice_saved_patch t ~addr ~len data =
-  let buf = Bytes.of_string data in
-  List.iter
-    (fun bp_addr ->
-      match Breakpoints.saved_at t.breakpoints ~addr:bp_addr with
-      | None -> ()
-      | Some saved ->
-        for i = 0 to String.length saved - 1 do
-          let pos = bp_addr + i - addr in
-          if pos >= 0 && pos < len then Bytes.set buf pos saved.[i]
-        done)
-    (Breakpoints.addresses t.breakpoints);
-  Bytes.to_string buf
-
-(* Writes that overlap a patch update the saved copy, not the BRK bytes.
-   Virtual mode writes straight through: armed sites live only in the
-   table and the shadow NX overlay, neither of which a data write can
-   touch. *)
-and write_memory_spliced t ~addr ~data =
-  if virtual_mode t then t.target.write_memory ~addr ~data
-  else write_memory_spliced_patch t ~addr ~data
-
-and write_memory_spliced_patch t ~addr ~data =
-  let len = String.length data in
-  let bps = Breakpoints.addresses t.breakpoints in
-  let overlapping =
-    List.filter
-      (fun a -> a + Isa.width > addr && a < addr + len)
-      bps
-  in
-  if overlapping = [] then t.target.write_memory ~addr ~data
-  else begin
-    (* Write through, then restore the BRKs with refreshed saved bytes. *)
-    let ok = ref (t.target.write_memory ~addr ~data) in
-    List.iter
-      (fun bp_addr ->
-        match Breakpoints.remove t.breakpoints ~addr:bp_addr with
-        | None -> ()
-        | Some old_saved ->
-          let saved = Bytes.of_string old_saved in
-          for i = 0 to Bytes.length saved - 1 do
-            let pos = bp_addr + i - addr in
-            if pos >= 0 && pos < len then Bytes.set saved pos data.[pos]
-          done;
-          ignore
-            (Breakpoints.add t.breakpoints ~addr:bp_addr
-               ~saved:(Bytes.to_string saved));
-          if not (t.target.write_memory ~addr:bp_addr ~data:brk_bytes) then
-            ok := false)
-      overlapping;
-    !ok
-  end
-
-(* Resuming. *)
+and pass_breakpoint_at_pc t =
+  let pc = t.target.current_pc () in
+  if Breakpoints.mem t.breakpoints ~addr:pc then t.target.vbp_pass ~pc
 
 and continue_guest t =
-  let pc = t.target.current_pc () in
-  (if Breakpoints.mem t.breakpoints ~addr:pc then
-     if virtual_mode t then begin
-       (* One-shot pass: the monitor steps through the first exec fault
-          at this pc instead of re-reporting the hit we resumed from.
-          The site stays armed the whole time. *)
-       t.target.vbp_pass ~pc;
-       t.state <- Running
-     end
-     else begin
-       (* Step across the patched instruction, then re-insert it. *)
-       unpatch_brk t pc;
-       t.target.set_step true;
-       t.state <- Step_over pc
-     end
-   else t.state <- Running);
+  pass_breakpoint_at_pc t;
+  t.state <- Running;
   t.target.resume ()
 
 and step_guest t =
-  let pc = t.target.current_pc () in
-  let repatch =
-    if Breakpoints.mem t.breakpoints ~addr:pc then
-      if virtual_mode t then begin
-        t.target.vbp_pass ~pc;
-        None (* nothing planted, nothing to re-patch *)
-      end
-      else begin
-        unpatch_brk t pc;
-        Some pc
-      end
-    else None
-  in
+  pass_breakpoint_at_pc t;
   t.target.set_step true;
-  t.state <- Client_step repatch;
+  t.state <- Client_step;
   t.target.resume ()
 
 (* Reverse execution = checkpoint restore + deterministic replay-to-N.
@@ -262,14 +161,13 @@ and step_guest t =
    instruction never retired, so the stop lands with pc on it, poised
    but not yet executed).
 
-   The restore overwrote guest memory with the checkpoint image, so the
-   current breakpoints are re-planted immediately (their saved bytes in
-   the table are the original code bytes, which remain correct whether
-   or not the image contained the BRK patch).  The recorder is muted
-   while re-executing: replayed history must not re-enter the log. *)
+   Breakpoints survive the restore by construction: the restore cleared
+   the shadow tables and the table-driven refill re-arms every page
+   lazily.  The recorder is muted while re-executing: replayed history
+   must not re-enter the log. *)
 and reverse_guest t ~as_step =
   match t.state with
-  | Running | Step_over _ | Client_step _ | Replaying _ ->
+  | Running | Client_step | Replaying _ ->
     send_reply t (Command.Error 0x02)
   | Stopped _ ->
     let retired = t.target.retired () in
@@ -281,14 +179,6 @@ and reverse_guest t ~as_step =
       | None -> send_reply t (Command.Error 0x04)
       | Some at ->
         t.reverse_ops <- t.reverse_ops + 1;
-        (* Virtual breakpoints survive the restore by construction: the
-           restore cleared the shadow tables and the table-driven refill
-           re-arms every page lazily.  Only patch mode must re-plant. *)
-        if not (virtual_mode t) then
-          List.iter
-            (fun addr ->
-              ignore (t.target.write_memory ~addr ~data:brk_bytes))
-            (Breakpoints.addresses t.breakpoints);
         send_reply t Command.Ok_reply;
         if Int64.compare at target_retired >= 0 then begin
           (* The checkpoint sits exactly on the target boundary: no
@@ -323,17 +213,16 @@ and handle_command t command =
     else send_reply t (Command.Error 0x01)
   | Command.Read_memory { addr; len } ->
     (match t.target.read_memory ~addr ~len with
-     | Some data ->
-       send_reply t (Command.Memory (splice_saved t ~addr ~len data))
+     | Some data -> send_reply t (Command.Memory data)
      | None -> send_reply t (Command.Error 0x0E))
   | Command.Write_memory { addr; data } ->
-    if write_memory_spliced t ~addr ~data then send_reply t Command.Ok_reply
+    if t.target.write_memory ~addr ~data then send_reply t Command.Ok_reply
     else send_reply t (Command.Error 0x0E)
   | Command.Insert_breakpoint addr ->
-    if patch_brk t addr then send_reply t Command.Ok_reply
+    if arm_breakpoint t addr then send_reply t Command.Ok_reply
     else send_reply t (Command.Error 0x0E)
   | Command.Remove_breakpoint addr ->
-    unpatch_brk t addr;
+    disarm_breakpoint t addr;
     send_reply t Command.Ok_reply
   | Command.Insert_watchpoint { addr; len } ->
     if t.target.set_watch ~addr ~len then send_reply t Command.Ok_reply
@@ -358,7 +247,7 @@ and handle_command t command =
          send_reply t Command.Ok_reply;
          continue_guest t
        end
-     | Running | Step_over _ | Client_step _ | Replaying _ ->
+     | Running | Client_step | Replaying _ ->
        send_reply t Command.Ok_reply)
   | Command.Step ->
     (match t.state with
@@ -368,14 +257,14 @@ and handle_command t command =
          send_reply t Command.Ok_reply;
          step_guest t
        end
-     | Running | Step_over _ | Client_step _ | Replaying _ ->
+     | Running | Client_step | Replaying _ ->
        send_reply t (Command.Error 0x02))
   | Command.Reverse_step -> reverse_guest t ~as_step:true
   | Command.Reverse_continue -> reverse_guest t ~as_step:false
   | Command.Halt ->
     (match t.state with
      | Stopped reason -> notify t reason
-     | Running | Step_over _ | Client_step _ | Replaying _ ->
+     | Running | Client_step | Replaying _ ->
        end_replay t;
        let pc = t.target.current_pc () in
        t.target.set_step false;
@@ -391,8 +280,8 @@ and handle_command t command =
     send_reply t (Command.Memory (t.target.query_flight ()))
   | Command.Restart ->
     (* The monitor reloads the snapshot and calls [note_restart] below
-       before returning, so by the time OK goes out the breakpoints are
-       re-planted and the guest is running from its entry point. *)
+       before returning, so by the time OK goes out the stop state is
+       gone and the guest is running from its entry point. *)
     if t.target.restart () then send_reply t Command.Ok_reply
     else send_reply t (Command.Error 0x0F)
   | Command.Read_profile ->
@@ -400,7 +289,7 @@ and handle_command t command =
   | Command.Query_stop ->
     (match t.state with
      | Stopped reason -> send_reply t (Command.Stopped reason)
-     | Running | Step_over _ | Client_step _ | Replaying _ ->
+     | Running | Client_step | Replaying _ ->
        send_reply t Command.Running)
   | Command.Resync ->
     (* The host is re-establishing a link it declared dead; restart the
@@ -409,11 +298,8 @@ and handle_command t command =
     Reliable.set_sequenced (get_endpoint t) true;
     send_reply t Command.Sync_ok
   | Command.Detach ->
-    let was_virtual = virtual_mode t in
     List.iter
-      (fun (addr, saved) ->
-        if was_virtual then t.target.vbp_disarm ~page:addr
-        else ignore (t.target.write_memory ~addr ~data:saved))
+      (fun addr -> t.target.vbp_disarm ~page:addr)
       (Breakpoints.clear t.breakpoints);
     (match t.state with
      | Stopped _ ->
@@ -422,7 +308,7 @@ and handle_command t command =
      | Replaying _ ->
        end_replay t;
        t.state <- Running
-     | Running | Step_over _ | Client_step _ -> ());
+     | Running | Client_step -> ());
     send_reply t Command.Ok_reply
 
 and deliver t payload =
@@ -438,15 +324,9 @@ let on_breakpoint t ~pc =
   match t.state with
   | Replaying { as_step = true } when Breakpoints.mem t.breakpoints ~addr:pc ->
     (* [rs] re-execution: breakpoints along the replayed path are not
-       stops.  Patch mode: unpatch, trap-step across, re-patch on the
-       step trap.  Virtual mode: grant a one-shot pass (the retried
-       fetch faults again and the monitor steps through) — the site
-       never leaves the table. *)
-    if virtual_mode t then t.target.vbp_pass ~pc
-    else begin
-      unpatch_brk t pc;
-      t.replay_bp <- Some pc
-    end;
+       stops.  Grant a one-shot pass (the retried fetch faults again and
+       the monitor steps through) — the site never leaves the table. *)
+    t.target.vbp_pass ~pc;
     t.target.set_step true
   | Replaying { as_step = false } ->
     (* [rc] re-execution: first breakpoint after the checkpoint wins. *)
@@ -462,25 +342,13 @@ let on_breakpoint t ~pc =
 
 let on_step_trap t ~pc =
   match t.state with
-  | Step_over bp_addr ->
-    ignore (patch_brk t bp_addr);
-    t.target.set_step false;
-    t.state <- Running
-  | Client_step repatch ->
-    (match repatch with
-     | Some addr -> ignore (patch_brk t addr)
-     | None -> ());
+  | Client_step ->
     t.target.set_step false;
     stop_with t (Command.Step_done pc);
     notify t (Command.Step_done pc)
   | Replaying _ ->
-    (* End of a silent step across a replayed breakpoint: re-plant and
-       keep re-executing toward the retirement target. *)
-    (match t.replay_bp with
-     | Some addr ->
-       ignore (patch_brk t addr);
-       t.replay_bp <- None
-     | None -> ());
+    (* End of a silent step across a replayed breakpoint: keep
+       re-executing toward the retirement target. *)
     t.target.set_step false
   | Running | Stopped _ ->
     (* The guest set its own trap flag; surface it like a breakpoint. *)
@@ -491,11 +359,6 @@ let on_step_trap t ~pc =
 (* The CPU landed on the requested retirement boundary: the reverse
    operation is over; report it like a completed step. *)
 let on_retire_stop t ~pc =
-  (match t.replay_bp with
-   | Some addr ->
-     ignore (patch_brk t addr);
-     t.replay_bp <- None
-   | None -> ());
   t.target.set_step false;
   t.target.set_replay_mute false;
   t.target.set_retire_stop None;
@@ -520,30 +383,24 @@ let on_wedge t ~pc =
   stop_with t (Command.Wedged pc);
   notify t (Command.Wedged pc)
 
-(* Called by the monitor from inside a warm restart, after the snapshot
-   restore overwrote guest memory: re-plant every breakpoint (the saved
-   bytes still match — they are the boot-image bytes the restore just
-   wrote back) and forget any stop state; the guest is running again.
-   Virtual breakpoints need no re-plant: the restart cleared the shadow
-   tables and the table-driven NX refill re-arms every page lazily. *)
+(* Called by the monitor from inside a warm restart: forget any stop
+   state; the guest is running again.  Breakpoints need no re-plant: the
+   restart cleared the shadow tables and the table-driven NX refill
+   re-arms every page lazily. *)
 let note_restart t =
   end_replay t;
-  if not (virtual_mode t) then
-    List.iter
-      (fun addr -> ignore (t.target.write_memory ~addr ~data:brk_bytes))
-      (Breakpoints.addresses t.breakpoints);
   t.target.set_step false;
   t.state <- Running
 
 let stopped t =
   match t.state with
   | Stopped _ -> true
-  | Running | Step_over _ | Client_step _ | Replaying _ -> false
+  | Running | Client_step | Replaying _ -> false
 
 let replaying t =
   match t.state with
   | Replaying _ -> true
-  | Running | Stopped _ | Step_over _ | Client_step _ -> false
+  | Running | Stopped _ | Client_step -> false
 
 let reverse_ops t = t.reverse_ops
 let endpoint t = get_endpoint t

@@ -5,14 +5,10 @@
     through a narrow {!target} interface: registers, memory, stop/resume
     and the single-step flag.
 
-    Breakpoints come in two modes (see {!Breakpoints.mode}, selected by
-    [LWVMM_BP]).  Patch mode plants BRK over the guest's instruction and
-    remembers the original bytes; the stub makes the patch invisible to
-    host memory reads and steps across it on continue.  Virtual mode
-    (default) never mutates guest memory: armed pages are mapped
+    Breakpoints never mutate guest memory: armed pages are mapped
     no-execute in the shadow tables and the monitor fields the exec
-    faults, so the wire semantics ([Z0]/[z0]/[T] stops) are identical
-    while the guest can neither observe nor corrupt its breakpoints. *)
+    faults (see {!Breakpoints}), so [m]/[M] pass straight through and
+    the guest can neither observe nor corrupt its breakpoints. *)
 
 (** What the stub needs from the monitor/machine. *)
 type target = {
@@ -96,9 +92,9 @@ val create :
 (** [on_rx_byte t byte] — a byte arrived on the debug link. *)
 val on_rx_byte : t -> int -> unit
 
-(** [on_breakpoint t ~pc] — the guest executed BRK (patch mode / guest's
-    own trap) or a virtual-breakpoint exec fault matched an armed site;
-    either way the stop reports [Break pc] identically on the wire. *)
+(** [on_breakpoint t ~pc] — a breakpoint exec fault matched an armed
+    site, or the guest executed its own BRK; either way the stop reports
+    [Break pc] identically on the wire. *)
 val on_breakpoint : t -> pc:int -> unit
 
 (** [on_step_trap t ~pc] — the guest retired a single-stepped
@@ -123,9 +119,10 @@ val on_wedge : t -> pc:int -> unit
     [pc] and un-mutes the recorder. *)
 val on_retire_stop : t -> pc:int -> unit
 
-(** [note_restart t] — the monitor completed a warm restart: re-plant
-    breakpoints over the restored image and return to [Running].  Called
-    from inside {!target.restart}; the link state is untouched. *)
+(** [note_restart t] — the monitor completed a warm restart: forget any
+    stop state and return to [Running].  Armed breakpoints carry over
+    (the fresh shadow re-arms their pages lazily).  Called from inside
+    {!target.restart}; the link state is untouched. *)
 val note_restart : t -> unit
 
 (** {2 State} *)

@@ -300,12 +300,15 @@ let query_raw ?(timeout_s = default_timeout_s) t =
     let got = pump_until t ~timeout_s ready in
     decr t.awaiting;
     if got then
-      match Queue.take_opt t.stops with
-      | Some reason ->
-        (* The ['?'] reply itself: a stopped target answers with its
-           stop reason. *)
-        Some (Error reason)
-      | None -> Some (Ok (Queue.pop t.replies))
+      (* The ['?'] reply itself: a running target's [R] lands in the
+         reply queue, a stopped target's stop reason in the stop queue.
+         Take [R] first: when the guest stops right after the stub
+         answered, the [T] can arrive in the same pump slice, and it must
+         stay pending rather than leave [R] to pair with the next
+         command. *)
+      match Queue.take_opt t.replies with
+      | Some payload -> Some (Ok payload)
+      | None -> Some (Error (Queue.pop t.stops))
     else begin
       incr t.stale;
       None

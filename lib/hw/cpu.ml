@@ -93,9 +93,6 @@ type t = {
      entry, so the per-op continuation guard is one int compare. *)
   jcache : jblock option array;
   mutable jit_enabled : bool;
-  mutable jit_pin : int -> bool;
-      (* virtual pcs that must start their own block (planted traps);
-         installed by the monitor from the debug stub's breakpoint table *)
   mutable jit_cyc : int;
   mutable jit_ret : int;
   mutable jit_limit : int;
@@ -174,7 +171,6 @@ let create ~mem ~bus ~engine ~costs ~load () =
     ic_inval = 0;
     jcache = Array.make jcache_slots None;
     jit_enabled = true;
-    jit_pin = (fun _ -> false);
     jit_cyc = 0;
     jit_ret = 0;
     jit_limit = 0;
@@ -840,8 +836,8 @@ let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
   Phys_mem.write_u8 t.mem p v;
   p >= bppc && p < bppc + bbytes
 
-(* Chain terminator for blocks that end at a page boundary, a pinned
-   site, or an interpreter-only instruction: pc already points at the
+(* Chain terminator for blocks that end at a page boundary or an
+   interpreter-only instruction: pc already points at the
    next instruction, so the dispatcher takes over. *)
 let jit_block_end (_ : t) = ()
 
@@ -1192,78 +1188,72 @@ let jit_gsum t ~ppc ~bytes =
 (* Compile the run starting at [vpc] (physically at [ppc], both inside
    one page — blocks never cross a page boundary, so virtual and
    physical offsets advance in lockstep).  Stops at the page end, the
-   length cap, an interpreter-only instruction, an undecodable slot, or
-   a pinned pc (planted breakpoint sites must head their own block so
-   the trap fires before any compiled op runs).  Ops are chained back to
-   front; pc updates inside ops are pc-relative (or absolute targets
-   from the encoding), so a block is reusable across virtual mappings of
-   the same physical text — which is exactly what physical keying
-   promises. *)
+   length cap, an interpreter-only instruction (BRK among them, so a
+   planted trap always runs in the interpreter), or an undecodable
+   slot.  Ops are chained back to front; pc updates inside ops are
+   pc-relative (or absolute targets from the encoding), so a block is
+   reusable across virtual mappings of the same physical text — which
+   is exactly what physical keying promises. *)
 let compile_block t ~vpc ~ppc : jblock option =
-  if t.jit_pin vpc then None
+  let w = Isa.width in
+  let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
+  let proom = (Phys_mem.size t.mem - ppc) / w in
+  let room = min jit_max_block (min vroom proom) in
+  let mids = Array.make (max room 1) Isa.Nop in
+  let n_mid = ref 0 in
+  let final = ref None in
+  let stop = ref false in
+  while (not !stop) && Option.is_none !final && !n_mid < room do
+    let off = !n_mid * w in
+    match Isa.read t.mem (ppc + off) with
+    | exception Isa.Decode_error _ -> stop := true
+    | i ->
+      (match Isa.flow_of i with
+       | Isa.Fallthrough ->
+         if jit_compiles_mid i then begin
+           mids.(!n_mid) <- i;
+           incr n_mid
+         end
+         else stop := true
+       | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
+       | Isa.Return ->
+         final := Some i
+       | Isa.Int_return | Isa.Terminal -> stop := true)
+  done;
+  let tail, n_final =
+    match !final with
+    | Some i ->
+      (match compile_final t i with
+       | Some op -> (op, 1)
+       | None -> (jit_block_end, 0))
+    | None -> (jit_block_end, 0)
+  in
+  let total = !n_mid + n_final in
+  if total = 0 then None
   else begin
-    let w = Isa.width in
-    let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
-    let proom = (Phys_mem.size t.mem - ppc) / w in
-    let room = min jit_max_block (min vroom proom) in
-    let mids = Array.make (max room 1) Isa.Nop in
-    let n_mid = ref 0 in
-    let final = ref None in
-    let stop = ref false in
-    while (not !stop) && Option.is_none !final && !n_mid < room do
-      let off = !n_mid * w in
-      if !n_mid > 0 && t.jit_pin (vpc + off) then stop := true
-      else
-        match Isa.read t.mem (ppc + off) with
-        | exception Isa.Decode_error _ -> stop := true
-        | i ->
-          (match Isa.flow_of i with
-           | Isa.Fallthrough ->
-             if jit_compiles_mid i then begin
-               mids.(!n_mid) <- i;
-               incr n_mid
-             end
-             else stop := true
-           | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
-           | Isa.Return ->
-             final := Some i
-           | Isa.Int_return | Isa.Terminal -> stop := true)
+    (* The validated byte range always covers the full decoded run even
+       if closure construction bails early below: over-approximating
+       the text only invalidates more often, never less. *)
+    let bytes = (!n_mid + (match !final with Some _ -> 1 | None -> 0)) * w in
+    let bppc = ppc and bbytes = bytes in
+    let entry = ref tail in
+    for k = !n_mid - 1 downto 0 do
+      match compile_op t mids.(k) ~bppc ~bbytes ~next:!entry with
+      | Some op -> entry := op
+      | None ->
+        (* Unreachable while [jit_compiles_mid] and [compile_op] agree;
+           ending the block here keeps it safe even if they drift. *)
+        entry := jit_block_end
     done;
-    let tail, n_final =
-      match !final with
-      | Some i ->
-        (match compile_final t i with
-         | Some op -> (op, 1)
-         | None -> (jit_block_end, 0))
-      | None -> (jit_block_end, 0)
-    in
-    let total = !n_mid + n_final in
-    if total = 0 then None
-    else begin
-      (* The validated byte range always covers the full decoded run even
-         if closure construction bails early below: over-approximating
-         the text only invalidates more often, never less. *)
-      let bytes = (!n_mid + (match !final with Some _ -> 1 | None -> 0)) * w in
-      let bppc = ppc and bbytes = bytes in
-      let entry = ref tail in
-      for k = !n_mid - 1 downto 0 do
-        match compile_op t mids.(k) ~bppc ~bbytes ~next:!entry with
-        | Some op -> entry := op
-        | None ->
-          (* Unreachable while [jit_compiles_mid] and [compile_op] agree;
-             ending the block here keeps it safe even if they drift. *)
-          entry := jit_block_end
-      done;
-      t.jb_compiled <- t.jb_compiled + 1;
-      Some
-        {
-          jb_ppc = ppc;
-          jb_bytes = bytes;
-          jb_gsum = jit_gsum t ~ppc ~bytes;
-          jb_flush = t.icache_gen;
-          jb_entry = !entry;
-        }
-    end
+    t.jb_compiled <- t.jb_compiled + 1;
+    Some
+      {
+        jb_ppc = ppc;
+        jb_bytes = bytes;
+        jb_gsum = jit_gsum t ~ppc ~bytes;
+        jb_flush = t.icache_gen;
+        jb_entry = !entry;
+      }
   end
 
 (* Direct-mapped lookup with full revalidation (invariant 4): stamp and
@@ -1492,14 +1482,6 @@ let icache_invalidations t = t.ic_inval
 
 let jit_enabled t = t.jit_enabled
 let set_jit_enabled t v = t.jit_enabled <- v
-
-let set_jit_pin t pin =
-  t.jit_pin <- pin;
-  (* Pin-set changes that do not rewrite guest text (the stub's do) would
-     otherwise leave stale blocks spanning a newly pinned site; the O(1)
-     flush-stamp bump forces every block through recompilation, where the
-     new predicate is consulted. *)
-  t.icache_gen <- t.icache_gen + 1
 
 let blocks_compiled t = t.jb_compiled
 let block_hits t = t.jb_hits

@@ -220,13 +220,6 @@ val set_jit_enabled : t -> bool -> unit
 
 val jit_enabled : t -> bool
 
-(** [set_jit_pin t pred] registers pcs that must head their own block —
-    the monitor points this at the debug stub's breakpoint table so a
-    planted trap site is never buried mid-block.  Installing a predicate
-    flushes compiled blocks (O(1) stamp bump) so it takes effect
-    immediately. *)
-val set_jit_pin : t -> (int -> bool) -> unit
-
 val blocks_compiled : t -> int
 val block_hits : t -> int
 val block_invalidations : t -> int
@@ -237,7 +230,7 @@ val block_chain_follows : t -> int
 
 (** [block_fallbacks t] — translator dispatches that fell back to one
     interpreter step (interpreter-only instruction, straddling fetch,
-    pinned site, out-of-RAM text). *)
+    out-of-RAM text). *)
 val block_fallbacks : t -> int
 
 val instructions_retired : t -> int64

@@ -542,18 +542,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* -- Dynamic cross-validation: static sites witnessed end to end -- *)
 
-(* Pin virtual-breakpoint mode: observe-only sites are a no-op under
-   [Patch], and [Breakpoints.create] reads LWVMM_BP at install time. *)
-let with_virtual_mode f =
-  let prev = Sys.getenv_opt "LWVMM_BP" in
-  Unix.putenv "LWVMM_BP" "virtual";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "LWVMM_BP" (Option.value prev ~default:"virtual"))
-    f
-
 let test_witnessed_race () =
-  with_virtual_mode @@ fun () ->
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) () in
   let mon = Monitor.install m in
   Monitor.set_race_witness mon true;
@@ -616,9 +605,9 @@ let test_witnessed_race () =
 
 let test_observe_sites_survive_detach () =
   (* stub detach clears the breakpoint table; observe-only sites stay *)
-  let b = Breakpoints.create ~mode:Breakpoints.Virtual () in
+  let b = Breakpoints.create () in
   check bool "observe armed" true (Breakpoints.add_observe b ~addr:0x1040);
-  check bool "bp armed" true (Breakpoints.add b ~addr:0x1080 ~saved:"");
+  check bool "bp armed" true (Breakpoints.add b ~addr:0x1080);
   ignore (Breakpoints.clear b);
   check bool "bp gone" false (Breakpoints.mem b ~addr:0x1080);
   check bool "observe survives" true (Breakpoints.observe_mem b ~addr:0x1040);

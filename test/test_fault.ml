@@ -208,6 +208,34 @@ let test_stale_reply_no_desync () =
   check bool "debuggable after resync" true
     (Session.read_registers ~timeout_s:1.0 session <> None)
 
+(* Regression: the stub answers '?' with R and the guest faults just
+   after, so the R reply and the fault's T notification land in the same
+   pump slice.  [is_running] must take its own R and leave the T pending;
+   taking the T instead strands R in the reply queue, where the next
+   transact pops it as its own reply. *)
+let test_running_reply_beside_stop () =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+  let mon = Monitor.install m in
+  let program = Kernel.build (Kernel.default_config ~rate_mbps:20.0) in
+  Monitor.boot_guest mon program ~entry:Kernel.entry;
+  Machine.run_seconds m 0.01;
+  let session = Session.attach m in
+  check bool "healthy first" true (Session.read_registers session <> None);
+  Session.continue_ session;
+  (* 60 us: after the stub has answered '?', before R reaches the host *)
+  let now = Machine.now m in
+  ignore
+    (Vmm_sim.Engine.at (Machine.engine m)
+       ~time:(Int64.add now (cyc 0.00006))
+       (fun () -> Monitor.inject mon (Monitor.Wild_jump 0x0F00_1234)));
+  check (Alcotest.option bool) "is_running takes its own R" (Some true)
+    (Session.is_running ~timeout_s:1.0 session);
+  check bool "next transact gets registers" true
+    (Session.read_registers ~timeout_s:1.0 session <> None);
+  match Session.wait_stop ~timeout_s:1.0 session with
+  | Some (Vmm_proto.Command.Faulted _) -> ()
+  | _ -> Alcotest.fail "the fault's stop stays pending"
+
 (* -- Plan arming surface: overlap, disarm, introspection -- *)
 
 let test_plan_disarm_and_overlap () =
@@ -373,6 +401,8 @@ let () =
           Alcotest.test_case "link down and back" `Quick test_link_down_and_back;
           Alcotest.test_case "stale reply no desync" `Quick
             test_stale_reply_no_desync;
+          Alcotest.test_case "running reply beside stop" `Quick
+            test_running_reply_beside_stop;
           Alcotest.test_case "plan disarm + overlap" `Quick
             test_plan_disarm_and_overlap;
         ] );

@@ -4,9 +4,9 @@
    pristine text under a self-checksumming guest, self-modifying stores
    that neither corrupt the program nor disarm the site, exact-boundary
    faults out of chained superblocks, survival across warm restart, and
-   bit-exact record/replay of break-ins — plus the dual-mode table API
-   itself.  Mode is forced per test via LWVMM_BP so the suite means the
-   same thing no matter which mode the surrounding CI matrix selects. *)
+   bit-exact record/replay of break-ins, a property that no Z0/z0 or
+   race-witness traffic leaves a trace in guest state — plus the table
+   API itself. *)
 
 module Machine = Vmm_hw.Machine
 module Cpu = Vmm_hw.Cpu
@@ -30,16 +30,6 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 let test_costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 }
-
-(* [Breakpoints.create] reads LWVMM_BP; pin it per test so assertions
-   about a specific mode hold regardless of the environment. *)
-let with_mode mode f =
-  let prev = Sys.getenv_opt "LWVMM_BP" in
-  Unix.putenv "LWVMM_BP" mode;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "LWVMM_BP" (Option.value prev ~default:"virtual"))
-    f
 
 let fresh () =
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
@@ -91,21 +81,15 @@ let expect_break m host what =
   | Some (Command.Stopped (Command.Break addr)) -> addr
   | _ -> Alcotest.failf "expected break notification (%s)" what
 
-(* -- Dual-mode table API -- *)
+(* -- Table API -- *)
 
-let test_table_dual_mode () =
-  with_mode "virtual" @@ fun () ->
-  check bool "env selects virtual" true
-    (Breakpoints.mode_of_env () = Breakpoints.Virtual);
+let test_table_api () =
   let b = Breakpoints.create () in
-  check bool "default mode from env" true
-    (Breakpoints.mode b = Breakpoints.Virtual);
-  let p = Breakpoints.create ~mode:Breakpoints.Patch () in
-  check bool "explicit mode wins" true (Breakpoints.mode p = Breakpoints.Patch);
   (* page accounting: two sites on one page, one on another *)
-  check bool "add a" true (Breakpoints.add b ~addr:0x1010 ~saved:"");
-  check bool "add b" true (Breakpoints.add b ~addr:0x1ff8 ~saved:"");
-  check bool "add c" true (Breakpoints.add b ~addr:0x3000 ~saved:"");
+  check bool "add a" true (Breakpoints.add b ~addr:0x1010);
+  check bool "add b" true (Breakpoints.add b ~addr:0x1ff8);
+  check bool "add c" true (Breakpoints.add b ~addr:0x3000);
+  check bool "re-add" false (Breakpoints.add b ~addr:0x3000);
   check bool "page armed" true (Breakpoints.page_armed b ~page:0x1234);
   check bool "other page" false (Breakpoints.page_armed b ~page:0x2000);
   check (Alcotest.list int) "armed pages sorted" [ 0x1000; 0x3000 ]
@@ -115,11 +99,8 @@ let test_table_dual_mode () =
   check bool "still armed" true (Breakpoints.page_armed b ~page:0x1000);
   ignore (Breakpoints.remove b ~addr:0x1ff8);
   check bool "page released" false (Breakpoints.page_armed b ~page:0x1000);
-  ignore (Breakpoints.clear b);
-  check (Alcotest.list int) "clear drops pages" [] (Breakpoints.armed_pages b);
-  check bool "patch env" true
-    (with_mode "patch" (fun () ->
-         Breakpoints.mode_of_env () = Breakpoints.Patch))
+  check (Alcotest.list int) "clear returns armed" [ 0x3000 ] (Breakpoints.clear b);
+  check (Alcotest.list int) "clear drops pages" [] (Breakpoints.armed_pages b)
 
 (* -- Self-checksumming guest: armed text reads pristine -- *)
 
@@ -140,8 +121,7 @@ let checksum_guest () =
   Asm.nop a;
   Asm.assemble a
 
-let run_checksum mode ~armed =
-  with_mode mode @@ fun () ->
+let run_checksum ~armed =
   let m, mon = fresh () in
   let p = checksum_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
@@ -156,22 +136,16 @@ let run_checksum mode ~armed =
   reg m 3
 
 let test_self_checksumming_guest () =
-  let baseline = run_checksum "virtual" ~armed:false in
-  check bool "virtual arm is invisible to csum" true
-    (run_checksum "virtual" ~armed:true = baseline);
-  (* the contrast that motivates the design: a patch-mode plant changes
-     the bytes the guest can see *)
-  check bool "patch plant perturbs csum" true
-    (run_checksum "patch" ~armed:true <> baseline)
+  let baseline = run_checksum ~armed:false in
+  check bool "armed site is invisible to csum" true
+    (run_checksum ~armed:true = baseline)
 
 (* -- Self-modifying guest: stores neither corrupt nor disarm -- *)
 
 (* The guest overwrites an armed instruction with [movi r1, 99] before
-   reaching it.  In virtual mode the store must land (no BRK byte to
-   collide with), the next hit must still report, and resuming must
+   reaching it.  The store must land (no BRK byte to collide with), the next hit must still report, and resuming must
    execute the guest's new instruction. *)
 let test_self_modifying_armed_site () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   let enc = Isa.encode (Isa.Movi (1, 99)) in
   let word off =
@@ -228,7 +202,6 @@ let test_self_modifying_armed_site () =
 (* -- JIT: a chained superblock faults at the exact boundary pc -- *)
 
 let test_superblock_nx_boundary () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   Cpu.set_jit_enabled (Machine.cpu m) true;
   (* hot loop on page 0x1000 chaining into page 0x2000 and back *)
@@ -268,7 +241,6 @@ let test_superblock_nx_boundary () =
 (* -- Warm restart: armed virtual breakpoints survive R -- *)
 
 let test_warm_restart_keeps_vbps () =
-  with_mode "virtual" @@ fun () ->
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
   let mon = Monitor.install m in
   let program = Kernel.build (Kernel.default_config ~rate_mbps:20.0) in
@@ -283,8 +255,8 @@ let test_warm_restart_keeps_vbps () =
   (match Session.restart session with
    | Session.Restarted -> ()
    | _ -> Alcotest.fail "restart failed");
-  (* no re-plant happened (nothing to re-plant in virtual mode); the
-     armed table re-arms the fresh shadow lazily *)
+  (* nothing was re-planted: the armed table re-arms the fresh shadow
+     lazily *)
   (match Session.wait_stop ~timeout_s:1.0 session with
    | Some (Command.Break a) -> check int "hit after restart" target a
    | _ -> Alcotest.fail "virtual breakpoint should survive the restart");
@@ -301,7 +273,6 @@ let test_warm_restart_keeps_vbps () =
    converge on the identical final-state digest with zero divergence,
    and the trace must carry the Vbp_hit events. *)
 let vbp_campaign ?replay () =
-  with_mode "virtual" @@ fun () ->
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
   let recorder = Machine.recorder m in
   (match replay with
@@ -353,7 +324,6 @@ let test_record_replay_vbp_hits () =
 (* -- Metrics: the bp_virtual_* gauges are live -- *)
 
 let test_vbp_metrics () =
-  with_mode "virtual" @@ fun () ->
   let m, mon = fresh () in
   let p = checksum_guest () in
   Monitor.boot_guest mon p ~entry:0x1000;
@@ -368,7 +338,6 @@ let test_vbp_metrics () =
     | Some (Registry.Gauge v) -> int_of_float v
     | _ -> Alcotest.failf "missing gauge %s" name
   in
-  check int "mode gauge says virtual" 1 (gauge "bp_virtual_mode");
   check int "one armed site" 1 (gauge "bp_virtual_armed_sites");
   check int "one armed page" 1 (gauge "bp_virtual_armed_pages");
   check bool "exec faults counted" true (gauge "bp_virtual_exec_faults_total" > 0);
@@ -376,11 +345,90 @@ let test_vbp_metrics () =
     (gauge "bp_virtual_step_throughs_total" > 0);
   check int "no hits (dead code site)" 0 (gauge "bp_virtual_hits_total")
 
+(* -- Property: breakpoint traffic leaves no trace in guest state -- *)
+
+type op = Insert of int | Remove of int | Witness of bool
+
+let op_to_string = function
+  | Insert a -> Printf.sprintf "Z0 0x%x" a
+  | Remove a -> Printf.sprintf "z0 0x%x" a
+  | Witness on -> Printf.sprintf "witness %b" on
+
+(* A random Z0/z0/witness sequence over the kernel's text.  Sites come
+   from a small pool so removes often hit armed sites and several sites
+   share a page. *)
+let kernel = lazy (Kernel.build (Kernel.default_config ~rate_mbps:20.0))
+
+let ops_arb =
+  let program = Lazy.force kernel in
+  let n_instr = Bytes.length program.Asm.code / Isa.width in
+  let open QCheck.Gen in
+  let site = map (fun i -> Kernel.entry + (i * Isa.width)) (int_bound (n_instr - 1)) in
+  let op pool =
+    frequency
+      [
+        (4, map (fun a -> Insert a) (oneofl pool));
+        (3, map (fun a -> Remove a) (oneofl pool));
+        (1, map (fun on -> Witness on) bool);
+      ]
+  in
+  let gen = list_size (1 -- 6) site >>= fun pool -> list_size (1 -- 12) (op pool) in
+  QCheck.make gen ~print:(fun ops -> String.concat "; " (List.map op_to_string ops))
+
+(* The guest is frozen before its first instruction — devices still
+   unprogrammed — so nothing but the debug plane can move guest state.
+   It is frozen at the CPU rather than halted over the wire: a stub halt
+   would make the final Detach resume it.  Each digest follows a
+   reconnect, which resets the link's sequence numbers (part of the
+   digest) to the same state whatever traffic came before. *)
+let prop_z0_invisible =
+  QCheck.Test.make ~name:"Z0/z0/witness/detach leave guest state untouched"
+    ~count:20 ops_arb (fun ops ->
+      let m, mon = fresh () in
+      let program = Lazy.force kernel in
+      Monitor.boot_guest mon program ~entry:Kernel.entry;
+      Cpu.set_stopped (Machine.cpu m) true;
+      let session = Session.attach m in
+      let guest_len = (Monitor.layout mon).Core.Vm_layout.monitor_base in
+      let observe () =
+        if not (Session.reconnect session) then
+          QCheck.Test.fail_report "reconnect failed";
+        ( Snapshot.Full.digest (Monitor.checkpoint_now mon),
+          Vmm_hw.Phys_mem.read_bytes (Machine.mem m) ~addr:0 ~len:guest_len )
+      in
+      let before = observe () in
+      let bps = Stub.breakpoints (Monitor.stub mon) in
+      List.iter
+        (function
+          | Insert a ->
+            if not (Session.insert_breakpoint session a) then
+              QCheck.Test.fail_reportf "Z0 0x%x refused" a
+          | Remove a ->
+            if not (Session.remove_breakpoint session a) then
+              QCheck.Test.fail_reportf "z0 0x%x refused" a
+          | Witness on -> Monitor.set_race_witness mon on)
+        ops;
+      List.iter
+        (fun a ->
+          let wire = Session.read_memory session ~addr:a ~len:Isa.width in
+          if wire <> Monitor.guest_read mon ~addr:a ~len:Isa.width then
+            QCheck.Test.fail_reportf "m over armed site 0x%x differs" a)
+        (Breakpoints.addresses bps);
+      if not (Session.detach session) then QCheck.Test.fail_report "detach";
+      (* only the monitor's observe sites may keep a page armed *)
+      let observe_pages =
+        List.sort_uniq compare
+          (List.map (fun a -> a land lnot 0xFFF) (Breakpoints.observed bps))
+      in
+      if Breakpoints.count bps <> 0 || Breakpoints.armed_pages bps <> observe_pages
+      then QCheck.Test.fail_report "detach left sites armed";
+      observe () = before)
+
 let () =
   Alcotest.run "vmm_vbp"
     [
       ( "table",
-        [ Alcotest.test_case "dual-mode API" `Quick test_table_dual_mode ] );
+        [ Alcotest.test_case "armed-site API" `Quick test_table_api ] );
       ( "integrity",
         [
           Alcotest.test_case "self-checksumming guest" `Quick
@@ -405,4 +453,5 @@ let () =
         ] );
       ( "metrics",
         [ Alcotest.test_case "gauges live" `Quick test_vbp_metrics ] );
+      ("property", [ QCheck_alcotest.to_alcotest prop_z0_invisible ]);
     ]
