@@ -1371,7 +1371,7 @@ let checkpoints t = t.checkpoints
    mid-run checkpoint instead of the boot snapshot, and the debug plane
    — stub, breakpoint table, reliable link, host session — is left
    exactly as it is (the stub re-plants its breakpoints itself).  Goes
-   through the normal store path so the decoded-instruction cache
+   through the normal store path so the instruction cache
    invalidates. *)
 let restore_checkpoint t (full : Snapshot.Full.t) =
   Phys_mem.load_bytes (Machine.mem t.machine) ~addr:0 full.Snapshot.Full.image;

@@ -15,7 +15,7 @@ let capture ~mem ~layout ~entry =
   }
 
 (* Restoring goes through the normal store path, so write generations
-   bump and the CPU's decoded-instruction cache invalidates itself. *)
+   bump and the CPU's instruction cache invalidates itself. *)
 let restore t ~mem = Phys_mem.load_bytes mem ~addr:0 t.image
 let entry t = t.entry
 let image_bytes t = Bytes.length t.image

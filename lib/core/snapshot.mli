@@ -8,7 +8,7 @@
     state via the per-device [reset] hooks when it restores.
 
     Restore writes through the normal store path, so physically tagged
-    caches (the CPU's decoded-instruction cache) invalidate without
+    caches (the CPU's instruction cache) invalidate without
     explicit flushes. *)
 
 type t

@@ -29,22 +29,21 @@ exception Panic of string
 
 exception Fault_exn of fault_kind
 
-(* Decoded-instruction cache slot: physically tagged, validated against the
+(* Instruction cache slot: physically tagged, validated against the
    memory write generations captured at fill time and the CPU-wide flush
    generation.  An 8-byte instruction can touch two generation granules;
    the sum of both granule generations is stored — generations only grow,
-   so any store under either granule makes the sum diverge for good. *)
+   so any store under either granule makes the sum diverge for good.  The
+   slot caches the instruction's compiled op (see [compile]), run with an
+   empty continuation. *)
 type icache_slot = {
   mutable itag : int; (* physical address, -1 = invalid *)
   mutable igen : int; (* summed Phys_mem granule generations at fill *)
   mutable iflush : int; (* icache_gen at fill *)
-  mutable idecoded : Isa.instr;
+  mutable iop : t -> unit;
 }
 
-let icache_slots = 2048
-let icache_mask = icache_slots - 1
-
-type t = {
+and t = {
   mem : Phys_mem.t;
   bus : Io_bus.t;
   engine : Engine.t;
@@ -85,11 +84,11 @@ type t = {
   mutable ic_hits : int;
   mutable ic_misses : int;
   mutable ic_inval : int;
-  (* Block translator (threaded code).  [jit_cyc]/[jit_ret] accumulate
-     cycles and retirements in unboxed ints while a block chain runs and
-     are flushed to the engine/stats/retired counters at every point
-     where anything else could observe them; [jit_limit] is the cycle
-     budget of the current chain, relative to the engine clock at chain
+  (* Cycle accumulator.  Instruction execution charges cycles and counts
+     retirements in the unboxed [jit_cyc]/[jit_ret]; [jit_flush] moves
+     them to the engine/stats/retired counters at every point where
+     anything else could observe them.  [jit_limit] is the cycle budget
+     of the current block chain, relative to the engine clock at chain
      entry, so the per-op continuation guard is one int compare. *)
   jcache : jblock option array;
   mutable jit_enabled : bool;
@@ -109,9 +108,8 @@ type t = {
    OCaml closures — threaded code.  Like an icache slot it is physically
    tagged and validated against the granule write generations captured
    over its whole text at compile time plus the CPU-wide flush stamp, so
-   self-modifying stores, DMA over text, breakpoint patching and
-   LPTB/TLBFLUSH invalidate it exactly as they invalidate decoded
-   instructions today. *)
+   self-modifying stores, DMA over text and LPTB/TLBFLUSH invalidate it
+   exactly as they invalidate cached instructions. *)
 and jblock = {
   jb_ppc : int; (* physical address of the first instruction *)
   jb_bytes : int; (* total encoded length *)
@@ -121,6 +119,8 @@ and jblock = {
 }
 
 let table_entries = 64
+let icache_slots = 2048
+let icache_mask = icache_slots - 1
 let jcache_slots = 1024
 let jcache_mask = jcache_slots - 1
 
@@ -128,6 +128,9 @@ let jcache_mask = jcache_slots - 1
    leaf functions compile whole; short enough that a block's generation
    probe at dispatch stays a handful of granule reads. *)
 let jit_max_block = 64
+
+(* The empty continuation: ends a chain, so the dispatcher takes over. *)
+let jit_block_end (_ : t) = ()
 
 let create ~mem ~bus ~engine ~costs ~load () =
   {
@@ -164,7 +167,7 @@ let create ~mem ~bus ~engine ~costs ~load () =
     fetch_buf = Bytes.make Isa.width '\000';
     icache =
       Array.init icache_slots (fun _ ->
-          { itag = -1; igen = 0; iflush = 0; idecoded = Isa.Nop });
+          { itag = -1; igen = 0; iflush = 0; iop = jit_block_end });
     icache_gen = 0;
     ic_hits = 0;
     ic_misses = 0;
@@ -263,13 +266,39 @@ let charge t cycles =
     Stats.note_busy t.load c
   end
 
-(* -- Translated memory access -- *)
+let jit_flush t =
+  if t.jit_cyc > 0 then begin
+    charge t t.jit_cyc;
+    t.jit_cyc <- 0
+  end;
+  if t.jit_ret > 0 then begin
+    t.retired <- Int64.add t.retired (Int64.of_int t.jit_ret);
+    t.jit_ret <- 0
+  end
+
+(* [settle t f] runs [f t] on behalf of a caller outside instruction
+   execution and hands the accumulator back empty, whether [f] returns
+   or raises. *)
+let settle t f =
+  match f t with
+  | v ->
+    jit_flush t;
+    v
+  | exception e ->
+    jit_flush t;
+    raise e
+
+(* -- Translated memory access --
+
+   TLB-miss penalties land in the accumulator.  Stores report whether
+   they wrote into the physical range [[lo, hi)] — a compiled block's own
+   text (invariant 4 below); [lo = hi] watches nothing. *)
 
 let translate t ~access ~cpl vaddr =
   let paddr, extra =
     Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl access (Word.mask vaddr)
   in
-  charge t extra;
+  if extra > 0 then t.jit_cyc <- t.jit_cyc + extra;
   paddr
 
 (* Multi-byte accesses that straddle a page fall back to byte-at-a-time so
@@ -279,40 +308,38 @@ let load_u32 t ~cpl vaddr =
   if vaddr land 0xFFF <= Mmu.page_size - 4 then
     Phys_mem.read_u32 t.mem (translate t ~access:Mmu.Read ~cpl vaddr)
   else begin
-    let b0 = Phys_mem.read_u8 t.mem (translate t ~access:Mmu.Read ~cpl vaddr) in
-    let b1 =
-      Phys_mem.read_u8 t.mem
-        (translate t ~access:Mmu.Read ~cpl (Word.add vaddr 1))
-    in
-    let b2 =
-      Phys_mem.read_u8 t.mem
-        (translate t ~access:Mmu.Read ~cpl (Word.add vaddr 2))
-    in
-    let b3 =
-      Phys_mem.read_u8 t.mem
-        (translate t ~access:Mmu.Read ~cpl (Word.add vaddr 3))
-    in
-    b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+    let v = ref 0 in
+    for i = 0 to 3 do
+      let p = translate t ~access:Mmu.Read ~cpl (Word.add vaddr i) in
+      v := !v lor (Phys_mem.read_u8 t.mem p lsl (8 * i))
+    done;
+    !v
   end
 
-let store_u32 t ~cpl vaddr v =
+let store_u32 t ~cpl ~lo ~hi vaddr v =
   let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then
-    Phys_mem.write_u32 t.mem (translate t ~access:Mmu.Write ~cpl vaddr) v
-  else
+  if vaddr land 0xFFF <= Mmu.page_size - 4 then begin
+    let p = translate t ~access:Mmu.Write ~cpl vaddr in
+    Phys_mem.write_u32 t.mem p v;
+    p + 4 > lo && p < hi
+  end
+  else begin
+    let hit = ref false in
     for i = 0 to 3 do
-      Phys_mem.write_u8 t.mem
-        (translate t ~access:Mmu.Write ~cpl (Word.add vaddr i))
-        ((v lsr (8 * i)) land 0xFF)
-    done
+      let p = translate t ~access:Mmu.Write ~cpl (Word.add vaddr i) in
+      Phys_mem.write_u8 t.mem p ((v lsr (8 * i)) land 0xFF);
+      if p >= lo && p < hi then hit := true
+    done;
+    !hit
+  end
 
 let load_u8 t ~cpl vaddr =
   Phys_mem.read_u8 t.mem (translate t ~access:Mmu.Read ~cpl (Word.mask vaddr))
 
-let store_u8 t ~cpl vaddr v =
-  Phys_mem.write_u8 t.mem
-    (translate t ~access:Mmu.Write ~cpl (Word.mask vaddr))
-    v
+let store_u8 t ~cpl ~lo ~hi vaddr v =
+  let p = translate t ~access:Mmu.Write ~cpl (Word.mask vaddr) in
+  Phys_mem.write_u8 t.mem p v;
+  p >= lo && p < hi
 
 (* -- Interrupt table -- *)
 
@@ -333,27 +360,28 @@ let read_gate t ~table ~vector =
 
 let push_frame t ~ring ~sp ~value =
   let sp = Word.sub sp 4 in
-  store_u32 t ~cpl:ring sp value;
+  ignore (store_u32 t ~cpl:ring ~lo:0 ~hi:0 sp value);
   sp
 
 let deliver t ~table ~vector ~error ~return_pc =
-  let gate = read_gate t ~table ~vector in
-  if not gate.present then
-    raise (Panic (Printf.sprintf "no handler for vector %d" vector));
-  let old_sp = t.regs.(Isa.sp) in
-  let old_flags = flags_word t in
-  let ring = gate.ring in
-  let sp0 = if ring < t.cpl then t.stacks.(ring) else old_sp in
-  let sp1 = push_frame t ~ring ~sp:sp0 ~value:old_sp in
-  let sp2 = push_frame t ~ring ~sp:sp1 ~value:old_flags in
-  let sp3 = push_frame t ~ring ~sp:sp2 ~value:(Word.mask return_pc) in
-  let sp4 = push_frame t ~ring ~sp:sp3 ~value:(Word.mask error) in
-  t.regs.(Isa.sp) <- sp4;
-  t.cpl <- ring;
-  t.if_ <- false;
-  t.tf <- false;
-  t.pc <- gate.handler;
-  charge t t.costs.interrupt_delivery
+  settle t (fun t ->
+      let gate = read_gate t ~table ~vector in
+      if not gate.present then
+        raise (Panic (Printf.sprintf "no handler for vector %d" vector));
+      let old_sp = t.regs.(Isa.sp) in
+      let old_flags = flags_word t in
+      let ring = gate.ring in
+      let sp0 = if ring < t.cpl then t.stacks.(ring) else old_sp in
+      let sp1 = push_frame t ~ring ~sp:sp0 ~value:old_sp in
+      let sp2 = push_frame t ~ring ~sp:sp1 ~value:old_flags in
+      let sp3 = push_frame t ~ring ~sp:sp2 ~value:(Word.mask return_pc) in
+      let sp4 = push_frame t ~ring ~sp:sp3 ~value:(Word.mask error) in
+      t.regs.(Isa.sp) <- sp4;
+      t.cpl <- ring;
+      t.if_ <- false;
+      t.tf <- false;
+      t.pc <- gate.handler;
+      charge t t.costs.interrupt_delivery)
 
 let do_iret t =
   let sp = t.regs.(Isa.sp) in
@@ -386,14 +414,24 @@ let hw_deliver_fault t kind ~return_pc =
   | Fault_exn _ | Mmu.Page_fault _ | Phys_mem.Bus_error _ ->
     raise (Panic (Printf.sprintf "double fault delivering vector %d" vector))
 
+(* The hook's verdict on [ev]; bare hardware always delivers. *)
+let offer t ev =
+  match t.hypervisor with Some hook -> hook t ev | None -> Deliver
+
 let dispatch_fault t kind ~return_pc =
   t.faults <- Int64.add t.faults 1L;
-  match t.hypervisor with
-  | Some hook ->
-    (match hook t (Fault (kind, return_pc)) with
-     | Handled -> ()
-     | Deliver -> hw_deliver_fault t kind ~return_pc)
-  | None -> hw_deliver_fault t kind ~return_pc
+  if offer t (Fault (kind, return_pc)) = Deliver then
+    hw_deliver_fault t kind ~return_pc
+
+(* The one exception-to-fault mapping, shared by [step] and [jit_run]. *)
+let dispatch_exn t e ~return_pc =
+  match e with
+  | Fault_exn kind -> dispatch_fault t kind ~return_pc
+  | Mmu.Page_fault f -> dispatch_fault t (Page f) ~return_pc
+  | Phys_mem.Bus_error addr -> dispatch_fault t (Machine_check addr) ~return_pc
+  | Isa.Decode_error { opcode; _ } ->
+    dispatch_fault t (Undefined opcode) ~return_pc
+  | e -> raise e
 
 let poll_interrupts t =
   let bare_metal = match t.hypervisor with None -> true | Some _ -> false in
@@ -403,73 +441,15 @@ let poll_interrupts t =
     | Some vector ->
       t.halted <- false;
       t.irqs_taken <- Int64.add t.irqs_taken 1L;
-      (match t.hypervisor with
-       | Some hook ->
-         (match hook t (Irq vector) with
-          | Handled -> ()
-          | Deliver ->
-            deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc)
-       | None -> deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc)
+      if offer t (Irq vector) = Deliver then
+        deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc
 
 let dispatch_soft t ~vector ~next_pc =
-  match t.hypervisor with
-  | Some hook ->
-    (match hook t (Soft_int (vector, next_pc)) with
-     | Handled -> ()
-     | Deliver ->
-       let gate = read_gate t ~table:t.iht ~vector in
-       if (not gate.present) || gate.dpl < t.cpl then
-         raise (Fault_exn (Gp (Bad_int_gate vector)))
-       else deliver t ~table:t.iht ~vector ~error:0 ~return_pc:next_pc)
-  | None ->
+  if offer t (Soft_int (vector, next_pc)) = Deliver then begin
     let gate = read_gate t ~table:t.iht ~vector in
     if (not gate.present) || gate.dpl < t.cpl then
       raise (Fault_exn (Gp (Bad_int_gate vector)))
     else deliver t ~table:t.iht ~vector ~error:0 ~return_pc:next_pc
-
-(* -- Fetch -- *)
-
-let fetch_cached t paddr =
-  let slot = Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask) in
-  let pgen =
-    Phys_mem.generation t.mem paddr
-    + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
-  in
-  if slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
-  then begin
-    t.ic_hits <- t.ic_hits + 1;
-    slot.idecoded
-  end
-  else begin
-    if slot.itag = paddr then t.ic_inval <- t.ic_inval + 1;
-    t.ic_misses <- t.ic_misses + 1;
-    let instr = Isa.read t.mem paddr in
-    slot.itag <- paddr;
-    slot.igen <- pgen;
-    slot.iflush <- t.icache_gen;
-    slot.idecoded <- instr;
-    instr
-  end
-
-let fetch t =
-  let pc = t.pc in
-  if pc land 0xFFF <= Mmu.page_size - Isa.width then begin
-    let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
-    if paddr >= 0 && paddr + Isa.width <= Phys_mem.size t.mem then
-      fetch_cached t paddr
-    else
-      (* Translation does not bound physical addresses (identity map when
-         paging is off, PTE frames above RAM), and the generation probe in
-         [fetch_cached] is unchecked — take the checked read, which raises
-         Bus_error and becomes a guest machine check. *)
-      Isa.read t.mem paddr
-  end
-  else begin
-    for i = 0 to Isa.width - 1 do
-      let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl (Word.add pc i) in
-      Bytes.set t.fetch_buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
-    done;
-    Isa.decode ~addr:pc t.fetch_buf ~off:0
   end
 
 (* -- Port I/O -- *)
@@ -530,214 +510,54 @@ let checksum_block t ~addr ~len =
   done;
   lnot !s land 0xFFFF
 
-(* -- Execution -- *)
+(* -- Instruction semantics --
 
-let require_ring0 t i =
-  if t.cpl <> 0 then raise (Fault_exn (Gp (Privileged_instruction i)))
+   [compile] is the only definition of what an instruction does.  It
+   turns one decoded instruction into an op closure of one of three
+   shapes:
 
-let set_zn t v =
-  t.z <- v = 0;
-  t.n <- v land 0x80000000 <> 0
+   - [Mid]: straight-line work that charges its base cost into the
+     accumulator, does its effect (pc advances only after all faulting
+     work, flags after the result write), counts the retirement and
+     tail-calls the rest of its block while the chain may continue;
+   - [Final]: a control transfer, which always ends the chain (the
+     dispatcher decides whether to follow it);
+   - [Interp]: I/O, privileged control, COPY/CSUM, RDTSC, VMCALL, INT,
+     HLT, IRET and BRK.  These reach devices, rings, the clock or the
+     monitor, so they never join a block: [step] runs them, after
+     flushing their base cost (and the fetch's) to the engine.
 
-let exec t instr =
-  let next = Word.add t.pc Isa.width in
-  let r = t.regs in
-  let goto a = t.pc <- Word.mask a in
-  charge t (Isa.base_cycles t.costs instr);
-  match instr with
-  | Isa.Nop -> goto next
-  | Isa.Hlt ->
-    require_ring0 t instr;
-    t.halted <- true;
-    goto next
-  | Isa.Movi (rd, imm) ->
-    r.(rd) <- imm;
-    goto next
-  | Isa.Mov (rd, rs) ->
-    r.(rd) <- r.(rs);
-    goto next
-  | Isa.Add (rd, a, b) ->
-    r.(rd) <- Word.add r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Addi (rd, a, imm) ->
-    r.(rd) <- Word.add r.(a) imm;
-    set_zn t r.(rd);
-    goto next
-  | Isa.Sub (rd, a, b) ->
-    r.(rd) <- Word.sub r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.And_ (rd, a, b) ->
-    r.(rd) <- Word.logand r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Or_ (rd, a, b) ->
-    r.(rd) <- Word.logor r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Xor_ (rd, a, b) ->
-    r.(rd) <- Word.logxor r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Shl (rd, a, b) ->
-    r.(rd) <- Word.shift_left r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Shr (rd, a, b) ->
-    r.(rd) <- Word.shift_right r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Mul (rd, a, b) ->
-    r.(rd) <- Word.mul r.(a) r.(b);
-    set_zn t r.(rd);
-    goto next
-  | Isa.Cmp (a, b) ->
-    t.z <- Word.equal r.(a) r.(b);
-    t.n <- Word.signed_lt r.(a) r.(b);
-    t.c <- Word.unsigned_lt r.(a) r.(b);
-    goto next
-  | Isa.Cmpi (a, imm) ->
-    t.z <- Word.equal r.(a) imm;
-    t.n <- Word.signed_lt r.(a) imm;
-    t.c <- Word.unsigned_lt r.(a) imm;
-    goto next
-  | Isa.Ld (rd, base, imm) ->
-    r.(rd) <- load_u32 t ~cpl:t.cpl (Word.add r.(base) imm);
-    goto next
-  | Isa.St (base, imm, src) ->
-    store_u32 t ~cpl:t.cpl (Word.add r.(base) imm) r.(src);
-    goto next
-  | Isa.Ldb (rd, base, imm) ->
-    r.(rd) <- load_u8 t ~cpl:t.cpl (Word.add r.(base) imm);
-    goto next
-  | Isa.Stb (base, imm, src) ->
-    store_u8 t ~cpl:t.cpl (Word.add r.(base) imm) (r.(src) land 0xFF);
-    goto next
-  | Isa.Jmp target -> goto target
-  | Isa.Jz target -> goto (if t.z then target else next)
-  | Isa.Jnz target -> goto (if not t.z then target else next)
-  | Isa.Jlt target -> goto (if t.n then target else next)
-  | Isa.Jge target -> goto (if not t.n then target else next)
-  | Isa.Jb target -> goto (if t.c then target else next)
-  | Isa.Jae target -> goto (if not t.c then target else next)
-  | Isa.Jr rs -> goto r.(rs)
-  | Isa.Call target ->
-    let sp = Word.sub r.(Isa.sp) 4 in
-    store_u32 t ~cpl:t.cpl sp next;
-    r.(Isa.sp) <- sp;
-    goto target
-  | Isa.Ret ->
-    let sp = r.(Isa.sp) in
-    let target = load_u32 t ~cpl:t.cpl sp in
-    r.(Isa.sp) <- Word.add sp 4;
-    goto target
-  | Isa.Push rs ->
-    let sp = Word.sub r.(Isa.sp) 4 in
-    store_u32 t ~cpl:t.cpl sp r.(rs);
-    r.(Isa.sp) <- sp;
-    goto next
-  | Isa.Pop rd ->
-    let sp = r.(Isa.sp) in
-    let v = load_u32 t ~cpl:t.cpl sp in
-    r.(Isa.sp) <- Word.add sp 4;
-    r.(rd) <- v;
-    goto next
-  | Isa.In_ (rd, rs) ->
-    r.(rd) <- Word.mask (port_in t r.(rs));
-    goto next
-  | Isa.Ini (rd, imm) ->
-    r.(rd) <- Word.mask (port_in t imm);
-    goto next
-  | Isa.Out (p, v) ->
-    port_out t r.(p) r.(v);
-    goto next
-  | Isa.Outi (imm, v) ->
-    port_out t imm r.(v);
-    goto next
-  | Isa.Int_ vector -> dispatch_soft t ~vector ~next_pc:next
-  | Isa.Iret ->
-    require_ring0 t instr;
-    do_iret t
-  | Isa.Sti ->
-    require_ring0 t instr;
-    t.if_ <- true;
-    goto next
-  | Isa.Cli ->
-    require_ring0 t instr;
-    t.if_ <- false;
-    goto next
-  | Isa.Liht rs ->
-    require_ring0 t instr;
-    t.iht <- r.(rs);
-    goto next
-  | Isa.Lptb rs ->
-    require_ring0 t instr;
-    set_ptb t r.(rs);
-    goto next
-  | Isa.Lstk (ring, rs) ->
-    require_ring0 t instr;
-    t.stacks.(ring land 3) <- r.(rs);
-    goto next
-  | Isa.Tlbflush ->
-    require_ring0 t instr;
-    flush_tlb t;
-    goto next
-  | Isa.Copy (d, s, n) ->
-    copy_block t ~dst:r.(d) ~src:r.(s) ~len:r.(n);
-    goto next
-  | Isa.Csum (rd, a, n) ->
-    r.(rd) <- checksum_block t ~addr:r.(a) ~len:r.(n);
-    goto next
-  | Isa.Rdtsc rd ->
-    r.(rd) <- Word.mask (Int64.to_int (Engine.now t.engine));
-    goto next
-  | Isa.Vmcall imm ->
-    (match t.hypervisor with
-     | Some hook ->
-       goto next;
-       ignore (hook t (Hypercall (imm, next)))
-     | None -> raise (Fault_exn (Undefined 0x2E)))
-  | Isa.Brk -> raise (Fault_exn Breakpoint_trap)
-
-(* -- Basic-block threaded-code translator --
-
-   [jit_run] replaces [step] inside the batched dispatch loop whenever no
-   per-instruction observer is armed (no trap flag, no retire stop, no
-   deliverable interrupt).  It compiles straight-line decoded runs into
-   chains of closures keyed by physical pc and executes them, chaining
-   across taken jumps/calls/returns while the cycle budget holds.
-
-   Bit-identity with the per-instruction interpreter rests on four
-   invariants:
+   The interpreter ([step]) runs one op per instruction with an empty
+   continuation; the translator ([jit_run]) chains the ops of a whole
+   block.  A chain is bit-identical to stepping the same ops one at a
+   time because of four invariants:
 
    1. Frozen clock.  While a chain runs, nothing reads the engine clock:
-      every charge lands in the unboxed [jit_cyc] accumulator, so true
-      time is always [now-at-entry + jit_cyc], and the per-op budget
-      guard [jit_cyc < jit_limit] is exactly the unbatched loop's
-      [now < min horizon next_sample] test.  The accumulator (and the
-      retirement accumulator [jit_ret]) is flushed before anything that
-      could observe the clock or counters runs: an interpreter fallback,
-      a fault hook, or returning to [run_batch].  Chains therefore stop
-      on the same instruction boundary where the unbatched loop would
-      have stopped for the horizon, a profiler sample, or an event.
+      every charge lands in the accumulator, so true time is always
+      [now-at-entry + jit_cyc], and the per-op budget guard
+      [jit_cyc < jit_limit] is exactly the unbatched loop's
+      [now < min horizon next_sample] test.  The accumulator is flushed
+      before anything that could observe the clock or counters runs: an
+      interpreter fallback, a fault hook, or returning to [run_batch].
+      Chains therefore stop on the same instruction boundary where the
+      unbatched loop would have stopped for the horizon, a profiler
+      sample, or an event.
 
-   2. Poll elision.  Compiled ops cannot change IF, HALT, the PIC, or
-      schedule events — STI/CLI/HLT/OUT/VMCALL and friends never compile
-      — so if no interrupt was deliverable when the chain started (the
-      dispatcher checks), none can become deliverable mid-chain, and the
-      skipped per-instruction polls were all no-ops.
+   2. Poll elision.  [Mid] and [Final] ops cannot change IF, HALT, the
+      PIC, or schedule events, so if no interrupt was deliverable when
+      the chain started (the dispatcher checks), none can become
+      deliverable mid-chain, and the skipped per-instruction polls were
+      all no-ops.
 
    3. Fetch elision.  Instruction 1's fetch-translate runs for real at
       dispatch (charging a TLB miss and setting accessed bits exactly
-      like the interpreter's fetch).  Later ops skip it, which is only
-      visible if a data access evicts the code page's direct-mapped TLB
-      entry — the next fetch would walk again, charging cycles and
-      writing accessed bits.  Memory ops therefore guard on
-      [Mmu.tlb_covers] for the code page and bail to the dispatcher when
-      it fails (with paging off there is nothing to evict).  The only
-      tolerated divergence is the MMU's internal hit counter, which no
-      guest-visible path reads.
+      like [step]'s fetch).  Later ops skip it, which is only visible if
+      a data access evicts the code page's direct-mapped TLB entry — the
+      next fetch would walk again, charging cycles and writing accessed
+      bits.  Memory ops therefore guard on [Mmu.tlb_covers] for the code
+      page and bail to the dispatcher when it fails (with paging off
+      there is nothing to evict).  The only tolerated divergence is the
+      MMU's internal hit counter, which no guest-visible path reads.
 
    4. Text stability.  A block is (re)validated at every dispatch against
       the granule write generations of its whole text plus the flush
@@ -748,433 +568,399 @@ let exec t instr =
       recompiles from the fresh bytes and continues.  DMA and host writes
       cannot happen mid-chain because no events dispatch mid-chain.
 
-   Faults propagate out of the chain as exceptions with pc still at the
-   faulting instruction (ops advance pc only after all faulting work is
-   done, like [exec]); the handler flushes the accumulators and
-   dispatches with [return_pc = pc], then returns to [run_batch] — hooks
-   may halt, stop, schedule or retarget the CPU, all of which the batch
-   loop re-checks. *)
+   Faults propagate out of an op as exceptions with pc still at the
+   faulting instruction; [step] and [jit_run] flush the accumulator and
+   dispatch with [return_pc] at that instruction. *)
 
-let jit_flush t =
-  if t.jit_cyc > 0 then begin
-    let c = Int64.of_int t.jit_cyc in
-    Engine.advance t.engine c;
-    Stats.note_busy t.load c;
-    t.jit_cyc <- 0
-  end;
-  if t.jit_ret > 0 then begin
-    t.retired <- Int64.add t.retired (Int64.of_int t.jit_ret);
-    t.jit_ret <- 0
-  end
+(* A block's physical text, [[lo, hi)]; [hi] grows while it compiles. *)
+type span = { lo : int; mutable hi : int }
 
-(* Translation for compiled ops: identical to [translate]/[load_u32]/...
-   except the TLB-miss penalty lands in the accumulator instead of the
-   engine (invariant 1 above). *)
-let jit_translate t ~access vaddr =
-  let paddr, extra =
-    Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl:t.cpl access (Word.mask vaddr)
-  in
-  if extra > 0 then t.jit_cyc <- t.jit_cyc + extra;
-  paddr
+type compiled =
+  | Mid of (t -> unit)
+  | Final of (t -> unit)
+  | Interp of (t -> unit)
 
-let jit_load_u32 t vaddr =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then
-    Phys_mem.read_u32 t.mem (jit_translate t ~access:Mmu.Read vaddr)
-  else begin
-    let b0 = Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read vaddr) in
-    let b1 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 1))
-    in
-    let b2 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 2))
-    in
-    let b3 =
-      Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.add vaddr 3))
-    in
-    b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-  end
+let require_ring0 t i =
+  if t.cpl <> 0 then raise (Fault_exn (Gp (Privileged_instruction i)))
 
-let jit_load_u8 t vaddr =
-  Phys_mem.read_u8 t.mem (jit_translate t ~access:Mmu.Read (Word.mask vaddr))
+let set_zn t v =
+  t.z <- v = 0;
+  t.n <- v land 0x80000000 <> 0
 
-(* Plain store, used by the block-final CALL (no ops follow, so a store
-   over this block's own text needs no special handling — the next
-   dispatch revalidates). *)
-let jit_store_u32 t vaddr v =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then
-    Phys_mem.write_u32 t.mem (jit_translate t ~access:Mmu.Write vaddr) v
-  else
-    for i = 0 to 3 do
-      Phys_mem.write_u8 t.mem
-        (jit_translate t ~access:Mmu.Write (Word.add vaddr i))
-        ((v lsr (8 * i)) land 0xFF)
-    done
+(* Inlined op epilogues.  [fall]: advance pc, count the retirement and
+   run on while the budget holds.  [fall_mem], after a memory access,
+   also requires the code page to be TLB-resident (invariant 3) and no
+   store into the block's own text (invariant 4). *)
+let[@inline] fall t next =
+  t.pc <- Word.add t.pc Isa.width;
+  t.jit_ret <- t.jit_ret + 1;
+  if t.jit_cyc < t.jit_limit then next t
 
-(* Mid-block stores report whether they wrote over the block's own text
-   (invariant 4): [true] means the chain must stop before the next op. *)
-let jit_store_u32_chk t ~bppc ~bbytes vaddr v =
-  let vaddr = Word.mask vaddr in
-  if vaddr land 0xFFF <= Mmu.page_size - 4 then begin
-    let p = jit_translate t ~access:Mmu.Write vaddr in
-    Phys_mem.write_u32 t.mem p v;
-    p + 4 > bppc && p < bppc + bbytes
-  end
-  else begin
-    let hit = ref false in
-    for i = 0 to 3 do
-      let p = jit_translate t ~access:Mmu.Write (Word.add vaddr i) in
-      Phys_mem.write_u8 t.mem p ((v lsr (8 * i)) land 0xFF);
-      if p >= bppc && p < bppc + bbytes then hit := true
-    done;
-    !hit
-  end
+let[@inline] fall_mem t ~hit next =
+  t.pc <- Word.add t.pc Isa.width;
+  t.jit_ret <- t.jit_ret + 1;
+  if
+    (not hit)
+    && t.jit_cyc < t.jit_limit
+    && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
+  then next t
 
-let jit_store_u8_chk t ~bppc ~bbytes vaddr v =
-  let p = jit_translate t ~access:Mmu.Write (Word.mask vaddr) in
-  Phys_mem.write_u8 t.mem p v;
-  p >= bppc && p < bppc + bbytes
+let[@inline] alu t rd v =
+  t.regs.(rd) <- v;
+  set_zn t v
 
-(* Chain terminator for blocks that end at a page boundary or an
-   interpreter-only instruction: pc already points at the
-   next instruction, so the dispatcher takes over. *)
-let jit_block_end (_ : t) = ()
+let[@inline] jump t cyc target =
+  t.jit_cyc <- t.jit_cyc + cyc;
+  t.pc <- target;
+  t.jit_ret <- t.jit_ret + 1
 
-(* Mid-block instruction set.  Every constructor accepted here has a
-   matching arm in [compile_op]; keep the two in sync.  The excluded
-   fallthrough instructions (I/O, privileged control, COPY/CSUM, RDTSC,
-   VMCALL, INT, HLT) end the block and run in the interpreter: they
-   reach devices, rings, the clock or the monitor — exactly where the
-   unbatched loop's per-instruction bookkeeping is observable. *)
-let jit_compiles_mid = function
-  | Isa.Nop | Isa.Movi _ | Isa.Mov _ | Isa.Add _ | Isa.Addi _ | Isa.Sub _
-  | Isa.And_ _ | Isa.Or_ _ | Isa.Xor_ _ | Isa.Shl _ | Isa.Shr _ | Isa.Mul _
-  | Isa.Cmp _ | Isa.Cmpi _ | Isa.Ld _ | Isa.St _ | Isa.Ldb _ | Isa.Stb _
-  | Isa.Push _ | Isa.Pop _ ->
-    true
-  | _ -> false
+(* [Interp] prologue and epilogue: the base cost reaches the engine
+   before any effect, because devices and hooks observe the clock;
+   [enter] returns the fallthrough pc. *)
+let[@inline] enter t cyc =
+  t.jit_cyc <- t.jit_cyc + cyc;
+  jit_flush t;
+  Word.add t.pc Isa.width
 
-(* Compile one straight-line instruction into an op closure.  Each op
-   charges its base cost into the accumulator, replicates [exec]'s work
-   and state-update order exactly (pc advances only after all faulting
-   work, flags after the result write), counts the retirement, and
-   tail-calls [next] while the cycle budget holds — memory ops, the only
-   ops that can disturb the TLB, additionally require the code page to
-   still be resident (invariant 3).  Returns [None] for instructions
-   that must run in the interpreter. *)
-let compile_op cpu instr ~bppc ~bbytes ~(next : t -> unit) : (t -> unit) option
-    =
-  let w = Isa.width in
+let[@inline] leave t pc =
+  t.pc <- pc;
+  t.jit_ret <- t.jit_ret + 1
+
+(* [rest ()] compiles the remainder of the block and returns its entry;
+   only [Mid] ops force it, and stores read [text] afterwards, when it
+   covers the whole block. *)
+let compile cpu instr ~text ~(rest : unit -> t -> unit) =
   let cyc = Isa.base_cycles cpu.costs instr in
   match instr with
   | Isa.Nop ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        fall t next)
   | Isa.Movi (rd, imm) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         t.regs.(rd) <- imm;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        fall t next)
   | Isa.Mov (rd, rs) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         t.regs.(rd) <- t.regs.(rs);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        fall t next)
   | Isa.Add (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.add r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.add t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Addi (rd, a, imm) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.add r.(a) imm;
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.add t.regs.(a) imm);
+        fall t next)
   | Isa.Sub (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.sub r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.sub t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.And_ (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logand r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.logand t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Or_ (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logor r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.logor t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Xor_ (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.logxor r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.logxor t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Shl (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.shift_left r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.shift_left t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Shr (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.shift_right r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.shift_right t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Mul (rd, a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- Word.mul r.(a) r.(b);
-        set_zn t r.(rd);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        alu t rd (Word.mul t.regs.(a) t.regs.(b));
+        fall t next)
   | Isa.Cmp (a, b) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         t.z <- Word.equal r.(a) r.(b);
         t.n <- Word.signed_lt r.(a) r.(b);
         t.c <- Word.unsigned_lt r.(a) r.(b);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        fall t next)
   | Isa.Cmpi (a, imm) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         t.z <- Word.equal r.(a) imm;
         t.n <- Word.signed_lt r.(a) imm;
         t.c <- Word.unsigned_lt r.(a) imm;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if t.jit_cyc < t.jit_limit then next t)
+        fall t next)
   | Isa.Ld (rd, base, imm) ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- jit_load_u32 t (Word.add r.(base) imm);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        t.regs.(rd) <- load_u32 t ~cpl:t.cpl (Word.add t.regs.(base) imm);
+        fall_mem t ~hit:false next)
   | Isa.St (base, imm, src) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        let hit = jit_store_u32_chk t ~bppc ~bbytes (Word.add r.(base) imm) r.(src) in
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
-  | Isa.Ldb (rd, base, imm) ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        let r = t.regs in
-        r.(rd) <- jit_load_u8 t (Word.add r.(base) imm);
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
-  | Isa.Stb (base, imm, src) ->
-    Some
+    let next = rest () in
+    let lo = text.lo and hi = text.hi in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         let hit =
-          jit_store_u8_chk t ~bppc ~bbytes (Word.add r.(base) imm)
+          store_u32 t ~cpl:t.cpl ~lo ~hi (Word.add r.(base) imm) r.(src)
+        in
+        fall_mem t ~hit next)
+  | Isa.Ldb (rd, base, imm) ->
+    let next = rest () in
+    Mid
+      (fun t ->
+        t.jit_cyc <- t.jit_cyc + cyc;
+        t.regs.(rd) <- load_u8 t ~cpl:t.cpl (Word.add t.regs.(base) imm);
+        fall_mem t ~hit:false next)
+  | Isa.Stb (base, imm, src) ->
+    let next = rest () in
+    let lo = text.lo and hi = text.hi in
+    Mid
+      (fun t ->
+        t.jit_cyc <- t.jit_cyc + cyc;
+        let r = t.regs in
+        let hit =
+          store_u8 t ~cpl:t.cpl ~lo ~hi (Word.add r.(base) imm)
             (r.(src) land 0xFF)
         in
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        fall_mem t ~hit next)
   | Isa.Push rs ->
-    Some
+    let next = rest () in
+    let lo = text.lo and hi = text.hi in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         let sp = Word.sub r.(Isa.sp) 4 in
-        let hit = jit_store_u32_chk t ~bppc ~bbytes sp r.(rs) in
+        let hit = store_u32 t ~cpl:t.cpl ~lo ~hi sp r.(rs) in
         r.(Isa.sp) <- sp;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          (not hit)
-          && t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
+        fall_mem t ~hit next)
   | Isa.Pop rd ->
-    Some
+    let next = rest () in
+    Mid
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         let sp = r.(Isa.sp) in
-        let v = jit_load_u32 t sp in
+        let v = load_u32 t ~cpl:t.cpl sp in
         r.(Isa.sp) <- Word.add sp 4;
         r.(rd) <- v;
-        t.pc <- Word.add t.pc w;
-        t.jit_ret <- t.jit_ret + 1;
-        if
-          t.jit_cyc < t.jit_limit
-          && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
-        then next t)
-  | _ -> None
-
-(* Compile a block-final control transfer.  These end the chain — the
-   dispatcher decides whether to follow (superblock chaining) — so they
-   carry no continuation guard.  Returns [None] for anything that is not
-   a compilable transfer (IRET, BRK and all fallthroughs take the
-   interpreter). *)
-let compile_final cpu instr : (t -> unit) option =
-  let w = Isa.width in
-  let cyc = Isa.base_cycles cpu.costs instr in
-  match instr with
+        fall_mem t ~hit:false next)
   | Isa.Jmp target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- tgt;
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc tgt)
   | Isa.Jz target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.z then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.z then tgt else Word.add t.pc Isa.width))
   | Isa.Jnz target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.z then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.z then Word.add t.pc Isa.width else tgt))
   | Isa.Jlt target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.n then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.n then tgt else Word.add t.pc Isa.width))
   | Isa.Jge target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.n then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.n then Word.add t.pc Isa.width else tgt))
   | Isa.Jb target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if t.c then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.c then tgt else Word.add t.pc Isa.width))
   | Isa.Jae target ->
     let tgt = Word.mask target in
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- (if not t.c then tgt else Word.add t.pc w);
-        t.jit_ret <- t.jit_ret + 1)
-  | Isa.Jr rs ->
-    Some
-      (fun t ->
-        t.jit_cyc <- t.jit_cyc + cyc;
-        t.pc <- Word.mask t.regs.(rs);
-        t.jit_ret <- t.jit_ret + 1)
+    Final (fun t -> jump t cyc (if t.c then Word.add t.pc Isa.width else tgt))
+  | Isa.Jr rs -> Final (fun t -> jump t cyc (Word.mask t.regs.(rs)))
   | Isa.Call target ->
     let tgt = Word.mask target in
-    Some
+    Final
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
-        let ret = Word.add t.pc w in
+        let ret = Word.add t.pc Isa.width in
         let sp = Word.sub r.(Isa.sp) 4 in
-        jit_store_u32 t sp ret;
+        ignore (store_u32 t ~cpl:t.cpl ~lo:0 ~hi:0 sp ret);
         r.(Isa.sp) <- sp;
         t.pc <- tgt;
         t.jit_ret <- t.jit_ret + 1)
   | Isa.Ret ->
-    Some
+    Final
       (fun t ->
         t.jit_cyc <- t.jit_cyc + cyc;
         let r = t.regs in
         let sp = r.(Isa.sp) in
-        let tgt = jit_load_u32 t sp in
+        let tgt = load_u32 t ~cpl:t.cpl sp in
         r.(Isa.sp) <- Word.add sp 4;
         t.pc <- Word.mask tgt;
         t.jit_ret <- t.jit_ret + 1)
-  | _ -> None
+  | Isa.Hlt ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        t.halted <- true;
+        leave t npc)
+  | Isa.In_ (rd, rs) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        t.regs.(rd) <- Word.mask (port_in t t.regs.(rs));
+        leave t npc)
+  | Isa.Ini (rd, imm) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        t.regs.(rd) <- Word.mask (port_in t imm);
+        leave t npc)
+  | Isa.Out (p, v) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        port_out t t.regs.(p) t.regs.(v);
+        leave t npc)
+  | Isa.Outi (imm, v) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        port_out t imm t.regs.(v);
+        leave t npc)
+  | Isa.Int_ vector ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        dispatch_soft t ~vector ~next_pc:npc;
+        t.jit_ret <- t.jit_ret + 1)
+  | Isa.Iret ->
+    Interp
+      (fun t ->
+        ignore (enter t cyc);
+        require_ring0 t instr;
+        do_iret t;
+        t.jit_ret <- t.jit_ret + 1)
+  | Isa.Sti ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        t.if_ <- true;
+        leave t npc)
+  | Isa.Cli ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        t.if_ <- false;
+        leave t npc)
+  | Isa.Liht rs ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        t.iht <- t.regs.(rs);
+        leave t npc)
+  | Isa.Lptb rs ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        set_ptb t t.regs.(rs);
+        leave t npc)
+  | Isa.Lstk (ring, rs) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        t.stacks.(ring land 3) <- t.regs.(rs);
+        leave t npc)
+  | Isa.Tlbflush ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        require_ring0 t instr;
+        flush_tlb t;
+        leave t npc)
+  | Isa.Copy (d, s, n) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        let r = t.regs in
+        copy_block t ~dst:r.(d) ~src:r.(s) ~len:r.(n);
+        leave t npc)
+  | Isa.Csum (rd, a, n) ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        let r = t.regs in
+        r.(rd) <- checksum_block t ~addr:r.(a) ~len:r.(n);
+        leave t npc)
+  | Isa.Rdtsc rd ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        t.regs.(rd) <- Word.mask (Int64.to_int (Engine.now t.engine));
+        leave t npc)
+  | Isa.Vmcall imm ->
+    Interp
+      (fun t ->
+        let npc = enter t cyc in
+        match t.hypervisor with
+        | Some hook ->
+          t.pc <- npc;
+          ignore (hook t (Hypercall (imm, npc)));
+          t.jit_ret <- t.jit_ret + 1
+        | None -> raise (Fault_exn (Undefined 0x2E)))
+  | Isa.Brk ->
+    Interp
+      (fun t ->
+        ignore (enter t cyc);
+        raise (Fault_exn Breakpoint_trap))
+
+(* -- Basic-block translator -- *)
 
 let jit_gsum t ~ppc ~bytes =
   let g = Phys_mem.granule_bits in
@@ -1187,10 +973,10 @@ let jit_gsum t ~ppc ~bytes =
 
 (* Compile the run starting at [vpc] (physically at [ppc], both inside
    one page — blocks never cross a page boundary, so virtual and
-   physical offsets advance in lockstep).  Stops at the page end, the
-   length cap, an interpreter-only instruction (BRK among them, so a
-   planted trap always runs in the interpreter), or an undecodable
-   slot.  Ops are chained back to front; pc updates inside ops are
+   physical offsets advance in lockstep).  Stops after a control
+   transfer, or before the page end, the length cap, an [Interp]
+   instruction (BRK among them, so a planted trap always runs in
+   [step]) or an undecodable slot.  pc updates inside ops are
    pc-relative (or absolute targets from the encoding), so a block is
    reusable across virtual mappings of the same physical text — which
    is exactly what physical keying promises. *)
@@ -1199,52 +985,25 @@ let compile_block t ~vpc ~ppc : jblock option =
   let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
   let proom = (Phys_mem.size t.mem - ppc) / w in
   let room = min jit_max_block (min vroom proom) in
-  let mids = Array.make (max room 1) Isa.Nop in
-  let n_mid = ref 0 in
-  let final = ref None in
-  let stop = ref false in
-  while (not !stop) && Option.is_none !final && !n_mid < room do
-    let off = !n_mid * w in
-    match Isa.read t.mem (ppc + off) with
-    | exception Isa.Decode_error _ -> stop := true
-    | i ->
-      (match Isa.flow_of i with
-       | Isa.Fallthrough ->
-         if jit_compiles_mid i then begin
-           mids.(!n_mid) <- i;
-           incr n_mid
-         end
-         else stop := true
-       | Isa.Jump _ | Isa.Branch _ | Isa.Call_to _ | Isa.Indirect
-       | Isa.Return ->
-         final := Some i
-       | Isa.Int_return | Isa.Terminal -> stop := true)
-  done;
-  let tail, n_final =
-    match !final with
-    | Some i ->
-      (match compile_final t i with
-       | Some op -> (op, 1)
-       | None -> (jit_block_end, 0))
-    | None -> (jit_block_end, 0)
+  let text = { lo = ppc; hi = ppc } in
+  (* [chain k ()] is the entry of the run from instruction [k] on. *)
+  let rec chain k () =
+    if k >= room then jit_block_end
+    else
+      match Isa.read t.mem (ppc + (k * w)) with
+      | exception Isa.Decode_error _ -> jit_block_end
+      | instr ->
+        text.hi <- ppc + ((k + 1) * w);
+        (match compile t instr ~text ~rest:(chain (k + 1)) with
+         | Mid op | Final op -> op
+         | Interp _ ->
+           text.hi <- ppc + (k * w);
+           jit_block_end)
   in
-  let total = !n_mid + n_final in
-  if total = 0 then None
+  let entry = chain 0 () in
+  if text.hi = ppc then None
   else begin
-    (* The validated byte range always covers the full decoded run even
-       if closure construction bails early below: over-approximating
-       the text only invalidates more often, never less. *)
-    let bytes = (!n_mid + (match !final with Some _ -> 1 | None -> 0)) * w in
-    let bppc = ppc and bbytes = bytes in
-    let entry = ref tail in
-    for k = !n_mid - 1 downto 0 do
-      match compile_op t mids.(k) ~bppc ~bbytes ~next:!entry with
-      | Some op -> entry := op
-      | None ->
-        (* Unreachable while [jit_compiles_mid] and [compile_op] agree;
-           ending the block here keeps it safe even if they drift. *)
-        entry := jit_block_end
-    done;
+    let bytes = text.hi - ppc in
     t.jb_compiled <- t.jb_compiled + 1;
     Some
       {
@@ -1252,7 +1011,7 @@ let compile_block t ~vpc ~ppc : jblock option =
         jb_bytes = bytes;
         jb_gsum = jit_gsum t ~ppc ~bytes;
         jb_flush = t.icache_gen;
-        jb_entry = !entry;
+        jb_entry = entry;
       }
   end
 
@@ -1280,25 +1039,74 @@ let jit_block_at t ~ppc : jblock option =
      | None -> ignore prev);
     nb
 
-let read_instr t vaddr =
-  if vaddr land 0xFFF <= Mmu.page_size - Isa.width then
-    Isa.read t.mem (translate t ~access:Mmu.Read ~cpl:0 vaddr)
-  else begin
-    let buf = Bytes.create Isa.width in
-    for i = 0 to Isa.width - 1 do
-      let paddr = translate t ~access:Mmu.Read ~cpl:0 (Word.add vaddr i) in
-      Bytes.set buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
-    done;
-    Isa.decode ~addr:vaddr buf ~off:0
+(* -- Fetch and step -- *)
+
+(* The instruction on its own: compiled with an empty continuation. *)
+let no_text = { lo = 0; hi = 0 }
+let no_rest () = jit_block_end
+
+let op_of t instr =
+  match compile t instr ~text:no_text ~rest:no_rest with
+  | Mid op | Final op | Interp op -> op
+
+(* Decode an instruction that straddles a page, translating each byte in
+   its own page. *)
+let decode_bytewise t ~access ~cpl vaddr =
+  for i = 0 to Isa.width - 1 do
+    let paddr = translate t ~access ~cpl (Word.add vaddr i) in
+    Bytes.set t.fetch_buf i (Char.chr (Phys_mem.read_u8 t.mem paddr))
+  done;
+  Isa.decode ~addr:vaddr t.fetch_buf ~off:0
+
+let fetch_cached t paddr =
+  let slot = Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask) in
+  let pgen =
+    Phys_mem.generation t.mem paddr
+    + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
+  in
+  if slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
+  then begin
+    t.ic_hits <- t.ic_hits + 1;
+    slot.iop
   end
+  else begin
+    if slot.itag = paddr then t.ic_inval <- t.ic_inval + 1;
+    t.ic_misses <- t.ic_misses + 1;
+    let op = op_of t (Isa.read t.mem paddr) in
+    slot.itag <- paddr;
+    slot.igen <- pgen;
+    slot.iflush <- t.icache_gen;
+    slot.iop <- op;
+    op
+  end
+
+let fetch t =
+  let pc = t.pc in
+  if pc land 0xFFF <= Mmu.page_size - Isa.width then begin
+    let paddr = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
+    if paddr >= 0 && paddr + Isa.width <= Phys_mem.size t.mem then
+      fetch_cached t paddr
+    else
+      (* Translation does not bound physical addresses (identity map when
+         paging is off, PTE frames above RAM), and the generation probe in
+         [fetch_cached] is unchecked — take the checked read, which raises
+         Bus_error and becomes a guest machine check. *)
+      op_of t (Isa.read t.mem paddr)
+  end
+  else op_of t (decode_bytewise t ~access:Mmu.Exec ~cpl:t.cpl pc)
+
+let read_instr t vaddr =
+  settle t (fun t ->
+      if vaddr land 0xFFF <= Mmu.page_size - Isa.width then
+        Isa.read t.mem (translate t ~access:Mmu.Read ~cpl:0 vaddr)
+      else decode_bytewise t ~access:Mmu.Read ~cpl:0 vaddr)
 
 let step t =
   let start_pc = t.pc in
   let tf0 = t.tf in
   try
-    let instr = fetch t in
-    exec t instr;
-    t.retired <- Int64.add t.retired 1L;
+    fetch t t;
+    jit_flush t;
     (match t.retire_stop with
      | Some (target, on_stop) when Int64.compare t.retired target >= 0 ->
        (* Landed on the requested instruction boundary: freeze with pc at
@@ -1307,34 +1115,19 @@ let step t =
        t.stopped <- true;
        on_stop t
      | _ -> ());
-    if tf0 && t.tf then begin
-      (* Trap after the stepped instruction; handlers run with TF clear. *)
-      t.faults <- Int64.add t.faults 1L;
-      match t.hypervisor with
-      | Some hook ->
-        (match hook t (Fault (Step_trap, t.pc)) with
-         | Handled -> ()
-         | Deliver -> hw_deliver_fault t Step_trap ~return_pc:t.pc)
-      | None -> hw_deliver_fault t Step_trap ~return_pc:t.pc
-    end
-  with
-  | Fault_exn kind -> dispatch_fault t kind ~return_pc:start_pc
-  | Mmu.Page_fault f -> dispatch_fault t (Page f) ~return_pc:start_pc
-  | Phys_mem.Bus_error addr ->
-    dispatch_fault t (Machine_check addr) ~return_pc:start_pc
-  | Isa.Decode_error { opcode; _ } ->
-    dispatch_fault t (Undefined opcode) ~return_pc:start_pc
+    (* Trap after the stepped instruction; handlers run with TF clear. *)
+    if tf0 && t.tf then dispatch_fault t Step_trap ~return_pc:t.pc
+  with e ->
+    jit_flush t;
+    dispatch_exn t e ~return_pc:start_pc
 
 (* Dispatch loop of the block translator: execute compiled blocks from
    the cache, chaining across taken transfers while the cycle budget
-   [limit] holds, and falling back to one interpreter [step] whenever the
-   pc cannot head a block (straddling fetch, out-of-RAM text,
-   interpreter-only instruction, pinned site).  At least one instruction
-   always retires.  See the invariant comment at the translator above
-   for why this is bit-identical to stepping. *)
+   [limit] holds, and falling back to one [step] whenever the pc cannot
+   head a block (straddling fetch, out-of-RAM text, [Interp]
+   instruction).  At least one instruction always retires.  See the
+   invariants at [compile] for why this is bit-identical to stepping. *)
 let jit_run t ~limit =
-  t.jit_cyc <- 0;
-  t.jit_ret <- 0;
   let rel = Int64.sub limit (Engine.now t.engine) in
   t.jit_limit <-
     (if Int64.compare rel (Int64.of_int max_int) >= 0 then max_int
@@ -1345,60 +1138,35 @@ let jit_run t ~limit =
      let continue = ref true in
      while !continue do
        let pc = t.pc in
-       if pc land 0xFFF > Mmu.page_size - Isa.width then begin
-         (* Page-straddling fetch: the interpreter's byte-wise path. *)
-         jit_flush t;
+       let block =
+         if pc land 0xFFF > Mmu.page_size - Isa.width then None
+         else begin
+           (* Instruction 1's fetch-translate, for real: charges a miss
+              and sets accessed bits exactly like [step]'s fetch would. *)
+           let ppc = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
+           if ppc < 0 || ppc + Isa.width > Phys_mem.size t.mem then None
+           else jit_block_at t ~ppc
+         end
+       in
+       match block with
+       | None ->
+         (* [step] refetches through the now-warm TLB, so nothing
+            double-charges, and flushes the accumulator before anything
+            can observe it; out-of-RAM text raises Bus_error there and
+            becomes a machine check. *)
          t.jb_fallbacks <- t.jb_fallbacks + 1;
          step t;
          continue := false
-       end
-       else begin
-         (* Instruction 1's fetch-translate, for real: charges a miss
-            into the accumulator and sets accessed bits exactly like the
-            interpreter's fetch would. *)
-         let ppc = jit_translate t ~access:Mmu.Exec pc in
-         if ppc < 0 || ppc + Isa.width > Phys_mem.size t.mem then begin
-           (* Out-of-RAM text: [step]'s checked read raises Bus_error and
-              becomes a machine check.  Its own translate is a TLB hit
-              after the walk above, so nothing double-charges. *)
-           jit_flush t;
-           t.jb_fallbacks <- t.jb_fallbacks + 1;
-           step t;
-           continue := false
-         end
-         else
-           match jit_block_at t ~ppc with
-           | None ->
-             (* Interpreter-only instruction at pc (or pinned site); as
-                above, [step] refetches through the now-warm TLB. *)
-             jit_flush t;
-             t.jb_fallbacks <- t.jb_fallbacks + 1;
-             step t;
-             continue := false
-           | Some b ->
-             if !chained then t.jb_chains <- t.jb_chains + 1;
-             chained := true;
-             t.jit_vpn <- pc lsr 12;
-             b.jb_entry t;
-             if t.jit_cyc >= t.jit_limit then continue := false
-       end
+       | Some b ->
+         if !chained then t.jb_chains <- t.jb_chains + 1;
+         chained := true;
+         t.jit_vpn <- pc lsr 12;
+         b.jb_entry t;
+         if t.jit_cyc >= t.jit_limit then continue := false
      done
-   with
-   | Fault_exn kind ->
+   with e ->
      jit_flush t;
-     dispatch_fault t kind ~return_pc:t.pc
-   | Mmu.Page_fault f ->
-     jit_flush t;
-     dispatch_fault t (Page f) ~return_pc:t.pc
-   | Phys_mem.Bus_error addr ->
-     jit_flush t;
-     dispatch_fault t (Machine_check addr) ~return_pc:t.pc
-   | Isa.Decode_error { opcode; _ } ->
-     jit_flush t;
-     dispatch_fault t (Undefined opcode) ~return_pc:t.pc
-   | e ->
-     jit_flush t;
-     raise e);
+     dispatch_exn t e ~return_pc:t.pc);
   jit_flush t
 
 (* Tight stepping loop between event horizons.  The caller has already

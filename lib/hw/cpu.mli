@@ -95,6 +95,9 @@ val ptb : t -> int
 (** [set_ptb t v] loads the page-table base and flushes the TLB. *)
 val set_ptb : t -> int -> unit
 
+(** [flush_tlb t] drops the TLB and every cached instruction and block. *)
+val flush_tlb : t -> unit
+
 val ring_stack : t -> int -> int
 val set_ring_stack : t -> int -> int -> unit
 val halted : t -> bool
@@ -114,22 +117,6 @@ val allow_port : t -> int -> bool -> unit
 
 val port_allowed : t -> int -> bool
 
-(** {2 Memory access (respecting current translation)} *)
-
-(** [load_u32 t ~cpl vaddr] translates and reads; faults propagate as
-    [Mmu.Page_fault]. *)
-val load_u32 : t -> cpl:int -> int -> Word.t
-
-val store_u32 : t -> cpl:int -> int -> Word.t -> unit
-val load_u8 : t -> cpl:int -> int -> int
-val store_u8 : t -> cpl:int -> int -> int -> unit
-
-(** [translate t ~access ~cpl vaddr] is the physical address (charges TLB
-    costs). *)
-val translate : t -> access:Mmu.access -> cpl:int -> int -> int
-
-val flush_tlb : t -> unit
-
 (** {2 Execution} *)
 
 (** [charge t cycles] advances simulated time and books the cycles as busy
@@ -142,8 +129,11 @@ val charge : t -> int -> unit
 val poll_interrupts : t -> unit
 
 (** [step t] executes exactly one instruction (the caller checks
-    [halted]/[stopped] first).  Faults dispatch internally; the function
-    returns normally unless the machine panics. *)
+    [halted]/[stopped] first): it fetches the instruction's compiled op
+    (the same op the block translator chains), runs it on its own, moves
+    its cycles and retirement to the engine and counters, then checks
+    the retire stop and the trap flag.  Faults dispatch internally; the
+    function returns normally unless the machine panics. *)
 val step : t -> unit
 
 (** [run_batch t ~horizon ~wake] steps the CPU in a tight loop until the
@@ -154,17 +144,6 @@ val step : t -> unit
     execution exactly.  Interrupts are still polled between instructions
     inside the batch. *)
 val run_batch : t -> horizon:int64 -> wake:int -> unit
-
-(** [deliver t ~table ~vector ~error ~return_pc] runs the interrupt-frame
-    protocol against an arbitrary table base — the hardware path uses the
-    CPU's own table; the monitor uses it to reflect events into the guest's
-    {e virtual} table.
-    @raise Panic when the entry is missing and no hook can take over. *)
-val deliver : t -> table:int -> vector:int -> error:int -> return_pc:int -> unit
-
-(** [do_iret t] performs the IRET state restore (the monitor uses it to
-    emulate a guest IRET).  @raise Panic on a malformed frame request. *)
-val do_iret : t -> unit
 
 (** [read_instr t vaddr] fetches and decodes the instruction at a virtual
     address with supervisor rights (used by the monitor to inspect the
@@ -197,25 +176,27 @@ val icache_invalidations : t -> int
 
 (** {2 Block translator}
 
-    [run_batch] normally executes through a basic-block threaded-code
-    translator: straight-line decoded runs are compiled into chains of
-    closures keyed by {e physical} pc, validated at every dispatch
-    against the {!Phys_mem} granule write generations of their whole
-    text plus the icache flush stamp (self-modifying code, DMA over
-    text, breakpoint patching and [LPTB]/[TLBFLUSH] invalidate compiled
-    blocks exactly as they invalidate decoded instructions), and chained
-    across taken jumps, calls and returns.  Architectural state,
-    cycle accounting, trap ordering, IRQ delivery points and profiler
-    sample boundaries are bit-identical to per-instruction stepping —
-    the translator is disabled automatically while a per-instruction
+    Every instruction has one definition: a compiled op.  {!step} runs
+    one op at a time; [run_batch] normally chains them through a
+    basic-block threaded-code translator: straight-line decoded runs are
+    compiled into chains of closures keyed by {e physical} pc, validated
+    at every dispatch against the {!Phys_mem} granule write generations
+    of their whole text plus the icache flush stamp (self-modifying
+    code, DMA over text and [LPTB]/[TLBFLUSH] invalidate compiled blocks
+    exactly as they invalidate cached instructions), and chained across
+    taken jumps, calls and returns.  Architectural state, cycle
+    accounting, trap ordering, IRQ delivery points and profiler sample
+    boundaries are bit-identical to per-instruction stepping — the
+    translator is disabled automatically while a per-instruction
     observer is armed (trap flag, retire stop, deliverable interrupt)
-    and falls back to the interpreter mid-chain on any fault, budget
-    boundary, or code-page TLB eviction. *)
+    and falls back to {!step} on any fault, budget boundary, or
+    code-page TLB eviction. *)
 
-(** [set_jit_enabled t v] turns the translator on/off ([true] at
-    creation; {!Machine.create} honors [LWVMM_JIT=0]).  Toggling is safe
-    at any instruction boundary and never changes guest-visible
-    behaviour, only speed. *)
+(** [set_jit_enabled t v] turns block chaining on/off ([true] at
+    creation).  Off, [run_batch] calls {!step} for every instruction:
+    the per-instruction reference that tests and the [sim-speed] bench
+    target compare against.  Toggling is safe at any instruction
+    boundary and never changes guest-visible behaviour, only speed. *)
 val set_jit_enabled : t -> bool -> unit
 
 val jit_enabled : t -> bool
@@ -229,8 +210,8 @@ val block_invalidations : t -> int
 val block_chain_follows : t -> int
 
 (** [block_fallbacks t] — translator dispatches that fell back to one
-    interpreter step (interpreter-only instruction, straddling fetch,
-    out-of-RAM text). *)
+    {!step} (I/O, privileged or other unchainable instruction, straddling
+    fetch, out-of-RAM text). *)
 val block_fallbacks : t -> int
 
 val instructions_retired : t -> int64

@@ -2,10 +2,11 @@
 
     A small 32-bit architecture with the system-level features the paper's
     monitor relies on: four privilege rings, privileged control-register
-    instructions, port-mapped I/O, software interrupts and a one-byte-patchable
-    breakpoint instruction.  Every instruction occupies exactly 8 bytes
-    (opcode byte, three 4-bit register fields, 32-bit immediate), which keeps
-    breakpoint patching and single-stepping trivial for the debug stub. *)
+    instructions, port-mapped I/O, software interrupts and a breakpoint
+    instruction a guest can plant in its own code.  Every instruction
+    occupies exactly 8 bytes (opcode byte, three 4-bit register fields,
+    32-bit immediate), which keeps single-stepping and disassembly trivial
+    for the debug stub. *)
 
 (** Register index in [0, 15].  By convention r14 is the stack pointer
     ({!sp}) and r15 the frame/link scratch register. *)

@@ -54,15 +54,6 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
   let bus = Io_bus.create () in
   let load = Stats.load () in
   let cpu = Cpu.create ~mem ~bus ~engine ~costs ~load () in
-  (* LWVMM_JIT=0 forces the per-instruction interpreter; anything else
-     (including unset) leaves the block translator on.  Reading it here
-     means run, record and replay all honor the knob the way the CLI
-     driver honors LWVMM_PROFILE — and since the translator never changes
-     guest-visible state, a trace recorded in either mode replays in
-     either mode. *)
-  (match Sys.getenv_opt "LWVMM_JIT" with
-   | Some "0" -> Cpu.set_jit_enabled cpu false
-   | Some _ | None -> ());
   let recorder = Recorder.create () in
   (* Record/replay taps: every nondeterministic event at the machine
      boundary reports to the recorder (a no-op until a recording or

@@ -144,12 +144,14 @@ let translate t mem ~ptb ~cpl access vaddr =
 let probe mem ~ptb vaddr =
   if ptb = 0 then Some (make_pte ~frame:(vaddr land 0xFFFFF000) ~writable:true ~user:true)
   else
-    let pde_addr = (ptb land 0xFFFFF000) + (4 * dir_index vaddr) in
-    let pde = Phys_mem.read_u32 mem pde_addr in
+    (* The tables are guest data: an entry outside RAM maps nothing. *)
+    let read addr =
+      if addr + 4 <= Phys_mem.size mem then Phys_mem.read_u32 mem addr else 0
+    in
+    let pde = read ((ptb land 0xFFFFF000) + (4 * dir_index vaddr)) in
     if not (is_present pde) then None
     else
-      let pte_addr = frame_of pde + (4 * table_index vaddr) in
-      let pte = Phys_mem.read_u32 mem pte_addr in
+      let pte = read (frame_of pde + (4 * table_index vaddr)) in
       if not (is_present pte) then None
       else
         (* Report effective permissions so callers need not re-combine. *)

@@ -72,8 +72,9 @@ val translate :
   t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int * int
 
 (** [probe mem ~ptb vaddr] walks the tables without touching accessed/dirty
-    bits or the TLB; [None] when unmapped at either level.  Used by the
-    monitor's shadow-paging code to read the guest's tables. *)
+    bits or the TLB; [None] when unmapped at either level, including when
+    a table lies outside physical memory.  Used by the monitor's
+    shadow-paging code to read the guest's tables. *)
 val probe : Phys_mem.t -> ptb:int -> int -> int option
 
 (** [tlb_covers t ~vpn] — the direct-mapped slot for virtual page [vpn]
@@ -82,8 +83,8 @@ val probe : Phys_mem.t -> ptb:int -> int -> int option
     fetch in the block could have walked the tables (no TLB-miss charge,
     no accessed-bit store), so skipping the per-instruction fetch
     translation is invisible.  A data access that evicts the code page's
-    entry flips this to [false] and the block bails to the
-    interpreter. *)
+    entry flips this to [false] and the chain hands back to the
+    dispatcher. *)
 val tlb_covers : t -> vpn:int -> bool
 
 (** [tlb_hits t] / [tlb_misses t] expose counters for tests and benches. *)

@@ -1,5 +1,5 @@
 (* Every store bumps the generation of the 64-byte granule(s) it touches,
-   so physically-tagged caches above (the CPU's decoded-instruction cache)
+   so physically-tagged caches above (the CPU's instruction cache)
    validate with an array read instead of watching every writer.  The
    granule is deliberately finer than an MMU page: guest kernels keep hot
    data right next to code, and a 4 KiB granule would let counter stores

@@ -17,9 +17,9 @@ val size : t -> int
 
     Every store bumps a generation counter for each [1 lsl granule_bits]-
     byte granule it touches.  Physically tagged caches — the CPU's
-    decoded-instruction cache — validate an entry by comparing the
-    generation captured at fill time against {!generation}, so guest
-    stores, DMA, breakpoint patching and program loading all invalidate
+    instruction cache and compiled blocks — validate an entry by comparing
+    the generation captured at fill time against {!generation}, so guest
+    stores, DMA, debugger memory writes and program loading all invalidate
     without explicit hooks.  Granules are finer than MMU pages so data
     kept adjacent to code does not thrash the instruction cache. *)
 

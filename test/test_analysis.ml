@@ -466,73 +466,13 @@ let test_site_roundtrip () =
 
 (* -- Fixpoint termination & determinism on random instruction soups -- *)
 
-let reg_gen = QCheck.Gen.int_bound 15
-let imm_gen = QCheck.Gen.map (fun v -> v land 0xFFFFFFFF) QCheck.Gen.int
-
-let instr_gen : Isa.instr QCheck.Gen.t =
-  let open QCheck.Gen in
-  let r = reg_gen and i = imm_gen in
-  oneof
-    [
-      return Isa.Nop;
-      return Isa.Hlt;
-      map2 (fun a b -> Isa.Movi (a, b)) r i;
-      map2 (fun a b -> Isa.Mov (a, b)) r r;
-      map3 (fun a b c -> Isa.Add (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Addi (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.Sub (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.And_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Or_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Xor_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Shl (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Shr (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Mul (a, b, c)) r r r;
-      map2 (fun a b -> Isa.Cmp (a, b)) r r;
-      map2 (fun a b -> Isa.Cmpi (a, b)) r i;
-      map3 (fun a b c -> Isa.Ld (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.St (a, b, c)) r i r;
-      map3 (fun a b c -> Isa.Ldb (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.Stb (a, b, c)) r i r;
-      map (fun a -> Isa.Jmp a) i;
-      map (fun a -> Isa.Jz a) i;
-      map (fun a -> Isa.Jnz a) i;
-      map (fun a -> Isa.Jlt a) i;
-      map (fun a -> Isa.Jge a) i;
-      map (fun a -> Isa.Jb a) i;
-      map (fun a -> Isa.Jae a) i;
-      map (fun a -> Isa.Jr a) r;
-      map (fun a -> Isa.Call a) i;
-      return Isa.Ret;
-      map (fun a -> Isa.Push a) r;
-      map (fun a -> Isa.Pop a) r;
-      map2 (fun a b -> Isa.In_ (a, b)) r r;
-      map2 (fun a b -> Isa.Ini (a, b)) r i;
-      map2 (fun a b -> Isa.Out (a, b)) r r;
-      map2 (fun a b -> Isa.Outi (a, b)) i r;
-      map (fun v -> Isa.Int_ (v land 0x3F)) (int_bound 63);
-      return Isa.Iret;
-      return Isa.Sti;
-      return Isa.Cli;
-      map (fun a -> Isa.Liht a) r;
-      map (fun a -> Isa.Lptb a) r;
-      map2 (fun a b -> Isa.Lstk (a land 15, b)) (int_bound 15) r;
-      return Isa.Tlbflush;
-      map3 (fun a b c -> Isa.Copy (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Csum (a, b, c)) r r r;
-      map (fun a -> Isa.Rdtsc a) r;
-      map (fun a -> Isa.Vmcall a) i;
-      return Isa.Brk;
-    ]
-
 let soup_arbitrary =
-  QCheck.make
-    QCheck.Gen.(list_size (int_range 1 64) instr_gen)
-    ~print:(fun l -> String.concat "; " (List.map Isa.to_string l))
+  QCheck.make (Isa_gen.soup_gen ~lo:1 ~hi:64 ()) ~print:Isa_gen.print_soup
 
 let prop_fixpoint_deterministic =
   QCheck.Test.make ~name:"interprocedural fixpoint terminates, deterministic"
     ~count:300 soup_arbitrary (fun instrs ->
-      let image = Bytes.concat Bytes.empty (List.map Isa.encode instrs) in
+      let image = Isa_gen.encode_soup instrs in
       (* termination: both runs return at all; determinism: identically *)
       let r1 = Verifier.verify_image config ~origin:0x1000 image in
       let r2 = Verifier.verify_image config ~origin:0x1000 image in

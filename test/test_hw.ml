@@ -89,66 +89,8 @@ let test_mem_checksum_odd_len () =
 
 (* -- ISA encode/decode -- *)
 
-let reg_gen = QCheck.Gen.int_bound 15
-let imm_gen = QCheck.Gen.map (fun v -> v land 0xFFFFFFFF) QCheck.Gen.int
-
-let instr_gen : Isa.instr QCheck.Gen.t =
-  let open QCheck.Gen in
-  let r = reg_gen and i = imm_gen in
-  oneof
-    [
-      return Isa.Nop;
-      return Isa.Hlt;
-      map2 (fun a b -> Isa.Movi (a, b)) r i;
-      map2 (fun a b -> Isa.Mov (a, b)) r r;
-      map3 (fun a b c -> Isa.Add (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Addi (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.Sub (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.And_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Or_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Xor_ (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Shl (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Shr (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Mul (a, b, c)) r r r;
-      map2 (fun a b -> Isa.Cmp (a, b)) r r;
-      map2 (fun a b -> Isa.Cmpi (a, b)) r i;
-      map3 (fun a b c -> Isa.Ld (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.St (a, b, c)) r i r;
-      map3 (fun a b c -> Isa.Ldb (a, b, c)) r r i;
-      map3 (fun a b c -> Isa.Stb (a, b, c)) r i r;
-      map (fun a -> Isa.Jmp a) i;
-      map (fun a -> Isa.Jz a) i;
-      map (fun a -> Isa.Jnz a) i;
-      map (fun a -> Isa.Jlt a) i;
-      map (fun a -> Isa.Jge a) i;
-      map (fun a -> Isa.Jb a) i;
-      map (fun a -> Isa.Jae a) i;
-      map (fun a -> Isa.Jr a) r;
-      map (fun a -> Isa.Call a) i;
-      return Isa.Ret;
-      map (fun a -> Isa.Push a) r;
-      map (fun a -> Isa.Pop a) r;
-      map2 (fun a b -> Isa.In_ (a, b)) r r;
-      map2 (fun a b -> Isa.Ini (a, b)) r i;
-      map2 (fun a b -> Isa.Out (a, b)) r r;
-      map2 (fun a b -> Isa.Outi (a, b)) i r;
-      map (fun v -> Isa.Int_ (v land 0x3F)) (int_bound 63);
-      return Isa.Iret;
-      return Isa.Sti;
-      return Isa.Cli;
-      map (fun a -> Isa.Liht a) r;
-      map (fun a -> Isa.Lptb a) r;
-      map2 (fun a b -> Isa.Lstk (a land 15, b)) (int_bound 15) r;
-      return Isa.Tlbflush;
-      map3 (fun a b c -> Isa.Copy (a, b, c)) r r r;
-      map3 (fun a b c -> Isa.Csum (a, b, c)) r r r;
-      map (fun a -> Isa.Rdtsc a) r;
-      map (fun a -> Isa.Vmcall a) i;
-      return Isa.Brk;
-    ]
-
 let instr_arbitrary =
-  QCheck.make instr_gen ~print:(fun i -> Isa.to_string i)
+  QCheck.make Isa_gen.instr_gen ~print:(fun i -> Isa.to_string i)
 
 let prop_isa_roundtrip =
   QCheck.Test.make ~name:"encode/decode roundtrip" ~count:2000 instr_arbitrary
@@ -593,7 +535,12 @@ let test_mmu_probe () =
      check int "frame" 0x3000 (Mmu.frame_of pte);
      check bool "user" true (Mmu.is_user pte)
    | None -> Alcotest.fail "expected mapping");
-  check bool "unmapped probe" true (Mmu.probe mem ~ptb:0x4000 0x600000 = None)
+  check bool "unmapped probe" true (Mmu.probe mem ~ptb:0x4000 0x600000 = None);
+  (* A directory entry pointing past RAM maps nothing; it is not a bus
+     error in the caller. *)
+  Phys_mem.write_u32 mem 0x4000 (Mmu.make_pte ~frame:0x7FFFF000 ~writable:true ~user:true);
+  check bool "table outside RAM" true (Mmu.probe mem ~ptb:0x4000 0x3000 = None);
+  check bool "directory outside RAM" true (Mmu.probe mem ~ptb:0x7FFFF000 0x3000 = None)
 
 let test_mmu_write_hit_dirty_cached () =
   (* The TLB caches the dirty state: after the first write marks the PTE,
