@@ -207,13 +207,12 @@ let world_switch t =
    construction.  When the machine tracer is enabled the same scope also
    appears as a Perfetto span. *)
 let span t cat name f =
-  let body () =
-    Vmm_sim.Stats.with_category (Machine.load t.machine) cat f
-  in
+  let load = Machine.load t.machine in
   let tracer = Machine.tracer t.machine in
   if Vmm_obs.Tracer.enabled tracer then
-    Vmm_obs.Tracer.with_span tracer ~cat name body
-  else body ()
+    Vmm_obs.Tracer.with_span tracer ~cat name (fun () ->
+        Vmm_sim.Stats.with_category load cat f)
+  else Vmm_sim.Stats.with_category load cat f
 
 (* Category only, no span: for closures fired on every stub byte, where
    a trace event apiece would drown the timeline. *)
@@ -270,21 +269,36 @@ let guest_write t ~addr ~data =
   in
   go 0
 
+(* Stack words and gate entries: a word inside one page is one
+   translation and one 32-bit access; only a word straddling a page goes
+   through the byte-string path, each part translated in its own page. *)
+let within_page vaddr = vaddr land 0xFFF <= Mmu.page_size - 4
+
 let guest_read_u32 t vaddr =
-  match guest_read t ~addr:vaddr ~len:4 with
-  | Some s ->
-    Some
-      (Char.code s.[0]
-      lor (Char.code s.[1] lsl 8)
-      lor (Char.code s.[2] lsl 16)
-      lor (Char.code s.[3] lsl 24))
-  | None -> None
+  if within_page vaddr then
+    match translate_guest t vaddr with
+    | Some paddr -> Some (Phys_mem.read_u32 (Machine.mem t.machine) paddr)
+    | None -> None
+  else
+    match guest_read t ~addr:vaddr ~len:4 with
+    | Some s ->
+      Some
+        (Char.code s.[0]
+        lor (Char.code s.[1] lsl 8)
+        lor (Char.code s.[2] lsl 16)
+        lor (Char.code s.[3] lsl 24))
+    | None -> None
 
 let guest_write_u32 t vaddr v =
-  let s =
-    String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF))
-  in
-  guest_write t ~addr:vaddr ~data:s
+  if within_page vaddr then
+    match translate_guest t vaddr with
+    | Some paddr ->
+      Phys_mem.write_u32 (Machine.mem t.machine) paddr v;
+      true
+    | None -> false
+  else
+    let s = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+    guest_write t ~addr:vaddr ~data:s
 
 (* -- Guest-visible flags -- *)
 

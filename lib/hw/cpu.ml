@@ -67,12 +67,12 @@ and t = {
   mutable pic_ack : unit -> int option;
   mutable pic_pending : unit -> bool;
   mutable hypervisor : (t -> event -> hook_result) option;
-  mutable retired : int64;
+  mutable retired : int;
   mutable retire_stop : (int64 * (t -> unit)) option;
       (* reverse-debug replay-to-N: stop when [retired] reaches the
          target, between instructions *)
-  mutable irqs_taken : int64;
-  mutable faults : int64;
+  mutable irqs_taken : int;
+  mutable faults : int;
   mutable sample_period : int64;
       (* pc-sampling cadence in cycles; 0 = profiling off, and the
          dispatch loop pays exactly one Int64 compare per instruction *)
@@ -157,10 +157,10 @@ let create ~mem ~bus ~engine ~costs ~load () =
     pic_ack = (fun () -> None);
     pic_pending = (fun () -> false);
     hypervisor = None;
-    retired = 0L;
+    retired = 0;
     retire_stop = None;
-    irqs_taken = 0L;
-    faults = 0L;
+    irqs_taken = 0;
+    faults = 0;
     sample_period = 0L;
     next_sample = 0L;
     sample_hook = (fun ~pc:_ ~cpl:_ -> ());
@@ -272,7 +272,7 @@ let jit_flush t =
     t.jit_cyc <- 0
   end;
   if t.jit_ret > 0 then begin
-    t.retired <- Int64.add t.retired (Int64.of_int t.jit_ret);
+    t.retired <- t.retired + t.jit_ret;
     t.jit_ret <- 0
   end
 
@@ -295,10 +295,12 @@ let settle t f =
    text (invariant 4 below); [lo = hi] watches nothing. *)
 
 let translate t ~access ~cpl vaddr =
-  let paddr, extra =
+  let misses = Mmu.tlb_misses t.mmu in
+  let paddr =
     Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl access (Word.mask vaddr)
   in
-  if extra > 0 then t.jit_cyc <- t.jit_cyc + extra;
+  if Mmu.tlb_misses t.mmu <> misses then
+    t.jit_cyc <- t.jit_cyc + t.costs.tlb_miss;
   paddr
 
 (* Multi-byte accesses that straddle a page fall back to byte-at-a-time so
@@ -419,7 +421,7 @@ let offer t ev =
   match t.hypervisor with Some hook -> hook t ev | None -> Deliver
 
 let dispatch_fault t kind ~return_pc =
-  t.faults <- Int64.add t.faults 1L;
+  t.faults <- t.faults + 1;
   if offer t (Fault (kind, return_pc)) = Deliver then
     hw_deliver_fault t kind ~return_pc
 
@@ -440,7 +442,7 @@ let poll_interrupts t =
     | None -> ()
     | Some vector ->
       t.halted <- false;
-      t.irqs_taken <- Int64.add t.irqs_taken 1L;
+      t.irqs_taken <- t.irqs_taken + 1;
       if offer t (Irq vector) = Deliver then
         deliver t ~table:t.iht ~vector ~error:0 ~return_pc:t.pc
 
@@ -1108,7 +1110,8 @@ let step t =
     fetch t t;
     jit_flush t;
     (match t.retire_stop with
-     | Some (target, on_stop) when Int64.compare t.retired target >= 0 ->
+     | Some (target, on_stop)
+       when Int64.compare (Int64.of_int t.retired) target >= 0 ->
        (* Landed on the requested instruction boundary: freeze with pc at
           the next instruction to execute, exactly like a debugger stop. *)
        t.retire_stop <- None;
@@ -1256,16 +1259,16 @@ let block_hits t = t.jb_hits
 let block_invalidations t = t.jb_inval
 let block_chain_follows t = t.jb_chains
 let block_fallbacks t = t.jb_fallbacks
-let instructions_retired t = t.retired
+let instructions_retired t = Int64.of_int t.retired
 
 (* Reverse-debug support: checkpoint restore rewinds the retirement
    counter; replay-to-N arms a stop at an absolute retirement count. *)
-let set_instructions_retired t v = t.retired <- v
+let set_instructions_retired t v = t.retired <- Int64.to_int v
 let set_retire_stop t spec = t.retire_stop <- spec
 let retire_stop_armed t =
   match t.retire_stop with Some _ -> true | None -> false
-let interrupts_taken t = t.irqs_taken
-let faults_taken t = t.faults
+let interrupts_taken t = Int64.of_int t.irqs_taken
+let faults_taken t = Int64.of_int t.faults
 let mmu t = t.mmu
 let mem t = t.mem
 let bus t = t.bus

@@ -47,14 +47,13 @@ type tlb_entry = {
 type t = {
   tlb : tlb_entry array;
   tlb_mask : int;
-  costs : Costs.t;
-  mutable hits : int64;
-  mutable misses : int64;
+  mutable hits : int;
+  mutable misses : int;
 }
 
 let tlb_slots = 256
 
-let create costs =
+let create (_ : Costs.t) =
   {
     tlb =
       Array.init tlb_slots (fun _ ->
@@ -68,9 +67,8 @@ let create costs =
             dirty = false;
           });
     tlb_mask = tlb_slots - 1;
-    costs;
-    hits = 0L;
-    misses = 0L;
+    hits = 0;
+    misses = 0;
   }
 
 let flush t =
@@ -98,12 +96,12 @@ let walk mem ~ptb ~vaddr ~access =
   (pde, pde_addr, pte, pte_addr)
 
 let translate t mem ~ptb ~cpl access vaddr =
-  if ptb = 0 then (vaddr, 0)
+  if ptb = 0 then vaddr
   else begin
     let vpn = vaddr lsr 12 in
     let entry = t.tlb.(vpn land t.tlb_mask) in
     if entry.vpn = vpn then begin
-      t.hits <- Int64.add t.hits 1L;
+      t.hits <- t.hits + 1;
       check_perms ~cpl ~access ~writable:entry.writable ~user:entry.user
         ~nx:entry.nx ~vaddr;
       (* Write-hit fast path: once this entry has set the PTE dirty bit,
@@ -115,10 +113,10 @@ let translate t mem ~ptb ~cpl access vaddr =
         Phys_mem.write_u32 mem entry.pte_addr (pte lor pte_dirty);
         entry.dirty <- true
       end;
-      (entry.frame lor (vaddr land 0xFFF), 0)
+      entry.frame lor (vaddr land 0xFFF)
     end
     else begin
-      t.misses <- Int64.add t.misses 1L;
+      t.misses <- t.misses + 1;
       let pde, pde_addr, pte, pte_addr = walk mem ~ptb ~vaddr ~access in
       (* Effective permissions combine both levels, like x86.  NX is
          restrictive at either level (shadow directories never set it, so
@@ -137,7 +135,7 @@ let translate t mem ~ptb ~cpl access vaddr =
       entry.nx <- nx;
       entry.pte_addr <- pte_addr;
       entry.dirty <- access = Write;
-      (frame_of pte lor (vaddr land 0xFFF), t.costs.tlb_miss)
+      frame_of pte lor (vaddr land 0xFFF)
     end
   end
 

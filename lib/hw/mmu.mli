@@ -59,17 +59,21 @@ val table_index : int -> int
 
 type t
 
+(** [create costs] is an MMU with an empty TLB.  The MMU only counts
+    misses; the caller charges [costs.tlb_miss] for each one (see
+    {!tlb_misses}). *)
 val create : Costs.t -> t
 
 (** [flush t] drops every TLB entry (LPTB and TLBFLUSH do this). *)
 val flush : t -> unit
 
-(** [translate t mem ~ptb ~cpl access vaddr] is [(paddr, extra_cycles)].
-    Sets accessed/dirty bits on the walked entries.  [extra_cycles] is the
-    TLB-miss penalty when a walk was needed, 0 on a hit or with paging off.
+(** [translate t mem ~ptb ~cpl access vaddr] is the physical address of
+    [vaddr].  Sets accessed/dirty bits on the walked entries.  A walk
+    (TLB miss) bumps {!tlb_misses}; a caller that models the miss
+    penalty compares that counter across the call, so a TLB hit
+    allocates nothing.
     @raise Page_fault on a missing or forbidden mapping. *)
-val translate :
-  t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int * int
+val translate : t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int
 
 (** [probe mem ~ptb vaddr] walks the tables without touching accessed/dirty
     bits or the TLB; [None] when unmapped at either level, including when
@@ -87,7 +91,9 @@ val probe : Phys_mem.t -> ptb:int -> int -> int option
     dispatcher. *)
 val tlb_covers : t -> vpn:int -> bool
 
-(** [tlb_hits t] / [tlb_misses t] expose counters for tests and benches. *)
-val tlb_hits : t -> int64
+(** [tlb_hits t] / [tlb_misses t] count translations served from the TLB
+    and table walks (including walks that end in a fault), since
+    [create].  Neither counts with paging off. *)
+val tlb_hits : t -> int
 
-val tlb_misses : t -> int64
+val tlb_misses : t -> int

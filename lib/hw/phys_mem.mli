@@ -71,7 +71,13 @@ val checksum : t -> addr:int -> len:int -> int
 (** [checksum_add t ~addr ~len ~index sum] accumulates the region into a
     running ones'-complement sum, where [index] is the byte offset of
     [addr] within the overall message (it fixes 16-bit pairing parity).
-    Fold the result with [checksum]-style carry wrapping when done. *)
+    Fold the result with [checksum]-style carry wrapping when done.
+
+    The result is the unfolded integer sum of adding each byte at an
+    even message index as a low byte and at an odd one as a high byte.
+    It is computed 8 bytes at a time (four little-endian 16-bit lanes per
+    read), so callers may split a message at any byte and still get the
+    bytewise sum; it allocates nothing. *)
 val checksum_add : t -> addr:int -> len:int -> index:int -> int -> int
 
 (** [fill t ~addr ~len v] sets a region to byte [v]. *)

@@ -3,7 +3,12 @@
     Time is counted in CPU cycles ([int64]).  Components schedule thunks at
     absolute or relative times; [run_until] advances the clock to each event
     in order and executes it.  The machine simulator interleaves instruction
-    execution with event dispatch by consulting [next_event_time]. *)
+    execution with event dispatch by consulting [next_event_time].
+
+    The clock is kept as a native [int] and converted at this interface,
+    so {!advance} — called on every cycle charge — allocates nothing.
+    Times must stay below 2{^62} cycles, about 116 simulated years at
+    1.26 GHz. *)
 
 type t
 
@@ -15,6 +20,7 @@ val now : t -> int64
 
 (** [advance engine cycles] moves the clock forward by [cycles] without
     dispatching events (used by the CPU to account instruction time).
+    Allocation-free.
     @raise Invalid_argument if [cycles] is negative. *)
 val advance : t -> int64 -> unit
 

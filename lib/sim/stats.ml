@@ -10,34 +10,38 @@ let counter_name c = c.name
 let counter_value c = c.value
 let reset_counter c = c.value <- 0L
 
+(* Busy totals are native ints so [note_busy] — called on every charge —
+   stores without boxing; [current] is the cell of the current category,
+   cached so the hot path never hashes a name. *)
 type load = {
-  mutable busy : int64;
+  mutable busy : int;
   mutable category : string;
-  mutable current : int64 ref; (* cache of by_cat.(category) *)
-  by_cat : (string, int64 ref) Hashtbl.t;
+  mutable current : int ref;
+  by_cat : (string, int ref) Hashtbl.t;
 }
 
 let default_category = "guest"
 
 let cat_ref l cat =
-  match Hashtbl.find_opt l.by_cat cat with
-  | Some r -> r
-  | None ->
-    let r = ref 0L in
+  match Hashtbl.find l.by_cat cat with
+  | r -> r
+  | exception Not_found ->
+    let r = ref 0 in
     Hashtbl.add l.by_cat cat r;
     r
 
 let load () =
   let by_cat = Hashtbl.create 16 in
-  let current = ref 0L in
+  let current = ref 0 in
   Hashtbl.add by_cat default_category current;
-  { busy = 0L; category = default_category; current; by_cat }
+  { busy = 0; category = default_category; current; by_cat }
 
 let note_busy l cycles =
-  l.busy <- Int64.add l.busy cycles;
-  l.current := Int64.add !(l.current) cycles
+  let c = Int64.to_int cycles in
+  l.busy <- l.busy + c;
+  l.current := !(l.current) + c
 
-let busy_cycles l = l.busy
+let busy_cycles l = Int64.of_int l.busy
 
 let set_category l cat =
   if not (String.equal cat l.category) then begin
@@ -48,25 +52,34 @@ let set_category l cat =
 let category l = l.category
 
 let with_category l cat f =
-  let prev = l.category in
+  let prev = l.category and prev_cell = l.current in
   set_category l cat;
-  Fun.protect ~finally:(fun () -> set_category l prev) f
+  match f () with
+  | v ->
+    l.category <- prev;
+    l.current <- prev_cell;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    l.category <- prev;
+    l.current <- prev_cell;
+    Printexc.raise_with_backtrace e bt
 
 let busy_by_category l =
   Hashtbl.fold
-    (fun cat r acc -> if Int64.equal !r 0L then acc else (cat, !r) :: acc)
+    (fun cat r acc -> if !r = 0 then acc else (cat, Int64.of_int !r) :: acc)
     l.by_cat []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let utilization l ~elapsed =
   if Int64.compare elapsed 0L <= 0 then 0.0
   else
-    let u = Int64.to_float l.busy /. Int64.to_float elapsed in
+    let u = float_of_int l.busy /. Int64.to_float elapsed in
     if u < 0.0 then 0.0 else if u > 1.0 then 1.0 else u
 
 let reset_load l =
-  l.busy <- 0L;
-  Hashtbl.iter (fun _ r -> r := 0L) l.by_cat
+  l.busy <- 0;
+  Hashtbl.iter (fun _ r -> r := 0) l.by_cat
 
 type histogram = {
   width : float;

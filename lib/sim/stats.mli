@@ -25,7 +25,8 @@ type load
 val load : unit -> load
 
 (** [note_busy load cycles] records [cycles] of non-idle execution,
-    attributed to the current category. *)
+    attributed to the current category.  Totals are native [int]s and the
+    current category's cell is cached, so this allocates nothing. *)
 val note_busy : load -> int64 -> unit
 
 (** {2 Cycle attribution}
@@ -46,7 +47,10 @@ val set_category : load -> string -> unit
 val category : load -> string
 
 (** [with_category load cat f] runs [f] with the category switched to
-    [cat], restoring the previous category even if [f] raises. *)
+    [cat].  On return, or when [f] raises, it restores the previous
+    category and the cell {!note_busy} writes to, without a table
+    lookup; an exception propagates with its backtrace.  Once [cat] has
+    been used, a call allocates nothing beyond [f]'s own closure. *)
 val with_category : load -> string -> (unit -> 'a) -> 'a
 
 (** [busy_by_category load] — nonzero per-category busy cycles, sorted

@@ -245,6 +245,153 @@ let test_guest_paging_via_shadow () =
   check int "guest ptb tracked" pd (Monitor.guest_ptb mon);
   check bool "shadow populated" true (Shadow.mappings (Monitor.shadow mon) > 0)
 
+(* -- Guest-word access: the monitor's frame pushes and pops --
+
+   The guest pages its first 2 MiB identity at [guest_pd] with the given
+   overrides; [None] leaves a page unmapped. *)
+let guest_pd = 0x100000
+
+let guest_tables mem ~overrides =
+  let pt = guest_pd + 0x1000 in
+  Phys_mem.write_u32 mem guest_pd
+    (Mmu.make_pte ~frame:pt ~writable:true ~user:false);
+  for i = 0 to 511 do
+    let pte =
+      match List.assoc_opt i overrides with
+      | Some None -> 0
+      | Some (Some frame) -> Mmu.make_pte ~frame ~writable:true ~user:false
+      | None -> Mmu.make_pte ~frame:(i * 4096) ~writable:true ~user:false
+    in
+    Phys_mem.write_u32 mem (pt + (4 * i)) pte
+  done
+
+(* A guest that pages itself, sets [sp], then reads [fault_addr]: with
+   the page unmapped that is a #PF the monitor reflects onto [sp]. *)
+let faulting_guest a ~sp ~fault_addr =
+  Asm.movi a 1 (Asm.imm guest_pd);
+  Asm.lptb a 1;
+  Asm.movi a 1 (Asm.lbl "iht");
+  Asm.liht a 1;
+  Asm.movi a Isa.sp (Asm.imm sp);
+  Asm.movi a 2 (Asm.imm fault_addr);
+  Asm.label a "fault";
+  Asm.ld a 3 2 0
+
+let test_reflect_frame_straddles_page () =
+  (* The stack sits 2 bytes above a page boundary, and the two pages map
+     to unrelated frames: the pushed old-sp word straddles them. *)
+  let m, mon = fresh () in
+  let mem = Machine.mem m in
+  let low = 0x150000 and high = 0x170000 in
+  guest_tables mem ~overrides:[ (0x1F, Some low); (0x20, Some high) ];
+  let a = Asm.create ~origin:0x1000 () in
+  faulting_guest a ~sp:0x20002 ~fault_addr:0x300000;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.label a "pf_handler";
+  Asm.ld a 5 Isa.sp 0;
+  Asm.ld a 7 Isa.sp 4;
+  Asm.ld a 6 Isa.sp 12;
+  Asm.vmcall a (Asm.imm 2);
+  emit_iht a ~label:"iht" ~gates:[ (Isa.vec_page_fault, ("pf_handler", 0, 0)) ];
+  let p = Asm.assemble a in
+  Monitor.boot_guest mon p ~entry:0x1000;
+  run_seconds m 0.005;
+  check bool "handler ran" true (Monitor.shutdown_requested mon);
+  check int "error word" 0x300000 (reg m 5);
+  check int "return pc" (Asm.symbol p "fault") (reg m 7);
+  check int "straddling old-sp word" 0x20002 (reg m 6);
+  check int "sp after four pushes" (0x20002 - 16) (reg m Isa.sp);
+  check (Alcotest.list int) "old sp split across the two frames"
+    [ 0x02; 0x00; 0x02; 0x00 ]
+    (List.map (Phys_mem.read_u8 mem) [ low + 0xFFE; low + 0xFFF; high; high + 1 ]);
+  check bool "not escalated" true ((Monitor.stats mon).Monitor.escalations = 0)
+
+let test_reflect_onto_unmapped_stack () =
+  let m, mon = fresh () in
+  let a = Asm.create ~origin:0x1000 () in
+  guest_tables (Machine.mem m) ~overrides:[];
+  faulting_guest a ~sp:0x300100 ~fault_addr:0x300000;
+  Asm.label a "pf_handler";
+  Asm.vmcall a (Asm.imm 2);
+  emit_iht a ~label:"iht" ~gates:[ (Isa.vec_page_fault, ("pf_handler", 0, 0)) ];
+  Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
+  run_seconds m 0.005;
+  check bool "handler never ran" false (Monitor.shutdown_requested mon);
+  match Monitor.lifecycle mon with
+  | Monitor.Crashed r ->
+    check Alcotest.string "cause" "stack_unmapped" r.Monitor.cause;
+    check int "vector" Isa.vec_page_fault r.Monitor.vector
+  | Monitor.Healthy -> Alcotest.fail "expected an escalation"
+
+let test_reflect_frame_over_text_refetched () =
+  (* The guest runs the code at [x] once, so it is cached, then faults
+     with its stack just above [x]: the reflected frame overwrites that
+     code, and the next fetch must see the frame's bytes.  The error
+     word is the faulting address, chosen to encode [movi r9, imm]
+     whose immediate is the next frame word (the return pc); the flags
+     word above it decodes as [nop]. *)
+  let m, mon = fresh () in
+  let movi_r9 = Bytes.get_int32_le (Isa.encode (Isa.Movi (9, 0))) 0 |> Int32.to_int in
+  guest_tables (Machine.mem m) ~overrides:[ (movi_r9 lsr 12, None) ];
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 1 (Asm.imm guest_pd);
+  Asm.lptb a 1;
+  Asm.movi a 1 (Asm.lbl "iht");
+  Asm.liht a 1;
+  Asm.jmp a (Asm.lbl "x");
+  Asm.label a "back";
+  Asm.movi a Isa.sp (Asm.lbl "x");
+  Asm.addi a Isa.sp Isa.sp (Asm.imm 16);
+  Asm.movi a 2 (Asm.imm movi_r9);
+  Asm.label a "fault";
+  Asm.ld a 3 2 0;
+  Asm.label a "pf_handler";
+  Asm.jmp a (Asm.lbl "x");
+  Asm.label a "x";
+  Asm.movi a 9 (Asm.imm 0x55);
+  Asm.jmp a (Asm.lbl "back");
+  Asm.vmcall a (Asm.imm 2);
+  emit_iht a ~label:"iht" ~gates:[ (Isa.vec_page_fault, ("pf_handler", 0, 0)) ];
+  let p = Asm.assemble a in
+  Monitor.boot_guest mon p ~entry:0x1000;
+  run_seconds m 0.005;
+  check bool "ran off the rewritten text" true (Monitor.shutdown_requested mon);
+  check int "fetched the frame's bytes" (Asm.symbol p "fault") (reg m 9)
+
+let test_compute_guest_allocation () =
+  (* A warm CPU-bound ring-1 guest runs in translated chains: every load,
+     store and cycle charge on that path is allocation-free, so what
+     remains is per block dispatch, well under a word per instruction. *)
+  let m, mon = fresh () in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a Isa.sp (Asm.imm 0x8000);
+  Asm.movi a 1 (Asm.imm 0);
+  Asm.movi a 4 (Asm.imm 0x4000);
+  Asm.label a "loop";
+  Asm.addi a 1 1 (Asm.imm 1);
+  Asm.st a 4 0 1;
+  Asm.ld a 5 4 0;
+  Asm.add a 6 6 5;
+  Asm.mul a 7 1 5;
+  Asm.push a 6;
+  Asm.pop a 8;
+  Asm.cmpi a 1 (Asm.imm 0);
+  Asm.jnz a (Asm.lbl "loop");
+  Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
+  let cpu = Machine.cpu m in
+  run_seconds m 0.001;
+  let retired = Cpu.instructions_retired cpu in
+  let before = Gc.minor_words () in
+  run_seconds m 0.002;
+  let words = Gc.minor_words () -. before in
+  let instrs = Int64.to_float (Int64.sub (Cpu.instructions_retired cpu) retired) in
+  check bool "guest ran" true (instrs > 100_000.);
+  let per_instr = words /. instrs in
+  check bool
+    (Printf.sprintf "at most 0.5 minor words per instruction (%.3f)" per_instr)
+    true (per_instr <= 0.5)
+
 let test_guest_mapping_monitor_frame_denied () =
   (* Guest page tables that point a virtual page at a monitor frame must
      not take effect. *)
@@ -834,6 +981,17 @@ let () =
             test_guest_mapping_monitor_frame_denied;
           Alcotest.test_case "three-level protection" `Quick
             test_user_app_cannot_touch_kernel_memory;
+          Alcotest.test_case "reflected frame straddles a page" `Quick
+            test_reflect_frame_straddles_page;
+          Alcotest.test_case "reflect onto unmapped stack" `Quick
+            test_reflect_onto_unmapped_stack;
+          Alcotest.test_case "reflected frame over text refetched" `Quick
+            test_reflect_frame_over_text_refetched;
+        ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "compute guest allocation" `Quick
+            test_compute_guest_allocation;
         ] );
       ( "stub",
         [

@@ -87,6 +87,35 @@ let test_mem_checksum_odd_len () =
   check int "odd trailing byte" (lnot s land 0xFFFF)
     (Phys_mem.checksum m ~addr:0 ~len:3)
 
+(* The bytewise definition [checksum_add] must keep computing: a byte at
+   an even message index is a low byte, at an odd one a high byte. *)
+let bytewise_checksum_add mem ~addr ~len ~index sum =
+  let s = ref sum in
+  for i = 0 to len - 1 do
+    let b = Phys_mem.read_u8 mem (addr + i) in
+    s := !s + if (index + i) land 1 = 0 then b else b lsl 8
+  done;
+  !s
+
+let checksum_mem =
+  let mem = Phys_mem.create ~size:(16 * 1024) in
+  let rng = Random.State.make [| 2005 |] in
+  for i = 0 to Phys_mem.size mem - 1 do
+    Phys_mem.write_u8 mem i (Random.State.int rng 256)
+  done;
+  (* Runs of 0xFF make the lane sums carry. *)
+  Phys_mem.fill mem ~addr:0x1000 ~len:600 0xFF;
+  mem
+
+let prop_checksum_add_matches_bytewise =
+  QCheck.Test.make ~name:"checksum_add matches bytewise model" ~count:500
+    QCheck.(
+      quad (int_bound 8191) (int_bound 4200) (int_bound 1_000_001)
+        (int_bound 0xFFFFFF))
+    (fun (addr, len, index, sum) ->
+      Phys_mem.checksum_add checksum_mem ~addr ~len ~index sum
+      = bytewise_checksum_add checksum_mem ~addr ~len ~index sum)
+
 (* -- ISA encode/decode -- *)
 
 let instr_arbitrary =
@@ -492,11 +521,13 @@ let test_mmu_translate_and_bits () =
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
   let mmu = Mmu.create costs in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
-  let paddr, cyc = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1234 in
+  let misses = Mmu.tlb_misses mmu in
+  let paddr = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1234 in
   check int "identity" 0x1234 paddr;
-  check bool "miss charged" true (cyc > 0);
-  let _, cyc2 = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1238 in
-  check int "tlb hit free" 0 cyc2;
+  check int "miss counted" 1 (Mmu.tlb_misses mmu - misses);
+  let misses = Mmu.tlb_misses mmu in
+  ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1238);
+  check int "tlb hit walks nothing" 0 (Mmu.tlb_misses mmu - misses);
   let pte = Phys_mem.read_u32 mem (0x5000 + 4) in
   check bool "accessed set" true (pte land Mmu.pte_accessed <> 0);
   ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1300);
@@ -553,21 +584,50 @@ let test_mmu_write_hit_dirty_cached () =
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   let pte_addr = 0x5000 + 4 (* vpn 1 *) in
   let pte_dirty () = Phys_mem.read_u32 mem pte_addr land Mmu.pte_dirty <> 0 in
-  let _, fill = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1000 in
-  check bool "fill charged" true (fill > 0);
+  (* Walks made by [f]. *)
+  let walks f =
+    let misses = Mmu.tlb_misses mmu in
+    ignore (f ());
+    Mmu.tlb_misses mmu - misses
+  in
+  check int "fill walks" 1
+    (walks (fun () -> Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1000));
   check bool "read fill leaves clean" false (pte_dirty ());
-  let _, hit = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1004 in
-  check int "write hit free" 0 hit;
+  check int "write hit walks nothing" 0
+    (walks (fun () -> Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1004));
   check bool "first write sets dirty" true (pte_dirty ());
   Phys_mem.write_u32 mem pte_addr
     (Phys_mem.read_u32 mem pte_addr land lnot Mmu.pte_dirty);
   ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1008);
   check bool "later write hits skip the PTE" false (pte_dirty ());
   Mmu.flush mmu;
-  let _, refill = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x100C in
-  check bool "miss after flush" true (refill > 0);
+  check int "miss after flush" 1
+    (walks (fun () -> Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x100C));
   check bool "dirty re-set after flush" true (pte_dirty ());
-  check bool "hits counted" true (Int64.compare (Mmu.tlb_hits mmu) 2L >= 0)
+  check bool "hits counted" true (Mmu.tlb_hits mmu >= 2)
+
+let test_mmu_hit_allocates_nothing () =
+  (* Every guest fetch, load and store translates; a TLB hit returns the
+     bare physical address and bumps an int counter.  Any per-call box
+     costs at least two words, so under one word per call is none. *)
+  let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
+  let mmu = Mmu.create Costs.default in
+  build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
+  ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1000);
+  let hits = Mmu.tlb_hits mmu and misses = Mmu.tlb_misses mmu in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    let access = if i land 1 = 0 then Mmu.Read else Mmu.Write in
+    ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 access (0x1000 lor (i land 0xFFF)))
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool
+    (Printf.sprintf "no allocation per hit (%.0f words over %d)" words calls)
+    true
+    (words < float_of_int calls);
+  check int "all hits" calls (Mmu.tlb_hits mmu - hits);
+  check int "no walks" 0 (Mmu.tlb_misses mmu - misses)
 
 let test_cpu_page_fault_delivery () =
   (* Enable paging, then touch an unmapped page; #PF handler records the
@@ -939,6 +999,72 @@ let test_cpu_copy_across_pages () =
     (Phys_mem.read_bytes mem ~addr:0x2800 ~len:10000
     = Phys_mem.read_bytes mem ~addr:0x8800 ~len:10000)
 
+let test_cpu_csum_across_pages_paged () =
+  (* Three consecutive virtual pages on scattered, out-of-order frames; an
+     odd-aligned CSUM over all three must sum exactly the physical bytes
+     it crosses, in virtual order. *)
+  let m = fresh_machine () in
+  let mem = Machine.mem m in
+  build_identity_tables mem ~pd:0x40000 ~pt:0x41000 ~mbytes:1 ~user:false;
+  let vbase = 0x100000 and frames = [| 0x60000; 0x30000; 0x50000 |] in
+  Array.iteri
+    (fun i frame ->
+      Phys_mem.write_u32 mem
+        (0x41000 + (4 * ((vbase lsr 12) + i)))
+        (Mmu.make_pte ~frame ~writable:true ~user:false);
+      for b = 0 to Mmu.page_size - 1 do
+        Phys_mem.write_u8 mem (frame + b) (((i * 4096) + b) * 37 land 0xFF)
+      done)
+    frames;
+  let start = vbase + 0x7FF and len = (2 * Mmu.page_size) + 1234 in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 1 (Asm.imm 0x40000);
+  Asm.lptb a 1;
+  Asm.movi a 2 (Asm.imm start);
+  Asm.movi a 3 (Asm.imm len);
+  Asm.csum a 4 2 3;
+  Asm.hlt a;
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  ignore (Machine.run_until_halted m);
+  let gathered = Phys_mem.create ~size:len in
+  for i = 0 to len - 1 do
+    let v = start + i in
+    let frame = frames.((v lsr 12) - (vbase lsr 12)) in
+    Phys_mem.write_u8 gathered i (Phys_mem.read_u8 mem (frame + (v land 0xFFF)))
+  done;
+  check int "paged csum = checksum of the physical bytes"
+    (Phys_mem.checksum gathered ~addr:0 ~len)
+    (reg m 4)
+
+let test_cpu_tlb_miss_charged_once () =
+  (* End to end: the cycles a load costs differ between a cold and a warm
+     data page by exactly the TLB-miss penalty. *)
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m in
+  build_identity_tables (Machine.mem m) ~pd:0x40000 ~pt:0x41000 ~mbytes:1
+    ~user:false;
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 2 (Asm.imm 0x3000);
+  Asm.ld a 3 2 0;
+  Asm.ld a 3 2 4;
+  Asm.hlt a;
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  Cpu.set_ptb cpu 0x40000;
+  let step () =
+    let misses = Mmu.tlb_misses (Cpu.mmu cpu) and t0 = Machine.now m in
+    Cpu.step cpu;
+    (Int64.sub (Machine.now m) t0, Mmu.tlb_misses (Cpu.mmu cpu) - misses)
+  in
+  let _, code_walks = step () (* movi: walks the code page *) in
+  check int "code page walked" 1 code_walks;
+  let cold, cold_walks = step () in
+  let warm, warm_walks = step () in
+  check int "cold load walks" 1 cold_walks;
+  check int "warm load walks nothing" 0 warm_walks;
+  check Alcotest.int64 "cold - warm = tlb_miss"
+    (Int64.of_int (Cpu.costs cpu).Costs.tlb_miss)
+    (Int64.sub cold warm)
+
 let test_cpu_iret_to_ring3_with_pending_step () =
   (* IRET restoring a flags word with TF set must trap after the first
      user instruction. *)
@@ -1001,7 +1127,7 @@ let prop_mmu_probe_agrees_with_translate =
       let vaddr = (probe_page land 0xFF) * 4096 in
       let probe = Mmu.probe mem ~ptb:pd vaddr in
       let translate =
-        try Some (fst (Mmu.translate mmu mem ~ptb:pd ~cpl:3 Mmu.Read vaddr))
+        try Some (Mmu.translate mmu mem ~ptb:pd ~cpl:3 Mmu.Read vaddr)
         with Mmu.Page_fault _ -> None
       in
       match (probe, translate) with
@@ -1464,7 +1590,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
           Alcotest.test_case "checksum" `Quick test_mem_checksum_matches_rfc;
           Alcotest.test_case "checksum odd" `Quick test_mem_checksum_odd_len;
-        ] );
+        ]
+        @ qsuite [ prop_checksum_add_matches_bytewise ] );
       ( "isa",
         [
           Alcotest.test_case "decode error" `Quick test_isa_decode_error;
@@ -1506,6 +1633,10 @@ let () =
             test_cpu_unaligned_u32_across_pages;
           Alcotest.test_case "copy across pages" `Quick
             test_cpu_copy_across_pages;
+          Alcotest.test_case "csum across pages, paged" `Quick
+            test_cpu_csum_across_pages_paged;
+          Alcotest.test_case "tlb miss charged once" `Quick
+            test_cpu_tlb_miss_charged_once;
           Alcotest.test_case "iret with TF" `Quick
             test_cpu_iret_to_ring3_with_pending_step;
         ] );
@@ -1516,6 +1647,8 @@ let () =
           Alcotest.test_case "probe" `Quick test_mmu_probe;
           Alcotest.test_case "write hit caches dirty" `Quick
             test_mmu_write_hit_dirty_cached;
+          Alcotest.test_case "hit allocates nothing" `Quick
+            test_mmu_hit_allocates_nothing;
         ] );
       ( "pic",
         [

@@ -354,6 +354,70 @@ let test_stats_categories () =
   check Alcotest.string "restored after raise" Stats.default_category
     (Stats.category l)
 
+(* A raise whose location the backtrace must still show after
+   [with_category] re-raises it. *)
+let boom_line = ref 0
+
+let boom () =
+  boom_line := __LINE__; raise (Failure "boom")
+
+let test_stats_with_category_raise () =
+  let l = Stats.load () in
+  let busy cat =
+    Option.value ~default:0L (List.assoc_opt cat (Stats.busy_by_category l))
+  in
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Stats.with_category l "mon_cpu" (fun () ->
+      (match Stats.with_category l "stub" (fun () -> Stats.note_busy l 2L; boom ()) with
+       | () -> Alcotest.fail "expected Failure"
+       | exception Failure _ ->
+         let bt = Printexc.get_raw_backtrace () in
+         let line =
+           match Printexc.backtrace_slots bt with
+           | Some slots when Array.length slots > 0 ->
+             Option.map
+               (fun loc -> loc.Printexc.line_number)
+               (Printexc.Slot.location slots.(0))
+           | Some _ | None -> None
+         in
+         check (Alcotest.option int) "backtrace starts at the raise"
+           (Some !boom_line) line);
+      check Alcotest.string "inner scope restored" "mon_cpu" (Stats.category l);
+      Stats.note_busy l 5L);
+  Printexc.record_backtrace recording;
+  check Alcotest.string "outer scope restored" Stats.default_category
+    (Stats.category l);
+  Stats.note_busy l 7L;
+  check Alcotest.int64 "stub kept only its own cycles" 2L (busy "stub");
+  check Alcotest.int64 "cell restored after raise" 5L (busy "mon_cpu");
+  check Alcotest.int64 "guest cell restored" 7L (busy Stats.default_category);
+  check Alcotest.int64 "categories sum to busy" (Stats.busy_cycles l)
+    (List.fold_left (fun acc (_, v) -> Int64.add acc v) 0L
+       (Stats.busy_by_category l))
+
+let test_charge_path_allocates_nothing () =
+  (* [Engine.advance] and [Stats.note_busy] run on every cycle charge;
+     both keep native-int totals, so neither boxes.  Any per-call box
+     costs at least two words, so under one word per call is none. *)
+  let engine = Engine.create () and l = Stats.load () in
+  let cycles = [| 3L; 40L; 1L; 250L |] in
+  Stats.set_category l "irq";
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    let c = cycles.(i land 3) in
+    Engine.advance engine c;
+    Stats.note_busy l c
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool
+    (Printf.sprintf "no allocation per call (%.0f words over %d)" words calls)
+    true
+    (words < float_of_int calls);
+  check Alcotest.int64 "clock advanced" 735_000L (Engine.now engine);
+  check Alcotest.int64 "busy counted" 735_000L (Stats.busy_cycles l)
+
 (* -- Trace -- *)
 
 let test_trace_ring () =
@@ -464,6 +528,10 @@ let () =
           Alcotest.test_case "reset histogram" `Quick
             test_stats_reset_histogram;
           Alcotest.test_case "cycle categories" `Quick test_stats_categories;
+          Alcotest.test_case "with_category raise" `Quick
+            test_stats_with_category_raise;
+          Alcotest.test_case "charge path allocates nothing" `Quick
+            test_charge_path_allocates_nothing;
         ] );
       ( "trace",
         [
