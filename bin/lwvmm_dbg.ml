@@ -105,13 +105,15 @@ let run rate fast_uart lossy script =
     | "" -> true
     | "quit" | "exit" -> false
     | "trace" ->
-      let records =
-        Vmm_sim.Trace.find (Machine.trace machine) ~component:"monitor"
-      in
+      let module Flight = Vmm_profile.Flight in
+      let records = Flight.find (Machine.trace machine) ~kind:"monitor" in
       if records = [] then print_endline "(no monitor events recorded)"
       else
         List.iter
-          (fun r -> Format.printf "%a@." Vmm_sim.Trace.pp_record r)
+          (fun (e : Flight.entry) ->
+            Printf.printf "[%Ld] %s %s: %s\n" e.cycle e.kind
+              (Flight.severity_to_string e.severity)
+              e.detail)
           records;
       true
     | "trace on" ->

@@ -172,10 +172,9 @@ let get_vpit t =
 let charge t cycles = Cpu.charge t.cpu cycles
 
 let trace t severity message =
-  Vmm_sim.Trace.emit
-    (Machine.trace t.machine)
-    ~time:(Vmm_sim.Engine.now (Machine.engine t.machine))
-    ~component:"monitor" ~severity message
+  Flight.note (Machine.trace t.machine)
+    ~cycle:(Vmm_sim.Engine.now (Machine.engine t.machine))
+    ~kind:"monitor" ~severity (Flight.Text message)
 
 (* Record/replay tap: the monitor reports its own nondeterminism sources
    (virtual-IRQ injections, crashes, wedge break-ins, checkpoints) into
@@ -186,7 +185,7 @@ let emit_event t source payload =
   let cycle = Vmm_sim.Engine.now (Machine.engine t.machine) in
   Recorder.emit (Machine.recorder t.machine) ~cycle ~source payload;
   Flight.note (Machine.flight t.machine) ~cycle ~kind:source
-    (Format.asprintf "%a" Event.pp_payload payload)
+    (Flight.Event payload)
 
 (* Deterministic monitor activity (trap reflection, emulated port I/O,
    decoded protocol frames) is not record/replay material but belongs in
@@ -338,7 +337,7 @@ let escalate ?(cause = "unrecoverable_fault") ?(chain = []) t ~vector ~pc =
         the fatal event: later host-side debug traffic must not dilute
         the last moments. *)
      t.capture_bundle ~cause);
-  trace t Vmm_sim.Trace.Error
+  trace t Flight.Error
     (Printf.sprintf
        "guest unrecoverable (%s): vector %d at 0x%x; stopped for debug" cause
        vector pc);
@@ -360,7 +359,7 @@ let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
   span t "irq" "reflect" @@ fun () ->
   t.c_fault <- t.c_fault + 1;
   flight_note t "monitor.reflect"
-    (Printf.sprintf "vector=%d pc=0x%x depth=%d" vector return_pc depth);
+    (Flight.Reflect { vector; pc = return_pc; depth });
   (* [chain] records each delivery attempt (vector, pc), innermost last,
      so a crash report shows the whole nested-exception cascade. *)
   let chain = chain @ [ (vector, return_pc) ] in
@@ -449,9 +448,10 @@ let kick t =
               w.rw_witnessed <- w.rw_witnessed + 1;
               t.c_race_witnessed <- t.c_race_witnessed + 1;
               flight_note t "race.witness"
-                (Printf.sprintf
-                   "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x" vvector
-                   s.Races.load_pc s.Races.store_pc pc)
+                (Flight.Text
+                   (Printf.sprintf
+                      "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x" vvector
+                      s.Races.load_pc s.Races.store_pc pc))
             end)
           t.race_sites
       end;
@@ -596,7 +596,7 @@ let emulated_out t port value =
 let emulate_io t port pc =
   span t "mon_io" "emulate_io" @@ fun () ->
   t.c_io <- t.c_io + 1;
-  flight_note t "monitor.io" (Printf.sprintf "port=0x%x pc=0x%x" port pc);
+  flight_note t "monitor.io" (Flight.Io { port; pc });
   world_switch t;
   let next = (pc + Isa.width) land 0xFFFFFFFF in
   match Cpu.read_instr t.cpu pc with
@@ -701,7 +701,7 @@ let handle_vbp_fault t ~vaddr ~pc =
   t.vbp_pass <- None;
   if Breakpoints.mem (Stub.breakpoints stub) ~addr:pc && pass <> Some pc then begin
     t.c_vbp_hits <- t.c_vbp_hits + 1;
-    trace t Vmm_sim.Trace.Info
+    trace t Flight.Info
       (Printf.sprintf "virtual breakpoint hit at pc 0x%x" pc);
     emit_event t "monitor.vbp" (Event.Vbp_hit { pc });
     (* Same stop a guest BRK would have produced: Break at the site's
@@ -723,7 +723,7 @@ let handle_vbp_fault t ~vaddr ~pc =
           end)
         t.race_sites;
       flight_note t "race.window"
-        (Printf.sprintf "rmw window opened at 0x%x" pc)
+        (Flight.Text (Printf.sprintf "rmw window opened at 0x%x" pc))
     end;
     t.c_vbp_steps <- t.c_vbp_steps + 1;
     unprotect_for_step t (vaddr land lnot 0xFFF)
@@ -776,7 +776,7 @@ let handle_page_fault t (f : Mmu.fault) pc =
         match Watchpoints.hit t.watchpoints vaddr with
         | Some _ ->
           t.watch_resume <- Some page;
-          trace t Vmm_sim.Trace.Info
+          trace t Flight.Info
             (Printf.sprintf "watchpoint hit: store to 0x%x at pc 0x%x" vaddr pc);
           Stub.on_watchpoint (get_stub t) ~pc ~addr:vaddr
         | None -> unprotect_for_step ~for_write:true t page
@@ -802,7 +802,7 @@ let handle_hypercall t imm =
   | 2 ->
     t.shutdown <- true;
     t.v_halted <- true;
-    trace t Vmm_sim.Trace.Info "guest requested shutdown";
+    trace t Flight.Info "guest requested shutdown";
     Cpu.set_halted t.cpu true
   | _ -> ()
 
@@ -835,7 +835,7 @@ let pp_injected_fault fmt = function
 
 let inject t fault =
   t.c_inject <- t.c_inject + 1;
-  trace t Vmm_sim.Trace.Warn
+  trace t Flight.Warn
     (Format.asprintf "injected fault: %a" pp_injected_fault fault);
   match fault with
   | Wild_jump addr -> Cpu.set_pc t.cpu addr
@@ -1019,7 +1019,7 @@ let on_wedge t ~stalled_periods =
   let pc = Cpu.pc t.cpu in
   t.last_wedge <- Some (pc, stalled_periods);
   emit_event t "monitor.watchdog" (Event.Wedge { pc });
-  trace t Vmm_sim.Trace.Warn
+  trace t Flight.Warn
     (Printf.sprintf
        "watchdog: no guest progress for %d periods; break-in at 0x%x"
        stalled_periods pc);
@@ -1102,7 +1102,7 @@ let verify_guest t program ~entry =
   t.c_verifies <- t.c_verifies + 1;
   t.last_verify <- Some report;
   if not report.Verifier.clean then
-    trace t Vmm_sim.Trace.Warn
+    trace t Flight.Warn
       (Printf.sprintf "static verifier: %d diagnostic(s) in the guest image"
          (List.length report.Verifier.diagnostics));
   report
@@ -1250,7 +1250,7 @@ let restart_guest t =
   match t.snapshot with
   | None -> false
   | Some snap ->
-    trace t Vmm_sim.Trace.Info
+    trace t Flight.Info
       (Printf.sprintf "warm restart: reloading guest image, entry 0x%x"
          (Snapshot.entry snap));
     Snapshot.restore snap ~mem:(Machine.mem t.machine);
@@ -1426,7 +1426,7 @@ let restore_checkpoint t (full : Snapshot.Full.t) =
   t.watch_resume <- None;
   t.vbp_pass <- None;
   (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
-  trace t Vmm_sim.Trace.Info
+  trace t Flight.Info
     (Printf.sprintf "checkpoint restored: retired=%Ld pc=0x%x"
        full.Snapshot.Full.retired full.Snapshot.Full.pc)
 
@@ -1659,7 +1659,7 @@ let make_target t =
         charge t t.costs.Costs.port_io;
         Uart.io_write (Machine.uart t.machine) 0 byte);
     charge = (fun cycles -> with_cat t "stub" (fun () -> charge t cycles));
-    note_flight = (fun detail -> flight_note t "stub.cmd" detail);
+    note_flight = (fun detail -> flight_note t "stub.cmd" (Flight.Text detail));
     query_watchdog = (fun () -> watchdog_report t);
     query_verify = (fun () -> verify_report_text t);
     query_flight = (fun () -> flight_query t);
@@ -1845,7 +1845,7 @@ let boot_guest t program ~entry =
      restart needs no re-arm: the observe table is stub state and the
      shadow clear re-arms every observed page NX on its first fill.) *)
   if t.race_witness then arm_race_sites t;
-  trace t Vmm_sim.Trace.Info
+  trace t Flight.Info
     (Printf.sprintf "guest booted at 0x%x (ring 1, shadow paging)" entry)
 
 (* -- Accessors -- *)

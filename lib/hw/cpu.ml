@@ -139,7 +139,7 @@ let create ~mem ~bus ~engine ~costs ~load () =
     engine;
     costs;
     load;
-    mmu = Mmu.create costs;
+    mmu = Mmu.create ();
     regs = Array.make Isa.num_regs 0;
     pc = 0;
     z = false;

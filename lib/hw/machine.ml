@@ -1,6 +1,5 @@
 module Engine = Vmm_sim.Engine
 module Stats = Vmm_sim.Stats
-module Trace = Vmm_sim.Trace
 module Registry = Vmm_obs.Registry
 module Tracer = Vmm_obs.Tracer
 module Recorder = Vmm_replay.Recorder
@@ -33,7 +32,7 @@ type t = {
   scsi : Scsi.t;
   nic : Nic.t;
   costs : Costs.t;
-  trace : Trace.t;
+  trace : Flight.t;
   load : Stats.load;
   registry : Registry.t;
   tracer : Tracer.t;
@@ -63,13 +62,13 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
      ingress (UART bytes, NIC frames). *)
   let flight = Flight.create () in
   (* Every nondeterministic event also lands in the always-on flight
-     ring (one ring write plus rendering the short detail string), so a
-     crash dump shows the last moments even when nothing was recording. *)
+     ring (one ring write of the typed payload, rendered only when the
+     ring is dumped), so a crash dump shows the last moments even when
+     nothing was recording. *)
   let emit source payload =
     let cycle = Engine.now engine in
     Recorder.emit recorder ~cycle ~source payload;
-    Flight.note flight ~cycle ~kind:source
-      (Format.asprintf "%a" Vmm_replay.Event.pp_payload payload)
+    Flight.note flight ~cycle ~kind:source (Flight.Event payload)
   in
   let pic = Pic.create () in
   Pic.attach pic bus ~base:Ports.pic;
@@ -107,7 +106,7 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
   Nic.set_rx_tap nic (fun frame ->
       emit "nic.rx" (Vmm_replay.Event.Nic_rx { len = Bytes.length frame }));
   Nic.attach nic bus ~base:Ports.nic;
-  let trace = Trace.create ~capacity:4096 () in
+  let trace = Flight.create ~capacity:4096 () in
   let registry = Registry.create () in
   let tracer = Tracer.create ~engine () in
   let profiler = Profiler.create ~engine () in

@@ -41,7 +41,12 @@ val pit : t -> Pit.t
 val uart : t -> Uart.t
 val scsi : t -> Scsi.t
 val nic : t -> Nic.t
-val trace : t -> Vmm_sim.Trace.t
+
+(** [trace t] — the monitor's status log (capacity 4096): entries of
+    kind ["monitor"] with their severity.  Kept apart from {!flight} so
+    per-trap traffic cannot evict it. *)
+val trace : t -> Vmm_profile.Flight.t
+
 val load : t -> Vmm_sim.Stats.load
 
 (** [registry t] — the machine-wide metrics registry.  Devices register

@@ -53,7 +53,7 @@ type t = {
 
 let tlb_slots = 256
 
-let create (_ : Costs.t) =
+let create () =
   {
     tlb =
       Array.init tlb_slots (fun _ ->

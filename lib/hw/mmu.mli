@@ -59,10 +59,10 @@ val table_index : int -> int
 
 type t
 
-(** [create costs] is an MMU with an empty TLB.  The MMU only counts
-    misses; the caller charges [costs.tlb_miss] for each one (see
+(** [create ()] is an MMU with an empty TLB.  The MMU only counts
+    misses; the caller charges [Costs.tlb_miss] for each one (see
     {!tlb_misses}). *)
-val create : Costs.t -> t
+val create : unit -> t
 
 (** [flush t] drops every TLB entry (LPTB and TLBFLUSH do this). *)
 val flush : t -> unit

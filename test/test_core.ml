@@ -19,6 +19,8 @@ module Stub = Core.Stub
 module Shadow = Core.Shadow
 module Vm_layout = Core.Vm_layout
 module Breakpoints = Core.Breakpoints
+module Flight = Vmm_profile.Flight
+module Kernel = Vmm_guest.Kernel
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -392,6 +394,48 @@ let test_compute_guest_allocation () =
     (Printf.sprintf "at most 0.5 minor words per instruction (%.3f)" per_instr)
     true (per_instr <= 0.5)
 
+(* The paper's streaming arm: the kernel guest at 150 Mbps under the
+   monitor, on default costs, warmed past boot. *)
+let streaming_guest () =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) () in
+  let mon = Monitor.install m in
+  let program = Kernel.build (Kernel.default_config ~rate_mbps:150.0) in
+  Monitor.boot_guest mon program ~entry:Kernel.entry;
+  run_seconds m 0.02;
+  (m, mon)
+
+let test_stream_guest_allocation () =
+  (* Every world switch of the streaming guest notes typed details in the
+     flight ring; formatting them per trap would cost hundreds of words
+     per switch. *)
+  let m, mon = streaming_guest () in
+  let switches0 = (Monitor.stats mon).Monitor.world_switches in
+  let before = Gc.minor_words () in
+  run_seconds m 0.05;
+  let words = Gc.minor_words () -. before in
+  let switches = (Monitor.stats mon).Monitor.world_switches - switches0 in
+  check bool "guest trapped" true (switches > 1000);
+  let per_switch = words /. float_of_int switches in
+  check bool
+    (Printf.sprintf "at most 350 minor words per world switch (%.0f)"
+       per_switch)
+    true (per_switch <= 350.)
+
+let test_flight_report_monitor_activity () =
+  let _, mon = streaming_guest () in
+  let report = Monitor.flight_report mon in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length report
+      && (String.sub report i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun line -> check bool line true (has line))
+    [ "monitor.virq: irq line="; "monitor.reflect: vector="; "monitor.io: port=0x" ]
+
 let test_guest_mapping_monitor_frame_denied () =
   (* Guest page tables that point a virtual page at a monitor frame must
      not take effect. *)
@@ -712,15 +756,11 @@ let test_monitor_trace_records_events () =
   Asm.jr a 1;
   Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
   run_seconds m 0.01;
-  let records = Vmm_sim.Trace.find (Machine.trace m) ~component:"monitor" in
+  let records = Flight.find (Machine.trace m) ~kind:"monitor" in
   check bool "boot recorded" true
-    (List.exists
-       (fun r -> r.Vmm_sim.Trace.severity = Vmm_sim.Trace.Info)
-       records);
+    (List.exists (fun r -> r.Flight.severity = Flight.Info) records);
   check bool "escalation recorded" true
-    (List.exists
-       (fun r -> r.Vmm_sim.Trace.severity = Vmm_sim.Trace.Error)
-       records)
+    (List.exists (fun r -> r.Flight.severity = Flight.Error) records)
 
 (* Random guest code: raw bytes, or a soup from the 48-constructor
    instruction generator.  It runs at [code_base], on a page of its own. *)
@@ -992,6 +1032,8 @@ let () =
         [
           Alcotest.test_case "compute guest allocation" `Quick
             test_compute_guest_allocation;
+          Alcotest.test_case "stream guest allocation" `Quick
+            test_stream_guest_allocation;
         ] );
       ( "stub",
         [
@@ -1007,6 +1049,8 @@ let () =
         [
           Alcotest.test_case "monitor trace" `Quick
             test_monitor_trace_records_events;
+          Alcotest.test_case "flight shows monitor activity" `Quick
+            test_flight_report_monitor_activity;
           Alcotest.test_case "nak + retransmission" `Quick
             test_stub_nak_and_retransmission;
           QCheck_alcotest.to_alcotest test_monitor_survives_random_guest_code;

@@ -517,9 +517,8 @@ let build_identity_tables mem ~pd ~pt ~mbytes ~user =
   done
 
 let test_mmu_translate_and_bits () =
-  let costs = Costs.default in
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
-  let mmu = Mmu.create costs in
+  let mmu = Mmu.create () in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   let misses = Mmu.tlb_misses mmu in
   let paddr = Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read 0x1234 in
@@ -535,9 +534,8 @@ let test_mmu_translate_and_bits () =
   check bool "dirty set" true (pte land Mmu.pte_dirty <> 0)
 
 let test_mmu_faults () =
-  let costs = Costs.default in
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
-  let mmu = Mmu.create costs in
+  let mmu = Mmu.create () in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   (* unmapped: beyond 1 MiB *)
   (try
@@ -578,9 +576,8 @@ let test_mmu_write_hit_dirty_cached () =
      later write hits must not re-read or re-write it.  Pin that by clearing
      the PTE's dirty bit behind the TLB's back — a write hit must leave it
      clear, and only a flush (which drops the cached state) re-sets it. *)
-  let costs = Costs.default in
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
-  let mmu = Mmu.create costs in
+  let mmu = Mmu.create () in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   let pte_addr = 0x5000 + 4 (* vpn 1 *) in
   let pte_dirty () = Phys_mem.read_u32 mem pte_addr land Mmu.pte_dirty <> 0 in
@@ -611,7 +608,7 @@ let test_mmu_hit_allocates_nothing () =
      bare physical address and bumps an int counter.  Any per-call box
      costs at least two words, so under one word per call is none. *)
   let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
-  let mmu = Mmu.create Costs.default in
+  let mmu = Mmu.create () in
   build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
   ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Write 0x1000);
   let hits = Mmu.tlb_hits mmu and misses = Mmu.tlb_misses mmu in
@@ -1115,7 +1112,7 @@ let prop_mmu_probe_agrees_with_translate =
         (list_of_size (Gen.int_range 1 32) (pair (int_bound 255) (int_bound 255))))
     (fun (probe_page, mappings) ->
       let mem = Phys_mem.create ~size:(4 * 1024 * 1024) in
-      let mmu = Mmu.create Costs.default in
+      let mmu = Mmu.create () in
       let pd = 0x200000 and pt = 0x201000 in
       Phys_mem.write_u32 mem pd (Mmu.make_pte ~frame:pt ~writable:true ~user:true);
       List.iter

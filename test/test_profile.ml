@@ -186,7 +186,7 @@ let test_flight_ring_wrap () =
   check int "default capacity sane" 512 Flight.default_capacity;
   for i = 1 to 10 do
     Flight.note f ~cycle:(Int64.of_int (i * 100)) ~kind:"irq.deliver"
-      (Printf.sprintf "line=%d" i)
+      (Flight.Text (Printf.sprintf "line=%d" i))
   done;
   check int "total" 10 (Flight.total f);
   check int "retained" 4 (Flight.retained f);
@@ -201,16 +201,135 @@ let test_flight_ring_wrap () =
   check int "cleared" 0 (Flight.total f);
   check int "nothing retained" 0 (Flight.retained f)
 
+(* A ring that has overflowed keeps the last [capacity] events in order
+   and still counts every event noted. *)
+let test_flight_ring_eviction () =
+  let f = Flight.create ~capacity:3 () in
+  for i = 1 to 5 do
+    Flight.note f ~cycle:(Int64.of_int i) ~kind:"dev" ~severity:Flight.Info
+      (Flight.Text (string_of_int i))
+  done;
+  check int "retains capacity" 3 (Flight.retained f);
+  check int "total noted" 5 (Flight.total f);
+  check (Alcotest.list string) "keeps most recent" [ "3"; "4"; "5" ]
+    (List.map (fun e -> e.Flight.detail) (Flight.entries f))
+
 let test_flight_dump_golden () =
   let f = Flight.create ~capacity:2 () in
-  Flight.note f ~cycle:100L ~kind:"trap.pf" "pc=0x1000";
-  Flight.note f ~cycle:250L ~kind:"io.out" "port=0x64 val=0xfe";
-  Flight.note f ~cycle:300L ~kind:"irq.deliver" "line=3";
+  Flight.note f ~cycle:100L ~kind:"trap.pf" (Flight.Text "pc=0x1000");
+  Flight.note f ~cycle:250L ~kind:"io.out" (Flight.Text "port=0x64 val=0xfe");
+  Flight.note f ~cycle:300L ~kind:"irq.deliver" (Flight.Text "line=3");
   check string "dump"
     "flight total=3 retained=2 dropped=1 capacity=2\n\
      @250 io.out: port=0x64 val=0xfe\n\
      @300 irq.deliver: line=3\n"
     (Flight.dump f)
+
+let test_flight_find_by_kind () =
+  let f = Flight.create ~capacity:10 () in
+  Flight.note f ~cycle:1L ~kind:"nic" ~severity:Flight.Info (Flight.Text "tx");
+  Flight.note f ~cycle:2L ~kind:"pic" ~severity:Flight.Warn (Flight.Text "mask");
+  Flight.note f ~cycle:3L ~kind:"nic" ~severity:Flight.Error (Flight.Text "drop");
+  check (Alcotest.list string) "nic entries, oldest first" [ "tx"; "drop" ]
+    (List.map (fun e -> e.Flight.detail) (Flight.find f ~kind:"nic"))
+
+let test_flight_find_min_severity () =
+  let f = Flight.create ~capacity:10 () in
+  let note cycle kind severity detail =
+    Flight.note f ~cycle ~kind ~severity (Flight.Text detail)
+  in
+  note 1L "nic" Flight.Debug "d";
+  note 2L "nic" Flight.Warn "w";
+  note 3L "nic" Flight.Error "e";
+  note 4L "pic" Flight.Error "other";
+  check int "warn and up" 2
+    (List.length (Flight.find ~min_severity:Flight.Warn f ~kind:"nic"));
+  check int "unfiltered" 3 (List.length (Flight.find f ~kind:"nic"));
+  check bool "severity kept" true
+    (List.map (fun e -> e.Flight.severity) (Flight.find f ~kind:"nic")
+     = [ Flight.Debug; Flight.Warn; Flight.Error ])
+
+(* The ring renders typed details only when read; the text must be what
+   the call sites formatted eagerly before, so dumps, [qR] and crash
+   bundles keep their bytes. *)
+let rendered detail =
+  let f = Flight.create ~capacity:1 () in
+  Flight.note f ~cycle:0L ~kind:"k" detail;
+  match Flight.entries f with
+  | [ e ] -> e.Flight.detail
+  | _ -> Alcotest.fail "expected one entry"
+
+let gen_payload =
+  let open QCheck.Gen in
+  let module E = Vmm_replay.Event in
+  oneof
+    [
+      map (fun line -> E.Irq_inject { line }) small_nat;
+      map (fun count -> E.Timer_fire { count }) nat;
+      map2
+        (fun chan seq -> E.Dma_complete { chan; seq })
+        (oneofl [ "scsi"; "nic" ]) nat;
+      map (fun byte -> E.Uart_rx { byte }) (int_bound 255);
+      map (fun len -> E.Nic_rx { len }) nat;
+      return (E.Chaos E.Drop);
+      map3
+        (fun mask dup delay -> E.Chaos (E.Deliver { mask; dup; delay }))
+        (int_bound 255) bool nat;
+      map (fun pc -> E.Wedge { pc }) (int_bound 0xFFFFFFFF);
+      map2
+        (fun vector pc -> E.Crash { vector; pc })
+        (int_bound 63) (int_bound 0xFFFFFFFF);
+      map2
+        (fun index retired -> E.Checkpoint { index; retired })
+        nat ui64;
+      map (fun pc -> E.Vbp_hit { pc }) (int_bound 0xFFFFFFFF);
+    ]
+
+let prop_event_renders_as_pp_payload =
+  QCheck.Test.make ~name:"event renders as pp_payload" ~count:500
+    (QCheck.make
+       ~print:(Format.asprintf "%a" Vmm_replay.Event.pp_payload)
+       gen_payload)
+    (fun p ->
+      String.equal (rendered (Flight.Event p))
+        (Format.asprintf "%a" Vmm_replay.Event.pp_payload p))
+
+let prop_reflect_io_render =
+  QCheck.Test.make ~name:"reflect and io render" ~count:500
+    QCheck.(triple int int int)
+    (fun (a, b, c) ->
+      String.equal
+        (rendered (Flight.Reflect { vector = a; pc = b; depth = c }))
+        (Printf.sprintf "vector=%d pc=0x%x depth=%d" a b c)
+      && String.equal
+           (rendered (Flight.Io { port = a; pc = b }))
+           (Printf.sprintf "port=0x%x pc=0x%x" a b))
+
+let test_flight_note_allocates_nothing () =
+  (* [note] stores the caller's detail: four slot writes and two index
+     updates.  Any per-call box costs at least two words, so under one
+     word per call is none. *)
+  let f = Flight.create () in
+  let details =
+    [|
+      Flight.Event (Vmm_replay.Event.Irq_inject { line = 3 });
+      Flight.Reflect { vector = 32; pc = 0x1000; depth = 0 };
+      Flight.Io { port = 0x20; pc = 0x1004 };
+      Flight.Text "frame";
+    |]
+  in
+  let cycles = [| 3L; 40L; 1L; 250L |] in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    Flight.note f ~cycle:cycles.(i land 3) ~kind:"monitor.io" details.(i land 3)
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool
+    (Printf.sprintf "no allocation per note (%.0f words over %d)" words calls)
+    true
+    (words < float_of_int calls);
+  check int "all counted" calls (Flight.total f)
 
 (* -- Crash bundles -- *)
 
@@ -426,8 +545,16 @@ let () =
       ( "flight",
         [
           Alcotest.test_case "ring wrap" `Quick test_flight_ring_wrap;
+          Alcotest.test_case "ring eviction" `Quick test_flight_ring_eviction;
           Alcotest.test_case "dump golden" `Quick test_flight_dump_golden;
-        ] );
+          Alcotest.test_case "find by kind" `Quick test_flight_find_by_kind;
+          Alcotest.test_case "find min severity" `Quick
+            test_flight_find_min_severity;
+          Alcotest.test_case "note allocates nothing" `Quick
+            test_flight_note_allocates_nothing;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_event_renders_as_pp_payload; prop_reflect_io_render ] );
       ( "bundle",
         [
           Alcotest.test_case "round trip" `Quick test_bundle_round_trip;

@@ -5,7 +5,6 @@ module Event_queue = Vmm_sim.Event_queue
 module Engine = Vmm_sim.Engine
 module Rng = Vmm_sim.Rng
 module Stats = Vmm_sim.Stats
-module Trace = Vmm_sim.Trace
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -418,74 +417,6 @@ let test_charge_path_allocates_nothing () =
   check Alcotest.int64 "clock advanced" 735_000L (Engine.now engine);
   check Alcotest.int64 "busy counted" 735_000L (Stats.busy_cycles l)
 
-(* -- Trace -- *)
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.emit t ~time:(Int64.of_int i) ~component:"dev" ~severity:Trace.Info
-      (string_of_int i)
-  done;
-  check int "retains capacity" 3 (Trace.count t);
-  check int "total emitted" 5 (Trace.total t);
-  let msgs = List.map (fun r -> r.Trace.message) (Trace.records t) in
-  check (Alcotest.list Alcotest.string) "keeps most recent" [ "3"; "4"; "5" ]
-    msgs
-
-let test_trace_find () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.emit t ~time:1L ~component:"nic" ~severity:Trace.Info "tx";
-  Trace.emit t ~time:2L ~component:"pic" ~severity:Trace.Warn "mask";
-  Trace.emit t ~time:3L ~component:"nic" ~severity:Trace.Error "drop";
-  check int "filtered" 2 (List.length (Trace.find t ~component:"nic"))
-
-let test_trace_level_filter () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.set_level t Trace.Info;
-  Trace.emit t ~time:1L ~component:"dev" ~severity:Trace.Debug "chatty";
-  Trace.emit t ~time:2L ~component:"dev" ~severity:Trace.Info "kept";
-  Trace.emit t ~time:3L ~component:"dev" ~severity:Trace.Error "kept too";
-  (* Below-threshold emission is a no-op: not stored, not even counted. *)
-  check int "stored" 2 (Trace.count t);
-  check int "not counted either" 2 (Trace.total t);
-  Trace.set_level t Trace.Debug;
-  Trace.emit t ~time:4L ~component:"dev" ~severity:Trace.Debug "now kept";
-  check int "debug kept after lowering" 3 (Trace.count t)
-
-let test_trace_find_min_severity () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.emit t ~time:1L ~component:"nic" ~severity:Trace.Debug "d";
-  Trace.emit t ~time:2L ~component:"nic" ~severity:Trace.Warn "w";
-  Trace.emit t ~time:3L ~component:"nic" ~severity:Trace.Error "e";
-  Trace.emit t ~time:4L ~component:"pic" ~severity:Trace.Error "other";
-  check int "warn and up" 2
-    (List.length (Trace.find ~min_severity:Trace.Warn t ~component:"nic"));
-  check int "unfiltered" 3 (List.length (Trace.find t ~component:"nic"))
-
-let test_trace_fields () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.emit t ~time:1L ~component:"mon" ~severity:Trace.Info
-    ~fields:[ ("vector", "32"); ("pc", "0x1000") ]
-    "reflect";
-  match Trace.records t with
-  | [ r ] ->
-    check
-      (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-      "fields kept"
-      [ ("vector", "32"); ("pc", "0x1000") ]
-      r.Trace.fields;
-    let rendered = Format.asprintf "%a" Trace.pp_record r in
-    check bool "fields rendered" true
-      (let contains s sub =
-         let n = String.length sub in
-         let rec go i =
-           i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-         in
-         go 0
-       in
-       contains rendered "vector=32" && contains rendered "pc=0x1000")
-  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -532,14 +463,5 @@ let () =
             test_stats_with_category_raise;
           Alcotest.test_case "charge path allocates nothing" `Quick
             test_charge_path_allocates_nothing;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "ring eviction" `Quick test_trace_ring;
-          Alcotest.test_case "find by component" `Quick test_trace_find;
-          Alcotest.test_case "severity filter" `Quick test_trace_level_filter;
-          Alcotest.test_case "find min severity" `Quick
-            test_trace_find_min_severity;
-          Alcotest.test_case "structured fields" `Quick test_trace_fields;
         ] );
     ]
