@@ -122,7 +122,11 @@ type t = {
   mutable c_race_witnessed : int;
   (* lifecycle & recovery *)
   mutable lifecycle : lifecycle;
-  mutable snapshot : Snapshot.t option;
+  mutable boot_state : Snapshot.Full.t option;
+      (* captured by [boot_guest]; a warm restart loads it *)
+  mutable power_on : unit -> unit;
+      (* late bound in [install]: puts the virtual PIC/PIT, SCSI and NIC
+         back to their state at install, before every boot *)
   (* reverse debugging: ring of periodic mid-run checkpoints, newest
      first *)
   mutable checkpoints : Snapshot.Full.t list;
@@ -630,6 +634,29 @@ let vbp_page_armed t addr =
     Breakpoints.page_armed (Stub.breakpoints stub) ~page:addr
   | None -> false
 
+(* The guest's own translation of [vaddr]: (frame, writable, user), or
+   [None] when the guest maps nothing there.  With guest paging off the
+   guest sees its physical memory identity-mapped and unrestricted. *)
+let guest_mapping t vaddr =
+  let page = vaddr land lnot 0xFFF in
+  if t.v_ptb = 0 then
+    if Vm_layout.guest_owns t.layout page then Some (page, true, true)
+    else None
+  else
+    match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb vaddr with
+    | Some pte -> Some (Mmu.frame_of pte, Mmu.is_writable pte, Mmu.is_user pte)
+    | None -> None
+
+(* Install a shadow entry; a full shadow pool is dropped and refilled
+   lazily from scratch. *)
+let shadow_map ?nx t ~vaddr ~frame ~writable ~user =
+  (try Shadow.map ?nx t.shadow ~vaddr ~frame ~writable ~user
+   with Shadow.Out_of_shadow_memory ->
+     Shadow.clear t.shadow;
+     Cpu.set_ptb t.cpu (Shadow.root t.shadow);
+     Shadow.map ?nx t.shadow ~vaddr ~frame ~writable ~user);
+  Cpu.flush_tlb t.cpu
+
 let fill_shadow t ~vaddr ~frame ~writable ~user =
   (* Watched pages stay read-only in the shadow so every store traps. *)
   let writable =
@@ -637,13 +664,7 @@ let fill_shadow t ~vaddr ~frame ~writable ~user =
   in
   (* Pages with armed virtual breakpoints stay readable/writable (guest
      data reads see pristine text) but no-execute: every fetch traps. *)
-  let nx = vbp_page_armed t vaddr in
-  (try Shadow.map t.shadow ~vaddr ~frame ~writable ~user ~nx
-   with Shadow.Out_of_shadow_memory ->
-     Shadow.clear t.shadow;
-     Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-     Shadow.map t.shadow ~vaddr ~frame ~writable ~user ~nx);
-  Cpu.flush_tlb t.cpu;
+  shadow_map t ~vaddr ~frame ~writable ~user ~nx:(vbp_page_armed t vaddr);
   charge t t.costs.Costs.shadow_pt_sync
 
 (* Replay a store on a protected page: map it writable (bypassing the
@@ -657,11 +678,7 @@ let unprotect_for_step ?(for_write = false) t page =
   if t.reprotect_pages = [] then
     t.mon_step_only <- not (Cpu.trap_flag t.cpu);
   let frame, writable, user =
-    if t.v_ptb = 0 then (page, true, true)
-    else
-      match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb page with
-      | Some pte -> (Mmu.frame_of pte, Mmu.is_writable pte, Mmu.is_user pte)
-      | None -> (page, true, true)
+    Option.value (guest_mapping t page) ~default:(page, true, true)
   in
   (* A virtual-breakpoint step-through only needs the page executable;
      lifting a watchpoint's write protection at the same time would let
@@ -670,12 +687,7 @@ let unprotect_for_step ?(for_write = false) t page =
   let writable =
     writable && (for_write || not (Watchpoints.page_watched t.watchpoints page))
   in
-  (try Shadow.map t.shadow ~vaddr:page ~frame ~writable ~user
-   with Shadow.Out_of_shadow_memory ->
-     Shadow.clear t.shadow;
-     Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-     Shadow.map t.shadow ~vaddr:page ~frame ~writable ~user);
-  Cpu.flush_tlb t.cpu;
+  shadow_map t ~vaddr:page ~frame ~writable ~user;
   Cpu.set_trap_flag t.cpu true;
   if not (List.mem page t.reprotect_pages) then
     t.reprotect_pages <- page :: t.reprotect_pages
@@ -734,58 +746,28 @@ let handle_page_fault t (f : Mmu.fault) pc =
   world_switch t;
   let vaddr = f.Mmu.vaddr in
   let page = vaddr land lnot 0xFFF in
-  if t.v_ptb = 0 then begin
-    if
-      Vm_layout.guest_owns t.layout vaddr
-      && f.Mmu.access = Mmu.Exec
-      && vbp_page_armed t vaddr
-    then handle_vbp_fault t ~vaddr ~pc
+  match guest_mapping t vaddr with
+  | Some (frame, writable, user)
+    when Vm_layout.guest_owns t.layout frame
+         && (f.Mmu.access <> Mmu.Write || writable)
+         && (t.v_cpl < 3 || user) ->
+    if f.Mmu.access = Mmu.Exec && vbp_page_armed t vaddr then
+      handle_vbp_fault t ~vaddr ~pc
     else if
-      Vm_layout.guest_owns t.layout vaddr
-      && f.Mmu.access = Mmu.Write
-      && Watchpoints.page_watched t.watchpoints page
+      f.Mmu.access = Mmu.Write && Watchpoints.page_watched t.watchpoints page
     then begin
       match Watchpoints.hit t.watchpoints vaddr with
       | Some _ ->
         t.watch_resume <- Some page;
+        trace t Flight.Info
+          (Printf.sprintf "watchpoint hit: store to 0x%x at pc 0x%x" vaddr pc);
         Stub.on_watchpoint (get_stub t) ~pc ~addr:vaddr
       | None -> unprotect_for_step ~for_write:true t page
     end
-    else if Vm_layout.guest_owns t.layout vaddr then
-      fill_shadow t ~vaddr ~frame:page ~writable:true ~user:true
-      (* pc unchanged: the faulting access retries against the new entry *)
-    else reflect t ~vector:Isa.vec_page_fault ~error:vaddr ~return_pc:pc ~depth:0
-  end
-  else
-    match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb vaddr with
-    | Some pte ->
-      let frame = Mmu.frame_of pte in
-      let writable = Mmu.is_writable pte and user = Mmu.is_user pte in
-      let guest_allows =
-        Vm_layout.guest_owns t.layout frame
-        && (match f.Mmu.access with Mmu.Write -> writable | Mmu.Read | Mmu.Exec -> true)
-        && ((t.v_cpl < 3) || user)
-      in
-      let page = vaddr land lnot 0xFFF in
-      if guest_allows && f.Mmu.access = Mmu.Exec && vbp_page_armed t vaddr
-      then handle_vbp_fault t ~vaddr ~pc
-      else if
-        guest_allows && f.Mmu.access = Mmu.Write
-        && Watchpoints.page_watched t.watchpoints page
-      then begin
-        match Watchpoints.hit t.watchpoints vaddr with
-        | Some _ ->
-          t.watch_resume <- Some page;
-          trace t Flight.Info
-            (Printf.sprintf "watchpoint hit: store to 0x%x at pc 0x%x" vaddr pc);
-          Stub.on_watchpoint (get_stub t) ~pc ~addr:vaddr
-        | None -> unprotect_for_step ~for_write:true t page
-      end
-      else if guest_allows then fill_shadow t ~vaddr ~frame ~writable ~user
-      else
-        reflect t ~vector:Isa.vec_page_fault ~error:vaddr ~return_pc:pc ~depth:0
-    | None ->
-      reflect t ~vector:Isa.vec_page_fault ~error:vaddr ~return_pc:pc ~depth:0
+    else fill_shadow t ~vaddr ~frame ~writable ~user
+    (* pc unchanged: the faulting access retries against the new entry *)
+  | Some _ | None ->
+    reflect t ~vector:Isa.vec_page_fault ~error:vaddr ~return_pc:pc ~depth:0
 
 (* -- Hypercalls -- *)
 
@@ -1242,69 +1224,6 @@ let register_metrics t =
   g "bp_virtual_hits_total" (fun () -> t.c_vbp_hits);
   g "bp_virtual_step_throughs_total" (fun () -> t.c_vbp_steps)
 
-(* Warm restart: put guest-visible state back to the boot snapshot while
-   the debug plane — stub, reliable link, watchpoint table, host session
-   — stays exactly as it is.  Mirrors [boot_guest] plus the device and
-   virtual-interrupt state a reboot would reset. *)
-let restart_guest t =
-  match t.snapshot with
-  | None -> false
-  | Some snap ->
-    trace t Flight.Info
-      (Printf.sprintf "warm restart: reloading guest image, entry 0x%x"
-         (Snapshot.entry snap));
-    Snapshot.restore snap ~mem:(Machine.mem t.machine);
-    Scsi.reset (Machine.scsi t.machine);
-    Nic.reset (Machine.nic t.machine);
-    Pic.reset t.vpic;
-    Pit.io_write (get_vpit t) 2 0;
-    Buffer.clear t.console_buf;
-    Hashtbl.reset t.samples;
-    for i = 0 to 15 do
-      Cpu.write_reg t.cpu i 0
-    done;
-    t.v_if <- false;
-    t.v_iht <- 0;
-    t.v_ptb <- 0;
-    t.v_cpl <- 0;
-    Array.fill t.v_stacks 0 (Array.length t.v_stacks) 0;
-    t.v_halted <- false;
-    t.shutdown <- false;
-    t.lifecycle <- Healthy;
-    t.reprotect_pages <- [];
-    t.mon_step_only <- false;
-    t.watch_resume <- None;
-    t.vbp_pass <- None;
-    (* Armed virtual breakpoints survive the restart by construction:
-       the table is stub state, and the shadow clear below means every
-       armed page re-arms (NX) on its first post-restart fill. *)
-    Shadow.clear t.shadow;
-    Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-    Cpu.set_cpl t.cpu 1;
-    Cpu.set_interrupts_enabled t.cpu true;
-    Cpu.set_trap_flag t.cpu false;
-    Cpu.set_pc t.cpu (Snapshot.entry snap);
-    Cpu.set_halted t.cpu false;
-    Cpu.set_stopped t.cpu false;
-    t.c_restarts <- t.c_restarts + 1;
-    (* Pre-restart checkpoints describe a dead history line. *)
-    t.checkpoints <- [];
-    (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
-    (* The stub forgets any stop state; its breakpoints re-arm lazily
-       on the cleared shadow. *)
-    Stub.note_restart (get_stub t);
-    (* Re-register every gauge so a restarted world never serves metric
-       reads through callbacks registered against superseded state. *)
-    register_metrics t;
-    (* The restored memory is the boot image again: re-verify so the qV
-       report always describes what is actually running. *)
-    (match t.boot_image with
-    | Some (p, entry) when t.verify_on_boot -> ignore (verify_guest t p ~entry)
-    | _ -> ());
-    true
-
-let snapshot t = t.snapshot
-
 (* -- Mid-run checkpoints & reverse execution --
 
    A checkpoint is a full guest-visible freeze ({!Snapshot.Full}):
@@ -1332,13 +1251,14 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
+let capture_full t =
+  Snapshot.Full.capture ~machine:t.machine ~layout:t.layout ~vpic:t.vpic
+    ~vpit:(get_vpit t)
+    ~link:(Stub.endpoint (get_stub t))
+    ~mon:(mon_state t)
+
 let checkpoint_now t =
-  let full =
-    Snapshot.Full.capture ~machine:t.machine ~layout:t.layout ~vpic:t.vpic
-      ~vpit:(get_vpit t)
-      ~link:(Stub.endpoint (get_stub t))
-      ~mon:(mon_state t)
-  in
+  let full = capture_full t in
   t.c_checkpoints <- t.c_checkpoints + 1;
   emit_event t "monitor.ckpt"
     (Event.Checkpoint
@@ -1381,13 +1301,28 @@ let checkpoint_start ?period_cycles ?(keep = 8) t =
 let checkpoint_stop t = t.checkpoint_gen <- t.checkpoint_gen + 1
 let checkpoints t = t.checkpoints
 
-(* Restore: mirrors [restart_guest], except the target state is a
-   mid-run checkpoint instead of the boot snapshot, and the debug plane
-   — stub, breakpoint table, reliable link, host session — is left
-   exactly as it is (the stub re-plants its breakpoints itself).  Goes
-   through the normal store path so the instruction cache
-   invalidates. *)
-let restore_checkpoint t (full : Snapshot.Full.t) =
+(* Monitor-side state that belongs to the old guest's execution rather
+   than to any guest state: stale shadow translations, a crash verdict,
+   a half-finished monitor step.  Dropped whenever a guest state is
+   booted or loaded. *)
+let forget_execution t =
+  Shadow.clear t.shadow;
+  Cpu.set_ptb t.cpu (Shadow.root t.shadow);
+  t.lifecycle <- Healthy;
+  t.shutdown <- false;
+  t.reprotect_pages <- [];
+  t.mon_step_only <- false;
+  t.watch_resume <- None;
+  t.vbp_pass <- None;
+  match t.watchdog with Some w -> Watchdog.note_reset w | None -> ()
+
+(* Put the guest back to [full] — boot state or mid-run checkpoint —
+   while the debug plane (stub, breakpoint table, reliable link, host
+   session) stays exactly as it is: the link state in [full] is never
+   loaded, and armed breakpoints re-arm lazily on the cleared shadow.
+   Memory goes through the normal store path, so the instruction cache
+   invalidates; the instruction counter is left to the caller. *)
+let load_state t (full : Snapshot.Full.t) =
   Phys_mem.load_bytes (Machine.mem t.machine) ~addr:0 full.Snapshot.Full.image;
   for i = 0 to 15 do
     Cpu.write_reg t.cpu i full.Snapshot.Full.regs.(i)
@@ -1398,7 +1333,6 @@ let restore_checkpoint t (full : Snapshot.Full.t) =
   Cpu.set_halted t.cpu full.Snapshot.Full.halted;
   Cpu.set_trap_flag t.cpu false;
   Cpu.set_interrupts_enabled t.cpu true;
-  Cpu.set_instructions_retired t.cpu full.Snapshot.Full.retired;
   let mon = full.Snapshot.Full.mon in
   t.v_if <- mon.Snapshot.Full.v_if;
   t.v_iht <- mon.Snapshot.Full.v_iht;
@@ -1415,20 +1349,42 @@ let restore_checkpoint t (full : Snapshot.Full.t) =
   Pit.restore_phase (Machine.pit t.machine) full.Snapshot.Full.pit;
   Scsi.restore (Machine.scsi t.machine) full.Snapshot.Full.scsi;
   Nic.restore (Machine.nic t.machine) full.Snapshot.Full.nic;
-  (* The link is deliberately NOT restored: the host session is live. *)
-  Shadow.clear t.shadow;
-  Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-  Cpu.flush_tlb t.cpu;
-  t.lifecycle <- Healthy;
-  t.shutdown <- false;
-  t.reprotect_pages <- [];
-  t.mon_step_only <- false;
-  t.watch_resume <- None;
-  t.vbp_pass <- None;
-  (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
+  forget_execution t
+
+let restore_checkpoint t (full : Snapshot.Full.t) =
+  load_state t full;
+  Cpu.set_instructions_retired t.cpu full.Snapshot.Full.retired;
   trace t Flight.Info
     (Printf.sprintf "checkpoint restored: retired=%Ld pc=0x%x"
        full.Snapshot.Full.retired full.Snapshot.Full.pc)
+
+(* Warm restart: load the boot state.  The instruction counter keeps
+   counting, so it stays monotone across restarts. *)
+let restart_guest t =
+  match t.boot_state with
+  | None -> false
+  | Some boot ->
+    trace t Flight.Info
+      (Printf.sprintf "warm restart: reloading guest image, entry 0x%x"
+         boot.Snapshot.Full.pc);
+    load_state t boot;
+    Cpu.set_stopped t.cpu false;
+    Hashtbl.reset t.samples;
+    t.c_restarts <- t.c_restarts + 1;
+    (* Pre-restart checkpoints describe a dead history line. *)
+    t.checkpoints <- [];
+    (* The stub forgets any stop state; its breakpoints re-arm lazily
+       on the cleared shadow. *)
+    Stub.note_restart (get_stub t);
+    (* Re-register every gauge so a restarted world never serves metric
+       reads through callbacks registered against superseded state. *)
+    register_metrics t;
+    (* The restored memory is the boot image again: re-verify so the qV
+       report always describes what is actually running. *)
+    (match t.boot_image with
+    | Some (p, entry) when t.verify_on_boot -> ignore (verify_guest t p ~entry)
+    | _ -> ());
+    true
 
 (* -- Crash bundles --
 
@@ -1483,12 +1439,7 @@ let compose_crash_bundle t ~cause =
   (* Close spans left open by the interrupted scopes into the tracer
      buffer, so the bundle's event view includes them. *)
   let spans_flushed = Vmm_obs.Tracer.flush_open_spans (Machine.tracer machine) in
-  let full =
-    Snapshot.Full.capture ~machine ~layout:t.layout ~vpic:t.vpic
-      ~vpit:(get_vpit t)
-      ~link:(Stub.endpoint (get_stub t))
-      ~mon:(mon_state t)
-  in
+  let full = capture_full t in
   let snapshot_text =
     Printf.sprintf "digest=%Lx retired=%Ld pc=0x%x spans_flushed=%d\n"
       (Snapshot.Full.digest full) (Snapshot.Full.retired full)
@@ -1744,7 +1695,8 @@ let install ?(passthrough = default_passthrough) machine =
       c_race_windows = 0;
       c_race_witnessed = 0;
       lifecycle = Healthy;
-      snapshot = None;
+      boot_state = None;
+      power_on = (fun () -> ());
       checkpoints = [];
       checkpoint_keep = 8;
       checkpoint_gen = 0;
@@ -1772,11 +1724,21 @@ let install ?(passthrough = default_passthrough) machine =
     }
   in
   t.capture_bundle <- (fun ~cause -> capture_crash_bundle t ~cause);
-  t.vpit <-
-    Some
-      (Pit.create ~engine:(Machine.engine machine) ~costs
-         ~raise_irq:(fun () -> virtual_irq t Machine.Irq.timer)
-         ());
+  let vpit =
+    Pit.create ~engine:(Machine.engine machine) ~costs
+      ~raise_irq:(fun () -> virtual_irq t Machine.Irq.timer)
+      ()
+  in
+  t.vpit <- Some vpit;
+  let vpic0 = Pic.capture t.vpic and vpit0 = Pit.capture_phase vpit in
+  let scsi0 = Scsi.capture (Machine.scsi machine)
+  and nic0 = Nic.capture (Machine.nic machine) in
+  t.power_on <-
+    (fun () ->
+      Pic.restore t.vpic vpic0;
+      Pit.restore_phase vpit vpit0;
+      Scsi.restore (Machine.scsi machine) scsi0;
+      Nic.restore (Machine.nic machine) nic0);
   t.stub <-
     Some
       (Stub.create
@@ -1808,6 +1770,7 @@ let boot_guest t program ~entry =
   let size = Bytes.length program.Asm.code in
   if not (Vm_layout.guest_range_ok t.layout ~addr:program.Asm.origin ~len:size)
   then invalid_arg "Monitor.boot_guest: image overlaps monitor memory";
+  t.power_on ();
   Asm.load program (Machine.mem t.machine);
   for i = 0 to 15 do
     Cpu.write_reg t.cpu i 0
@@ -1816,26 +1779,23 @@ let boot_guest t program ~entry =
   t.v_iht <- 0;
   t.v_ptb <- 0;
   t.v_cpl <- 0;
+  Array.fill t.v_stacks 0 (Array.length t.v_stacks) 0;
   t.v_halted <- false;
-  t.shutdown <- false;
-  t.lifecycle <- Healthy;
+  Buffer.clear t.console_buf;
   t.last_wedge <- None;
   t.last_bundle <- None;
   t.checkpoints <- [];
-  Shadow.clear t.shadow;
-  Cpu.set_ptb t.cpu (Shadow.root t.shadow);
+  forget_execution t;
   Cpu.set_cpl t.cpu 1;
   Cpu.set_interrupts_enabled t.cpu true;
   Cpu.set_trap_flag t.cpu false;
   Cpu.set_pc t.cpu entry;
   Cpu.set_halted t.cpu false;
   Cpu.set_stopped t.cpu false;
-  (* Capture the warm-restart snapshot now: the image is loaded, the
-     registers are zero, the devices idle — exactly the state a restart
-     must reproduce. *)
-  t.snapshot <-
-    Some (Snapshot.capture ~mem:(Machine.mem t.machine) ~layout:t.layout ~entry);
-  (match t.watchdog with Some w -> Watchdog.note_reset w | None -> ());
+  (* The image is loaded, the registers are zero and the devices at
+     power-on: exactly the state a warm restart must reproduce.  Not a
+     [checkpoint_now]: the boot state is no checkpoint of the run. *)
+  t.boot_state <- Some (capture_full t);
   (* Static verification of the image just loaded (record-only: the
      report is queryable over qV and published as analysis_* gauges, but
      never blocks the boot). *)

@@ -74,9 +74,11 @@ val install : ?passthrough:passthrough list -> Vmm_hw.Machine.t -> t
 (** [uninstall t] removes the hook (the machine reverts to bare metal). *)
 val uninstall : t -> unit
 
-(** [boot_guest t program ~entry] loads a guest image into guest-owned
-    memory and starts it at guest ring 0 with interrupts disabled and
-    paging off (behind the identity shadow).
+(** [boot_guest t program ~entry] returns the virtual PIC/PIT, SCSI and
+    NIC to their state at {!install}, loads a guest image into
+    guest-owned memory and starts it at guest ring 0 with interrupts
+    disabled and paging off (behind the identity shadow).  The state
+    it leaves is the one {!restart_guest} returns to.
     @raise Invalid_argument if the image overlaps monitor memory. *)
 val boot_guest : t -> Vmm_hw.Asm.program -> entry:int -> unit
 
@@ -191,14 +193,15 @@ val watchdog : t -> Watchdog.t option
     chain), watchdog counters and restart count. *)
 val watchdog_report : t -> string
 
-(** [restart_guest t] reloads the boot snapshot and reboots the guest
-    without touching the stub, the reliable link or the watchpoint
-    table; planted breakpoints are re-applied over the restored image.
-    False when no guest was ever booted. *)
+(** [restart_guest t] loads the boot state {!boot_guest} captured — the
+    same load as {!restore_checkpoint}: memory, registers, virtualized
+    privileged state, the virtual and real PIC/PIT (the virtual PIT's
+    reload back at power-on), SCSI and NIC (an armed wire stall ends) —
+    without touching the stub, the reliable link, the breakpoint table
+    or the watchpoint table; armed breakpoints re-arm lazily on the
+    cleared shadow.  The instruction counter keeps counting.  Held
+    checkpoints are dropped.  False when no guest was ever booted. *)
 val restart_guest : t -> bool
-
-(** [snapshot t] — the boot snapshot captured by {!boot_guest}. *)
-val snapshot : t -> Snapshot.t option
 
 (** {2 Mid-run checkpoints & reverse execution}
 
@@ -233,7 +236,9 @@ val checkpoints : t -> Snapshot.Full.t list
     instruction boundary.  Guest memory, CPU context, virtualized
     privileged state and device state are reinstated; the lifecycle
     returns to healthy; the reliable link and stub state are untouched.
-    Used by the stub's reverse verbs, exposed for tests and tooling. *)
+    The retired count is set to [full]'s.  {!restart_guest} is the same
+    load of the boot state.  Used by the stub's reverse verbs, exposed
+    for tests and tooling. *)
 val restore_checkpoint : t -> Snapshot.Full.t -> unit
 
 (** {2 Load-time static verification}

@@ -1,27 +1,7 @@
 module Phys_mem = Vmm_hw.Phys_mem
 
-type t = { entry : int; image : Bytes.t }
-
-(* The guest owns everything below [monitor_base]; registers are all zero
-   at boot (boot_guest clears them) and device queues are empty, so the
-   guest-visible machine state at boot is exactly this byte image plus
-   the entry point.  Device power-on state is re-established at restore
-   time by the per-device [reset] functions the monitor calls. *)
-let capture ~mem ~layout ~entry =
-  {
-    entry;
-    image =
-      Phys_mem.read_bytes mem ~addr:0 ~len:layout.Vm_layout.monitor_base;
-  }
-
-(* Restoring goes through the normal store path, so write generations
-   bump and the CPU's instruction cache invalidates itself. *)
-let restore t ~mem = Phys_mem.load_bytes mem ~addr:0 t.image
-let entry t = t.entry
-let image_bytes t = Bytes.length t.image
-
-(* Mid-run full checkpoints: everything a reverse-debug restore needs to
-   put the guest back on an instruction boundary — memory image, CPU
+(* Full checkpoints: everything a warm restart or a reverse-debug restore
+   needs to put the guest back on an instruction boundary — memory image, CPU
    architectural state, the monitor's virtualized privileged state, and
    device state including in-flight DMA (captured with {e relative}
    completion offsets, so a restore at any later absolute time re-arms

@@ -1,30 +1,9 @@
-(** Boot-time snapshot of guest-visible machine state, for warm restart.
-
-    Captured by the monitor immediately after loading a guest image:
-    every guest-owned physical byte (the region below the monitor
-    reservation) plus the entry point.  Registers are architecturally
-    zero at boot and device queues empty, so image + entry is the whole
-    guest-visible state; the monitor re-establishes device power-on
-    state via the per-device [reset] hooks when it restores.
-
-    Restore writes through the normal store path, so physically tagged
-    caches (the CPU's instruction cache) invalidate without
-    explicit flushes. *)
-
-type t
-
-(** [capture ~mem ~layout ~entry] copies the guest-owned region out. *)
-val capture : mem:Vmm_hw.Phys_mem.t -> layout:Vm_layout.t -> entry:int -> t
-
-(** [restore t ~mem] writes the captured image back. *)
-val restore : t -> mem:Vmm_hw.Phys_mem.t -> unit
-
-val entry : t -> int
-
-(** [image_bytes t] — size of the captured image (metrics/tests). *)
-val image_bytes : t -> int
-
-(** Mid-run full checkpoints for reverse debugging.
+(** Full guest-state checkpoints: one type for boot, warm restart and
+    rewind.  The monitor captures the boot state at boot; a warm restart
+    loads it exactly as the reverse verbs ([rs]/[rc]) load a mid-run
+    checkpoint.  So a restart also puts back the real PIC/PIT and the
+    virtual PIT's power-on reload, and it ends an armed NIC wire stall
+    ([Nic.stall_tx]), as [rs]/[rc] already do.
 
     A [Full.t] captures everything needed to put the guest back on an
     exact instruction boundary: the guest memory image, CPU architectural

@@ -32,7 +32,7 @@ type t = {
   mutable stall_cycles : int64;
   mutable tracer : Vmm_obs.Tracer.t option;
   mutable epoch : int;
-      (* bumped by [tx_reset]/[reset]; in-flight completion events compare
+      (* bumped by [tx_reset]/[restore]; in-flight completion events compare
          their captured epoch and only recycle their buffer afterwards *)
   mutable tx_resets : int;
 }
@@ -85,7 +85,7 @@ let serialization_cycles t len =
 
 (* Schedule a frame's wire completion.  The descriptor lives in
    [inflight] until the event fires, so checkpoints see the wire
-   contents; the event is epoch-guarded so reset/restore abandons it. *)
+   contents; the event is epoch-guarded so a reset/restore abandons it. *)
 let arm_tx t ~buf ~len ~done_at =
   let op = { txo_len = len; txo_buf = buf; txo_done_at = done_at } in
   t.inflight <- t.inflight @ [ op ];
@@ -226,22 +226,6 @@ let tx_stalls t = t.tx_stalls
 let stall_cycles t = t.stall_cycles
 let tx_queued t = t.queued
 let tx_ring_resets t = t.tx_resets
-
-(* Warm-restart support: everything [tx_reset] drops plus the DMA/RX
-   registers and any waiting inbound frames — power-on state, without
-   counting a driver-initiated ring reset.  [wire_busy_until] survives on
-   purpose: an armed stall is a property of the wire (the fault plan), not
-   of the guest being rebooted.  Cumulative counters survive too. *)
-let reset t =
-  t.epoch <- t.epoch + 1;
-  t.inflight <- [];
-  t.queued <- 0;
-  t.completions <- 0;
-  t.overflow <- false;
-  t.tx_addr <- 0;
-  t.tx_len <- 0;
-  t.rx_addr <- 0;
-  Queue.clear t.rx
 
 (* Checkpoint support.  Wire and completion times are captured relative
    (cycles from capture) so a restore at a later absolute time re-arms

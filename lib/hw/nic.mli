@@ -86,12 +86,6 @@ val stall_cycles : t -> int64
 (** [tx_ring_resets t] — driver-issued TX-ring resets (command 3). *)
 val tx_ring_resets : t -> int
 
-(** [reset t] returns the controller to power-on state for a warm
-    restart: queued frames and pending completions are dropped, DMA/RX
-    registers clear, waiting inbound frames discarded.  An armed wire
-    stall and the cumulative counters are preserved. *)
-val reset : t -> unit
-
 (** {2 Checkpoint support}
 
     Captures registers, pending completions, the receive queue and the

@@ -115,17 +115,6 @@ let io_write t offset v =
   | 2 -> t.vector_base <- v land 0x3F
   | _ -> ()
 
-(* Warm-restart support: back to power-on state — no requests, nothing in
-   service, all lines unmasked, default vector base — then recompute INTR
-   so a level left high by the old guest drops.  Cumulative raise/ack
-   counters survive; they are monitor-side telemetry, not guest state. *)
-let reset t =
-  t.request <- 0;
-  t.service <- 0;
-  t.mask <- 0;
-  t.vector_base <- Isa.vec_irq_base_default;
-  update_intr t
-
 (* Checkpoint support: the four programming registers are the whole
    guest-visible state (INTR is derived; telemetry is monitor-side). *)
 type state = {

@@ -46,12 +46,6 @@ val io_write : t -> int -> int -> unit
 (** [attach t bus ~base] claims three ports at [base]. *)
 val attach : t -> Io_bus.t -> base:int -> unit
 
-(** [reset t] returns the controller to power-on state — no requests,
-    nothing in service, all lines unmasked, default vector base — and
-    recomputes INTR.  Used by the monitor's warm restart on the virtual
-    PIC.  Cumulative {!raises}/{!acks} counters are preserved. *)
-val reset : t -> unit
-
 (** Checkpoint support: the four programming registers, the whole
     guest-visible state. *)
 type state = {

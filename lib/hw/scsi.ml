@@ -41,8 +41,8 @@ type t = {
   mutable writes_completed : int;
   mutable tracer : Vmm_obs.Tracer.t option;
   mutable epoch : int;
-      (* bumped by [reset]; in-flight completion events compare their
-         captured epoch and become no-ops after a warm restart *)
+      (* bumped by [restore]; in-flight completion events compare their
+         captured epoch and become no-ops after a restore *)
 }
 
 let create ~engine ~costs ~mem ~targets () =
@@ -173,7 +173,7 @@ let complete_op t op =
 
 (* Schedule an op's completion.  The descriptor lives in [inflight] until
    the event fires, so checkpoints see exactly what is on the wire; the
-   event itself is epoch-guarded so reset/restore abandons it. *)
+   event itself is epoch-guarded so a restore abandons it. *)
 let arm_op t op ~delay =
   t.inflight <- t.inflight @ [ op ];
   let epoch = t.epoch in
@@ -266,27 +266,6 @@ let writes_completed t = t.writes_completed
 let busy_targets t =
   Array.fold_left (fun acc ts -> if ts.busy then acc + 1 else acc) 0
     t.target_states
-
-(* Warm-restart support: abandon in-flight commands (their completion
-   events are epoch-guarded no-ops now), drop completion/error state and
-   guest-written sectors, and clear the selection registers — power-on
-   state.  Cumulative counters and armed fault injections survive: the
-   former are monitor-side telemetry, the latter belong to the fault
-   plan, not the guest. *)
-let reset t =
-  t.epoch <- t.epoch + 1;
-  t.inflight <- [];
-  Array.iter
-    (fun ts ->
-      ts.busy <- false;
-      ts.done_ <- false;
-      Hashtbl.reset ts.sectors)
-    t.target_states;
-  t.sel_target <- 0;
-  t.sel_lba <- 0;
-  t.sel_count <- 0;
-  t.sel_dma <- 0;
-  t.error <- false
 
 (* Checkpoint support.  In-flight completion times are captured relative
    (cycles until completion) so a restore at a later absolute time

@@ -56,13 +56,6 @@ val writes_completed : t -> int
     gauge). *)
 val busy_targets : t -> int
 
-(** [reset t] returns the controller to power-on state for a warm
-    restart: in-flight commands are abandoned (their completion events
-    become no-ops), completion/error state and guest-written sectors are
-    dropped, selection registers clear.  Cumulative counters and armed
-    fault injections are preserved. *)
-val reset : t -> unit
-
 (** {2 Checkpoint support}
 
     Captures the full controller state — selection registers, per-target
@@ -70,7 +63,7 @@ val reset : t -> unit
     in-flight command descriptors with their {e relative} completion
     offsets — so a restore at any later absolute time re-arms the same
     DMA schedule.  Restore abandons whatever was in flight (epoch
-    guard), like {!reset}, then reinstates the captured state. *)
+    guard), then reinstates the captured state. *)
 
 type op_state = {
   os_target : int;

@@ -199,6 +199,24 @@ let test_session_watchpoint_flow () =
   Machine.run_seconds m 0.2;
   check bool "guest free-running" true (ticks () > before + 2)
 
+let test_kernel_mode_watch_hit_logged () =
+  (* The default kernel runs with guest paging off; its watch hits reach
+     the monitor log just as a paged guest's do. *)
+  let m, mon, program, session, _ = rig ~rate:10.0 () in
+  check int "guest paging off" 0 (Monitor.guest_ptb mon);
+  let counters = Asm.symbol program "counters" in
+  check bool "insert watch" true
+    (Session.insert_watchpoint session ~addr:counters ~len:4);
+  (match Session.wait_stop session with
+   | Some (Command.Watch_hit _) -> ()
+   | _ -> Alcotest.fail "expected watch hit");
+  let line = Printf.sprintf "watchpoint hit: store to 0x%x" counters in
+  check int "logged once" 1
+    (List.length
+       (List.filter
+          (fun e -> contains e.Vmm_profile.Flight.detail line)
+          (Vmm_profile.Flight.find (Machine.trace m) ~kind:"monitor")))
+
 let test_session_watch_same_page_transparent () =
   (* Watching an address the guest never writes must not disturb it even
      though the rest of the page is stored to constantly. *)
@@ -425,6 +443,8 @@ let () =
           Alcotest.test_case "latency" `Quick test_session_latency_measured;
           Alcotest.test_case "watchpoint flow" `Quick
             test_session_watchpoint_flow;
+          Alcotest.test_case "kernel-mode watch hit logged" `Quick
+            test_kernel_mode_watch_hit_logged;
           Alcotest.test_case "watch transparency" `Quick
             test_session_watch_same_page_transparent;
           Alcotest.test_case "console read" `Quick test_session_console_read;

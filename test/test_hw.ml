@@ -99,9 +99,9 @@ let bytewise_checksum_add mem ~addr ~len ~index sum =
 
 let checksum_mem =
   let mem = Phys_mem.create ~size:(16 * 1024) in
-  let rng = Random.State.make [| 2005 |] in
+  let rng = Vmm_sim.Rng.create ~seed:2005L in
   for i = 0 to Phys_mem.size mem - 1 do
-    Phys_mem.write_u8 mem i (Random.State.int rng 256)
+    Phys_mem.write_u8 mem i (Vmm_sim.Rng.int rng 256)
   done;
   (* Runs of 0xFF make the lane sums carry. *)
   Phys_mem.fill mem ~addr:0x1000 ~len:600 0xFF;

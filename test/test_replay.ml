@@ -292,6 +292,54 @@ let test_link_seq_state_round_trip () =
   check bool "link still talks after restore" true
     (Session.read_registers ~timeout_s:1.0 session <> None)
 
+(* A warm restart loads the state [boot_guest] left: after runs of
+   several lengths the restarted guest digests like the one just booted.
+   Only the retired count differs — it keeps counting across restarts. *)
+let test_restart_returns_to_boot_state () =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+  let mon = Monitor.install m in
+  Monitor.boot_guest mon
+    (Kernel.build (Kernel.default_config ~rate_mbps:150.0))
+    ~entry:Kernel.entry;
+  let boot = Monitor.checkpoint_now mon in
+  List.iter
+    (fun seconds ->
+      Machine.run_seconds m seconds;
+      let before = Vmm_hw.Cpu.instructions_retired (Machine.cpu m) in
+      check bool "restart" true (Monitor.restart_guest mon);
+      let after = Monitor.checkpoint_now mon in
+      check bool "retired count monotone" true
+        (Int64.compare after.Snapshot.Full.retired before >= 0);
+      let after =
+        { after with Snapshot.Full.retired = boot.Snapshot.Full.retired }
+      in
+      check bool
+        (Printf.sprintf "boot state after %gs" seconds)
+        true
+        (Snapshot.Full.digest after = Snapshot.Full.digest boot))
+    [ 0.0137; 0.02; 0.05 ]
+
+(* Booting again on a used monitor leaves the virtual PIC/PIT and the
+   devices as a fresh machine's boot does: no running virtual timer, no
+   in-flight DMA from the previous guest. *)
+let test_second_boot_matches_fresh_boot () =
+  let boot ~run =
+    let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+    let mon = Monitor.install m in
+    let program = Kernel.build (Kernel.default_config ~rate_mbps:150.0) in
+    Monitor.boot_guest mon program ~entry:Kernel.entry;
+    if run > 0.0 then begin
+      Machine.run_seconds m run;
+      Monitor.boot_guest mon program ~entry:Kernel.entry
+    end;
+    Monitor.checkpoint_now mon
+  in
+  let fresh = boot ~run:0.0 and again = boot ~run:0.0137 in
+  check bool "vpic" true (fresh.Snapshot.Full.vpic = again.Snapshot.Full.vpic);
+  check bool "vpit" true (fresh.Snapshot.Full.vpit = again.Snapshot.Full.vpit);
+  check bool "scsi" true (fresh.Snapshot.Full.scsi = again.Snapshot.Full.scsi);
+  check bool "nic" true (fresh.Snapshot.Full.nic = again.Snapshot.Full.nic)
+
 (* ---------------------------------------------------------------- *)
 (* Reverse execution                                                 *)
 (* ---------------------------------------------------------------- *)
@@ -369,6 +417,10 @@ let () =
             test_checkpoint_restore_digest;
           Alcotest.test_case "link seq state round-trips" `Quick
             test_link_seq_state_round_trip;
+          Alcotest.test_case "restart returns to boot state" `Quick
+            test_restart_returns_to_boot_state;
+          Alcotest.test_case "second boot matches fresh boot" `Quick
+            test_second_boot_matches_fresh_boot;
         ] );
       ( "reverse",
         [
