@@ -130,6 +130,9 @@ type t = {
   (* reverse debugging: ring of periodic mid-run checkpoints, newest
      first *)
   mutable checkpoints : Snapshot.Full.t list;
+  pages : Snapshot.Pages.t;
+      (* the page copies every capture and restore of this guest goes
+         through *)
   mutable checkpoint_keep : int;
   mutable checkpoint_gen : int;
       (* bumping it orphans any armed periodic capture event *)
@@ -1175,6 +1178,10 @@ let register_metrics t =
   g "monitor_crash_bundles_total" (fun () -> t.c_bundles);
   g "monitor_checkpoints_total" (fun () -> t.c_checkpoints);
   g "monitor_checkpoints_held" (fun () -> List.length t.checkpoints);
+  g "monitor_checkpoint_pages_copied_total" (fun () ->
+      Snapshot.Pages.copied t.pages);
+  g "monitor_restore_pages_written_total" (fun () ->
+      Snapshot.Pages.written t.pages);
   g "stub_reverse_ops_total" (fun () -> Stub.reverse_ops (get_stub t));
   g "monitor_lifecycle_crashed" (fun () -> if crashed t then 1 else 0);
   g "watchdog_checks_total" (fun () ->
@@ -1252,7 +1259,7 @@ let rec take n = function
   | x :: rest -> x :: take (n - 1) rest
 
 let capture_full t =
-  Snapshot.Full.capture ~machine:t.machine ~layout:t.layout ~vpic:t.vpic
+  Snapshot.Full.capture ~machine:t.machine ~pages:t.pages ~vpic:t.vpic
     ~vpit:(get_vpit t)
     ~link:(Stub.endpoint (get_stub t))
     ~mon:(mon_state t)
@@ -1320,13 +1327,15 @@ let forget_execution t =
    while the debug plane (stub, breakpoint table, reliable link, host
    session) stays exactly as it is: the link state in [full] is never
    loaded, and armed breakpoints re-arm lazily on the cleared shadow.
-   Memory goes through the normal store path, so the instruction cache
-   invalidates; the instruction counter is left to the caller. *)
+   Only the pages that may differ are written, through the normal store
+   path, so cached ops on those pages invalidate and cached ops on the
+   others stay valid; [forget_execution]'s [set_ptb] still flushes the
+   TLB and the instruction cache.  A checkpoint whose page count does not
+   match this layout is refused before any state changes.  The
+   instruction counter is left to the caller. *)
 let load_state t (full : Snapshot.Full.t) =
-  Phys_mem.load_bytes (Machine.mem t.machine) ~addr:0 full.Snapshot.Full.image;
-  for i = 0 to 15 do
-    Cpu.write_reg t.cpu i full.Snapshot.Full.regs.(i)
-  done;
+  Snapshot.Pages.restore t.pages full.Snapshot.Full.image;
+  Array.iteri (Cpu.write_reg t.cpu) full.Snapshot.Full.regs;
   Cpu.set_flags_word t.cpu full.Snapshot.Full.flags;
   Cpu.set_cpl t.cpu full.Snapshot.Full.cpl;
   Cpu.set_pc t.cpu full.Snapshot.Full.pc;
@@ -1698,6 +1707,9 @@ let install ?(passthrough = default_passthrough) machine =
       boot_state = None;
       power_on = (fun () -> ());
       checkpoints = [];
+      pages =
+        Snapshot.Pages.create (Machine.mem machine)
+          ~len:layout.Vm_layout.monitor_base;
       checkpoint_keep = 8;
       checkpoint_gen = 0;
       c_checkpoints = 0;

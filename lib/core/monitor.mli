@@ -237,8 +237,11 @@ val checkpoints : t -> Snapshot.Full.t list
     privileged state and device state are reinstated; the lifecycle
     returns to healthy; the reliable link and stub state are untouched.
     The retired count is set to [full]'s.  {!restart_guest} is the same
-    load of the boot state.  Used by the stub's reverse verbs, exposed
-    for tests and tooling. *)
+    load of the boot state.  Only the guest pages that may differ from
+    [full] are written ({!Snapshot.Pages}).  Used by the stub's reverse
+    verbs, exposed for tests and tooling.
+    @raise Invalid_argument, before any state changes, if [full]'s
+    image does not have this monitor's page count. *)
 val restore_checkpoint : t -> Snapshot.Full.t -> unit
 
 (** {2 Load-time static verification}

@@ -1,5 +1,72 @@
 module Phys_mem = Vmm_hw.Phys_mem
 
+(* Page-sharing copies of guest memory.  [chunks.(p)] is the newest copy
+   of page [p] and is never mutated once made, so every checkpoint can
+   hold it by reference; [gens.(p)] is the page generation at which
+   memory last equalled it (-1: unknown).  Generation 0 means a page was
+   never written, so at creation such a page already equals one shared
+   zero page. *)
+module Pages = struct
+  let page_size = 1 lsl Phys_mem.page_bits
+
+  type t = {
+    mem : Phys_mem.t;
+    chunks : Bytes.t array;
+    gens : int array;
+    mutable copied : int;
+    mutable written : int;
+  }
+
+  let create mem ~len =
+    if len < 0 || len mod page_size <> 0 || len > Phys_mem.size mem then
+      invalid_arg "Snapshot.Pages.create: len is not a page multiple in memory";
+    let zero = Bytes.make page_size '\000' in
+    let n = len / page_size in
+    {
+      mem;
+      chunks = Array.make n zero;
+      gens =
+        Array.init n (fun p ->
+            if Phys_mem.page_generation mem (p * page_size) = 0 then 0 else -1);
+      copied = 0;
+      written = 0;
+    }
+
+  let copied t = t.copied
+  let written t = t.written
+
+  let capture t =
+    for p = 0 to Array.length t.chunks - 1 do
+      let addr = p * page_size in
+      let gen = Phys_mem.page_generation t.mem addr in
+      if gen <> t.gens.(p) then begin
+        t.chunks.(p) <- Phys_mem.read_bytes t.mem ~addr ~len:page_size;
+        t.gens.(p) <- gen;
+        t.copied <- t.copied + 1
+      end
+    done;
+    Array.copy t.chunks
+
+  let restore t image =
+    if
+      Array.length image <> Array.length t.chunks
+      || Array.exists (fun c -> Bytes.length c <> page_size) image
+    then invalid_arg "Snapshot.Pages.restore: image does not match the layout";
+    for p = 0 to Array.length image - 1 do
+      let addr = p * page_size in
+      let chunk = image.(p) in
+      if
+        chunk != t.chunks.(p)
+        || Phys_mem.page_generation t.mem addr <> t.gens.(p)
+      then begin
+        Phys_mem.write_bytes t.mem ~addr chunk ~off:0 ~len:page_size;
+        t.chunks.(p) <- chunk;
+        t.gens.(p) <- Phys_mem.page_generation t.mem addr;
+        t.written <- t.written + 1
+      end
+    done
+end
+
 (* Full checkpoints: everything a warm restart or a reverse-debug restore
    needs to put the guest back on an instruction boundary — memory image, CPU
    architectural state, the monitor's virtualized privileged state, and
@@ -29,7 +96,7 @@ module Full = struct
   type t = {
     cycle : int64;
     retired : int64;
-    image : Bytes.t;
+    image : Bytes.t array;
     regs : int array;  (* r0..r15 *)
     pc : int;
     flags : int;  (* real flags word (TF/IF/CPL bits included) *)
@@ -45,14 +112,12 @@ module Full = struct
     link : Reliable.seq_state;
   }
 
-  let capture ~machine ~layout ~vpic ~vpit ~link ~mon =
+  let capture ~machine ~pages ~vpic ~vpit ~link ~mon =
     let cpu = Machine.cpu machine in
     {
       cycle = Machine.now machine;
       retired = Cpu.instructions_retired cpu;
-      image =
-        Phys_mem.read_bytes (Machine.mem machine) ~addr:0
-          ~len:layout.Vm_layout.monitor_base;
+      image = Pages.capture pages;
       regs = Array.init Isa.num_regs (fun i -> Cpu.read_reg cpu i);
       pc = Cpu.pc cpu;
       flags = Cpu.flags_word cpu;
@@ -98,12 +163,19 @@ module Full = struct
 
   let mix_bool h b = mix h (if b then 1 else 0)
 
-  let mix_bytes h b =
-    let h = ref (mix_int h (Bytes.length b)) in
+  let mix_raw h b =
+    let h = ref h in
     for i = 0 to Bytes.length b - 1 do
       h := mix !h (Char.code (Bytes.unsafe_get b i))
     done;
     !h
+
+  let mix_bytes h b = mix_raw (mix_int h (Bytes.length b)) b
+
+  (* The same byte sequence as mixing the contiguous image. *)
+  let mix_image h image =
+    Array.fold_left mix_raw (mix_int h (Array.length image * Pages.page_size))
+      image
 
   let mix_string h s = mix_bytes h (Bytes.unsafe_of_string s)
 
@@ -121,7 +193,7 @@ module Full = struct
   let digest t =
     let h = fnv_offset in
     let h = mix_int64 h t.retired in
-    let h = mix_bytes h t.image in
+    let h = mix_image h t.image in
     let h = Array.fold_left mix_int h t.regs in
     let h = mix_int h t.pc in
     let h = mix_int h t.flags in

@@ -1,3 +1,42 @@
+(** Page-sharing copies of guest memory, the memory half of every
+    {!Full} checkpoint.
+
+    One [Pages.t] per monitor holds, for each 4 KiB page of guest memory,
+    the newest copy of the page and the {!Vmm_hw.Phys_mem.page_generation}
+    at which memory last equalled it.  A capture copies only the pages
+    whose generation moved since and shares every other copy, by
+    reference, with the checkpoints before it; a restore writes a page
+    only when the image's copy is not physically the cached one or the
+    page was written since.  A copy is never mutated once made. *)
+module Pages : sig
+  type t
+
+  (** [page_size] is [1 lsl Phys_mem.page_bits], 4 KiB. *)
+  val page_size : int
+
+  (** [create mem ~len] covers [\[0, len)] of [mem]; [len] must be a
+      page multiple within [mem].  Pages never written yet share one
+      zero page; any other page is copied at the first capture. *)
+  val create : Vmm_hw.Phys_mem.t -> len:int -> t
+
+  (** [capture t] is an image of the covered pages, copying only the
+      pages written since the last capture or restore. *)
+  val capture : t -> Bytes.t array
+
+  (** [restore t image] makes memory equal to [image], writing (through
+      the store path, so write generations move) only the pages that
+      may differ.  Raises [Invalid_argument], before writing anything,
+      when [image] does not have one [page_size]-byte copy per covered
+      page. *)
+  val restore : t -> Bytes.t array -> unit
+
+  (** [copied t] is the number of pages captures have copied so far. *)
+  val copied : t -> int
+
+  (** [written t] is the number of pages restores have written so far. *)
+  val written : t -> int
+end
+
 (** Full guest-state checkpoints: one type for boot, warm restart and
     rewind.  The monitor captures the boot state at boot; a warm restart
     loads it exactly as the reverse verbs ([rs]/[rc]) load a mid-run
@@ -6,10 +45,11 @@
     ([Nic.stall_tx]), as [rs]/[rc] already do.
 
     A [Full.t] captures everything needed to put the guest back on an
-    exact instruction boundary: the guest memory image, CPU architectural
-    state, the monitor's virtualized privileged state, real and virtual
-    interrupt-controller/timer state, SCSI/NIC device state including
-    in-flight DMA, and the reliable-link sequence numbers.  All time-like
+    exact instruction boundary: the guest memory image (as {!Pages}
+    copies), CPU architectural state, the monitor's virtualized
+    privileged state, real and virtual interrupt-controller/timer state,
+    SCSI/NIC device state including in-flight DMA, and the reliable-link
+    sequence numbers.  All time-like
     fields are stored {e relative} to the capture instant, so a restore
     at any later absolute engine time re-arms the same schedule without
     rewinding the clock.
@@ -34,7 +74,10 @@ module Full : sig
   type t = {
     cycle : int64;  (** absolute engine time at capture *)
     retired : int64;  (** instructions retired at capture *)
-    image : Bytes.t;  (** guest-owned physical memory *)
+    image : Bytes.t array;
+        (** guest-owned physical memory, one immutable {!Pages.page_size}
+            copy per page, shared with other checkpoints of the same
+            {!Pages.t} *)
     regs : int array;  (** r0..r15 *)
     pc : int;
     flags : int;  (** real CPU flags word *)
@@ -52,7 +95,7 @@ module Full : sig
 
   val capture :
     machine:Vmm_hw.Machine.t ->
-    layout:Vm_layout.t ->
+    pages:Pages.t ->
     vpic:Vmm_hw.Pic.t ->
     vpit:Vmm_hw.Pit.t ->
     link:Vmm_proto.Reliable.t ->
@@ -65,6 +108,8 @@ module Full : sig
   (** [digest t] — FNV-1a 64 over the guest-visible state.  Equal
       digests ⇒ bit-identical guest-visible state (memory, registers,
       virtualized privileged state, device state with relative DMA
-      offsets).  Excludes the absolute capture cycle and link state. *)
+      offsets).  Excludes the absolute capture cycle and link state.
+      The image is hashed as one contiguous byte string, a length
+      prefix and then the pages in order. *)
   val digest : t -> int64
 end

@@ -3,12 +3,17 @@
    validate with an array read instead of watching every writer.  The
    granule is deliberately finer than an MMU page: guest kernels keep hot
    data right next to code, and a 4 KiB granule would let counter stores
-   invalidate the whole text page around them. *)
+   invalidate the whole text page around them.  A second counter per
+   4 KiB page, bumped by the same stores, lets checkpoints find the pages
+   written since their last capture without reading 64 granule counters
+   per page. *)
 let granule_bits = 6
+let page_bits = 12
 
 type t = {
   data : Bytes.t;
   granule_gens : int array;
+  page_gens : int array;
 }
 
 exception Bus_error of int
@@ -18,6 +23,7 @@ let create ~size =
   {
     data = Bytes.make size '\000';
     granule_gens = Array.make (((size - 1) lsr granule_bits) + 1) 0;
+    page_gens = Array.make (((size - 1) lsr page_bits) + 1) 0;
   }
 
 let size t = Bytes.length t.data
@@ -28,16 +34,26 @@ let check t addr len =
 let generation t addr =
   Array.unsafe_get t.granule_gens (addr lsr granule_bits)
 
-(* [addr, addr+len) is already bounds-checked when this runs. *)
+let page_generation t addr = Array.unsafe_get t.page_gens (addr lsr page_bits)
+
+(* [addr, addr+len) is already bounds-checked when this runs.  A store
+   within one granule is within one page, so only a multi-granule range
+   can reach a second page. *)
 let bump t addr len =
   let first = addr lsr granule_bits in
   let last = (addr + len - 1) lsr granule_bits in
+  let page = addr lsr page_bits in
   Array.unsafe_set t.granule_gens first
     (Array.unsafe_get t.granule_gens first + 1);
-  if last > first then
-    for p = first + 1 to last do
-      t.granule_gens.(p) <- t.granule_gens.(p) + 1
+  Array.unsafe_set t.page_gens page (Array.unsafe_get t.page_gens page + 1);
+  if last > first then begin
+    for g = first + 1 to last do
+      t.granule_gens.(g) <- t.granule_gens.(g) + 1
+    done;
+    for p = page + 1 to (addr + len - 1) lsr page_bits do
+      t.page_gens.(p) <- t.page_gens.(p) + 1
     done
+  end
 
 let read_u8 t addr =
   check t addr 1;

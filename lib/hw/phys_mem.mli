@@ -21,13 +21,24 @@ val size : t -> int
     the generation captured at fill time against {!generation}, so guest
     stores, DMA, debugger memory writes and program loading all invalidate
     without explicit hooks.  Granules are finer than MMU pages so data
-    kept adjacent to code does not thrash the instruction cache. *)
+    kept adjacent to code does not thrash the instruction cache.
+
+    The same stores also bump one generation per [1 lsl page_bits]-byte
+    page they touch (each page once).  Checkpoints compare it against
+    the generation recorded at their last copy of the page to find the
+    pages written since.  A page whose generation is still 0 has never
+    been written and holds the zeros of {!create}. *)
 
 val granule_bits : int
+val page_bits : int
 
 (** [generation t addr] is the current write generation of the granule
     containing physical address [addr] (which must be in range). *)
 val generation : t -> int -> int
+
+(** [page_generation t addr] is the current write generation of the
+    page containing physical address [addr] (which must be in range). *)
+val page_generation : t -> int -> int
 
 (** 8-bit access; value in [0, 255]. *)
 val read_u8 : t -> int -> int

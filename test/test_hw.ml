@@ -87,6 +87,47 @@ let test_mem_checksum_odd_len () =
   check int "odd trailing byte" (lnot s land 0xFFFF)
     (Phys_mem.checksum m ~addr:0 ~len:3)
 
+(* Page write generations: a store bumps the page(s) it touches and no
+   other; a range bumps each page it covers. *)
+let page_gens m =
+  Array.init
+    (Phys_mem.size m lsr Phys_mem.page_bits)
+    (fun p -> Phys_mem.page_generation m (p lsl Phys_mem.page_bits))
+
+let changed_pages before after =
+  List.filter
+    (fun p -> before.(p) <> after.(p))
+    (List.init (Array.length after) Fun.id)
+
+let test_mem_page_generations () =
+  let m = Phys_mem.create ~size:(8 * 4096) in
+  let pages = Alcotest.(list int) in
+  let g0 = page_gens m in
+  Phys_mem.write_u32 m 0x0FFE 0xDEADBEEF;
+  check pages "u32 at 0x0FFE bumps both pages" [ 0; 1 ]
+    (changed_pages g0 (page_gens m));
+  let g1 = page_gens m in
+  Phys_mem.write_u8 m ((5 * 4096) + 17) 1;
+  check pages "u8 store bumps only its page" [ 5 ]
+    (changed_pages g1 (page_gens m));
+  let g2 = page_gens m in
+  Phys_mem.write_u16 m ((3 * 4096) + 100) 1;
+  check pages "u16 store bumps only its page" [ 3 ]
+    (changed_pages g2 (page_gens m));
+  let g3 = page_gens m in
+  Phys_mem.fill m ~addr:((2 * 4096) + 8) ~len:(2 * 4096) 0xAA;
+  check pages "fill over 3 pages bumps all 3" [ 2; 3; 4 ]
+    (changed_pages g3 (page_gens m));
+  let g4 = page_gens m in
+  Phys_mem.blit m ~src:0 ~dst:((4 * 4096) + 4000) ~len:(4096 + 200);
+  check pages "blit over 3 pages bumps all 3" [ 4; 5; 6 ]
+    (changed_pages g4 (page_gens m));
+  let g5 = page_gens m in
+  Phys_mem.fill m ~addr:(7 * 4096) ~len:4096 0;
+  check int "a whole-page range bumps its page once" (g5.(7) + 1)
+    (Phys_mem.page_generation m (7 * 4096));
+  check pages "and no neighbour" [ 7 ] (changed_pages g5 (page_gens m))
+
 (* The bytewise definition [checksum_add] must keep computing: a byte at
    an even message index is a low byte, at an odd one a high byte. *)
 let bytewise_checksum_add mem ~addr ~len ~index sum =
@@ -1587,6 +1628,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
           Alcotest.test_case "checksum" `Quick test_mem_checksum_matches_rfc;
           Alcotest.test_case "checksum odd" `Quick test_mem_checksum_odd_len;
+          Alcotest.test_case "page generations" `Quick
+            test_mem_page_generations;
         ]
         @ qsuite [ prop_checksum_add_matches_bytewise ] );
       ( "isa",

@@ -7,6 +7,11 @@
 
 module Machine = Vmm_hw.Machine
 module Isa = Vmm_hw.Isa
+module Phys_mem = Vmm_hw.Phys_mem
+module Pic = Vmm_hw.Pic
+module Pit = Vmm_hw.Pit
+module Scsi = Vmm_hw.Scsi
+module Nic = Vmm_hw.Nic
 module Asm = Vmm_hw.Asm
 module Costs = Vmm_hw.Costs
 module Command = Vmm_proto.Command
@@ -341,6 +346,354 @@ let test_second_boot_matches_fresh_boot () =
   check bool "nic" true (fresh.Snapshot.Full.nic = again.Snapshot.Full.nic)
 
 (* ---------------------------------------------------------------- *)
+(* Page-sharing checkpoints                                          *)
+(* ---------------------------------------------------------------- *)
+
+(* The digest over a contiguous memory image, as computed before images
+   were split into shared pages: the reference the paged digest must
+   match byte for byte. *)
+let reference_digest (t : Snapshot.Full.t) image =
+  let fnv_prime = 0x100000001b3L and fnv_offset = 0xcbf29ce484222325L in
+  let mix h byte =
+    Int64.mul (Int64.logxor h (Int64.of_int (byte land 0xFF))) fnv_prime
+  in
+  let mix_int h v =
+    let h = ref h in
+    for i = 0 to 7 do
+      h := mix !h ((v lsr (8 * i)) land 0xFF)
+    done;
+    !h
+  in
+  let mix_int64 h v =
+    let h = ref h in
+    for i = 0 to 7 do
+      h := mix !h (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+    done;
+    !h
+  in
+  let mix_bool h b = mix h (if b then 1 else 0) in
+  let mix_bytes h b =
+    let h = ref (mix_int h (Bytes.length b)) in
+    for i = 0 to Bytes.length b - 1 do
+      h := mix !h (Char.code (Bytes.unsafe_get b i))
+    done;
+    !h
+  in
+  let mix_string h s = mix_bytes h (Bytes.unsafe_of_string s) in
+  let mix_pic h (p : Pic.state) =
+    let h = mix_int h p.Pic.st_vector_base in
+    let h = mix_int h p.Pic.st_request in
+    let h = mix_int h p.Pic.st_service in
+    mix_int h p.Pic.st_mask
+  in
+  let mix_pit h (p : Pit.phase) =
+    let h = mix_int h p.Pit.ph_reload in
+    let h = mix_int h p.Pit.ph_mode in
+    mix_int64 h p.Pit.ph_remaining
+  in
+  let open Snapshot.Full in
+  let h = fnv_offset in
+  let h = mix_int64 h t.retired in
+  let h = mix_bytes h image in
+  let h = Array.fold_left mix_int h t.regs in
+  let h = mix_int h t.pc in
+  let h = mix_int h t.flags in
+  let h = mix_int h t.cpl in
+  let h = mix_bool h t.halted in
+  let h = mix_bool h t.mon.v_if in
+  let h = mix_int h t.mon.v_iht in
+  let h = mix_int h t.mon.v_ptb in
+  let h = mix_int h t.mon.v_cpl in
+  let h = Array.fold_left mix_int h t.mon.v_stacks in
+  let h = mix_bool h t.mon.v_halted in
+  let h = mix_string h t.mon.console in
+  let h = mix_pic h t.vpic in
+  let h = mix_pit h t.vpit in
+  let h = mix_pic h t.pic in
+  let h = mix_pit h t.pit in
+  let s = t.scsi in
+  let h = mix_int h s.Scsi.s_sel_target in
+  let h = mix_int h s.Scsi.s_sel_lba in
+  let h = mix_int h s.Scsi.s_sel_count in
+  let h = mix_int h s.Scsi.s_sel_dma in
+  let h = mix_bool h s.Scsi.s_error in
+  let h =
+    Array.fold_left
+      (fun h (ts : Scsi.tgt_state) ->
+        let h = mix_bool h ts.Scsi.ts_busy in
+        let h = mix_bool h ts.Scsi.ts_done in
+        let h =
+          List.fold_left
+            (fun h (sector, block) -> mix_bytes (mix_int h sector) block)
+            h ts.Scsi.ts_sectors
+        in
+        mix_bytes h ts.Scsi.ts_staging)
+      h s.Scsi.s_targets
+  in
+  let h =
+    List.fold_left
+      (fun h (os : Scsi.op_state) ->
+        let h = mix_int h os.Scsi.os_target in
+        let h = mix_int h os.Scsi.os_cmd in
+        let h = mix_int h os.Scsi.os_lba in
+        let h = mix_int h os.Scsi.os_count in
+        let h = mix_int h os.Scsi.os_dma in
+        mix_int64 h os.Scsi.os_remaining)
+      h s.Scsi.s_inflight
+  in
+  let n = t.nic in
+  let h = mix_int h n.Nic.n_tx_addr in
+  let h = mix_int h n.Nic.n_tx_len in
+  let h = mix_int h n.Nic.n_completions in
+  let h = mix_bool h n.Nic.n_overflow in
+  let h = mix_int64 h n.Nic.n_wire_remaining in
+  let h = List.fold_left mix_bytes h n.Nic.n_rx in
+  let h = mix_int h n.Nic.n_rx_addr in
+  let h =
+    List.fold_left
+      (fun h (xs : Nic.tx_op_state) ->
+        mix_int64 (mix_bytes h xs.Nic.xs_data) xs.Nic.xs_remaining)
+      h n.Nic.n_inflight
+  in
+  let h = mix_int h t.link.Reliable.sq_next_seq in
+  let h = mix_int h t.link.Reliable.sq_last_rx_seq in
+  let h = mix_bool h t.link.Reliable.sq_sequenced in
+  mix_bool h t.link.Reliable.sq_up
+
+let gauge m name =
+  let values = Vmm_obs.Registry.snapshot (Machine.registry m) in
+  match List.assoc_opt name values with
+  | Some (Vmm_obs.Registry.Gauge g) -> int_of_float g
+  | _ -> Alcotest.failf "gauge %s not registered" name
+
+let pages_copied m = gauge m "monitor_checkpoint_pages_copied_total"
+let pages_written m = gauge m "monitor_restore_pages_written_total"
+
+(* The smallest machine the layout allows (6 MiB of guest memory, 1 536
+   pages), booted on a guest that never runs: the tests below drive its
+   memory directly. *)
+let small_monitor () =
+  let m = Machine.create ~mem_size:(8 * 1024 * 1024) ~costs:test_costs () in
+  let mon = Monitor.install m in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Monitor.boot_guest mon (Asm.assemble a) ~entry:0x1000;
+  (m, mon)
+
+let guest_bytes m mon =
+  Phys_mem.read_bytes (Machine.mem m) ~addr:0
+    ~len:(Monitor.layout mon).Vm_layout.monitor_base
+
+let test_captures_share_pages () =
+  let m, mon = small_monitor () in
+  let c1 = Monitor.checkpoint_now mon in
+  let before = pages_copied m in
+  let c2 = Monitor.checkpoint_now mon in
+  check int "no store between captures copies 0 pages" before (pages_copied m);
+  check bool "every chunk is shared" true
+    (Array.for_all2 ( == ) c1.Snapshot.Full.image c2.Snapshot.Full.image);
+  Phys_mem.write_u32 (Machine.mem m) 0x0FFE 0xDEADBEEF;
+  let c3 = Monitor.checkpoint_now mon in
+  check int "a store straddling two pages copies 2" (before + 2)
+    (pages_copied m);
+  let shared = ref 0 in
+  Array.iteri
+    (fun p chunk -> if chunk == c2.Snapshot.Full.image.(p) then incr shared)
+    c3.Snapshot.Full.image;
+  check int "and shares the rest"
+    (Array.length c3.Snapshot.Full.image - 2)
+    !shared
+
+let test_restore_unchanged_writes_nothing () =
+  let m, mon = small_monitor () in
+  let mem = Machine.mem m in
+  let base = (Monitor.layout mon).Vm_layout.monitor_base in
+  Phys_mem.fill mem ~addr:0x3000 ~len:0x2000 0x5A;
+  let ck = Monitor.checkpoint_now mon in
+  let granules () =
+    Array.init (base lsr Phys_mem.granule_bits) (fun g ->
+        Phys_mem.generation mem (g lsl Phys_mem.granule_bits))
+  in
+  let g0 = granules () and written = pages_written m in
+  Monitor.restore_checkpoint mon ck;
+  check int "restoring onto unchanged memory writes 0 pages" written
+    (pages_written m);
+  check bool "every granule generation unchanged" true (granules () = g0);
+  Phys_mem.write_u8 mem 0x4001 0;
+  Monitor.restore_checkpoint mon ck;
+  check int "a page written since is written back" (written + 1)
+    (pages_written m);
+  check int "with its checkpointed bytes" 0x5A (Phys_mem.read_u8 mem 0x4001)
+
+(* A checkpoint whose page count is not this layout's is refused before
+   any guest or monitor state changes: a shorter image would leave the
+   pages above it holding this run's bytes, a longer one would write
+   into the monitor's own reservation. *)
+let test_restore_rejects_wrong_page_count () =
+  let m, mon = small_monitor () in
+  let ck = Monitor.checkpoint_now mon in
+  let image = ck.Snapshot.Full.image in
+  Phys_mem.fill (Machine.mem m) ~addr:0 ~len:0x3000 0x77;
+  Vmm_hw.Cpu.write_reg (Machine.cpu m) 3 0x1234;
+  let before = guest_bytes m mon in
+  let base = (Monitor.layout mon).Vm_layout.monitor_base in
+  let monitor_bytes () =
+    Phys_mem.read_bytes (Machine.mem m) ~addr:base
+      ~len:(Phys_mem.size (Machine.mem m) - base)
+  in
+  let mon_before = monitor_bytes () in
+  let refused label image =
+    (match Monitor.restore_checkpoint mon { ck with Snapshot.Full.image } with
+     | () -> Alcotest.failf "%s image accepted" label
+     | exception Invalid_argument _ -> ());
+    check bool (label ^ ": guest memory untouched") true
+      (Bytes.equal before (guest_bytes m mon));
+    check bool (label ^ ": monitor memory untouched") true
+      (Bytes.equal mon_before (monitor_bytes ()));
+    check int (label ^ ": registers untouched") 0x1234
+      (Vmm_hw.Cpu.read_reg (Machine.cpu m) 3)
+  in
+  refused "shorter" (Array.sub image 0 (Array.length image - 1));
+  refused "longer"
+    (Array.append image [| Bytes.make Snapshot.Pages.page_size '\xff' |])
+
+(* The paper's streaming kernel under 1-ms checkpoints: each periodic
+   capture copies the few pages the guest wrote in that millisecond, not
+   the 3 072 pages of guest memory. *)
+let test_periodic_captures_copy_few_pages () =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+  let mon = Monitor.install m in
+  Monitor.boot_guest mon
+    (Kernel.build (Kernel.default_config ~rate_mbps:100.0))
+    ~entry:Kernel.entry;
+  Monitor.checkpoint_start ~keep:8 mon;
+  let copied0 = pages_copied m
+  and taken0 = gauge m "monitor_checkpoints_total" in
+  Machine.run_seconds m 0.05;
+  let copied = pages_copied m - copied0
+  and taken = gauge m "monitor_checkpoints_total" - taken0 in
+  check bool "about one capture per simulated ms" true (taken >= 45);
+  if copied > 64 * taken then
+    Alcotest.failf "periodic captures copied %d pages in %d captures" copied
+      taken
+
+(* Generated interleavings of every store path with captures into a ring
+   of at most 8 and restores of random held checkpoints (and of one
+   captured by a second monitor): after each restore memory equals the
+   contiguous copy taken at that capture, and the paged digest equals
+   the contiguous one. *)
+type mem_op =
+  | W8 of int * int
+  | W16 of int * int
+  | W32 of int * int
+  | Blit of int * int * int
+  | Fill of int * int * int
+  | Dma of int * string
+  | Load of int * string
+  | Capture
+  | Restore of int
+  | Foreign
+
+let show_op = function
+  | W8 (a, v) -> Printf.sprintf "w8 %x %x" a v
+  | W16 (a, v) -> Printf.sprintf "w16 %x %x" a v
+  | W32 (a, v) -> Printf.sprintf "w32 %x %x" a v
+  | Blit (s, d, l) -> Printf.sprintf "blit %x->%x %d" s d l
+  | Fill (a, l, v) -> Printf.sprintf "fill %x %d %x" a l v
+  | Dma (a, s) -> Printf.sprintf "dma %x %d" a (String.length s)
+  | Load (a, s) -> Printf.sprintf "load %x %d" a (String.length s)
+  | Capture -> "capture"
+  | Restore i -> Printf.sprintf "restore %d" i
+  | Foreign -> "foreign"
+
+(* Addresses cluster in the first 16 pages and near page boundaries, so
+   stores straddle pages and ranges span several. *)
+let gen_op =
+  let open QCheck.Gen in
+  let page = 4096 and span = 16 * 4096 in
+  let addr =
+    oneof
+      [
+        int_range 0 (span - 1);
+        map2 (fun p d -> (p * page) - d) (int_range 1 15) (int_range 1 3);
+      ]
+  in
+  let len = oneof [ int_range 1 64; int_range 1 (3 * page) ] in
+  (* the highest address a range of [l] bytes may start at *)
+  let fit a l = min a (span - l) in
+  let data = string_size ~gen:char len in
+  frequency
+    [
+      (3, map2 (fun a v -> W8 (a, v)) addr (int_bound 0xFF));
+      (3, map2 (fun a v -> W16 (fit a 2, v)) addr (int_bound 0xFFFF));
+      (3, map2 (fun a v -> W32 (fit a 4, v)) addr (int_bound 0xFFFFFFF));
+      (2, map3 (fun s d l -> Blit (fit s l, fit d l, l)) addr addr len);
+      ( 2,
+        map3 (fun a l v -> Fill (fit a l, l, v)) addr len (int_bound 0xFF) );
+      (2, map2 (fun a s -> Dma (fit a (String.length s), s)) addr data);
+      (2, map2 (fun a s -> Load (fit a (String.length s), s)) addr data);
+      (3, return Capture);
+      (3, map (fun i -> Restore i) (int_bound 7));
+      (1, return Foreign);
+    ]
+
+(* Captured once by a second monitor on a machine of the same size: its
+   chunks are never in the cache of a monitor created afterwards. *)
+let foreign_checkpoint =
+  lazy
+    (let m, mon = small_monitor () in
+     Phys_mem.fill (Machine.mem m) ~addr:0x2000 ~len:0x5000 0xC3;
+     (Monitor.checkpoint_now mon, guest_bytes m mon))
+
+let prop_pages_match_full_copy =
+  QCheck.Test.make ~count:200 ~name:"page-sharing checkpoints match full copies"
+    QCheck.(make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+              Gen.(list_size (int_range 1 24) gen_op))
+    (fun ops ->
+      let m, mon = small_monitor () in
+      let mem = Machine.mem m in
+      let foreign = Lazy.force foreign_checkpoint in
+      let ring = ref [] and foreign_restored = ref false in
+      let restore (full, copy) =
+        let written = pages_written m in
+        Monitor.restore_checkpoint mon full;
+        if not (Bytes.equal copy (guest_bytes m mon)) then
+          QCheck.Test.fail_report "restored memory differs from the copy";
+        if Snapshot.Full.digest full <> reference_digest full copy then
+          QCheck.Test.fail_report
+            "paged digest differs from the contiguous one";
+        pages_written m - written
+      in
+      List.iter
+        (function
+          | W8 (a, v) -> Phys_mem.write_u8 mem a v
+          | W16 (a, v) -> Phys_mem.write_u16 mem a v
+          | W32 (a, v) -> Phys_mem.write_u32 mem a v
+          | Blit (src, dst, len) -> Phys_mem.blit mem ~src ~dst ~len
+          | Fill (addr, len, v) -> Phys_mem.fill mem ~addr ~len v
+          | Dma (addr, s) ->
+            Phys_mem.write_bytes mem ~addr (Bytes.of_string s) ~off:0
+              ~len:(String.length s)
+          | Load (addr, s) -> Phys_mem.load_bytes mem ~addr (Bytes.of_string s)
+          | Capture ->
+            let held = (Monitor.checkpoint_now mon, guest_bytes m mon) in
+            ring := held :: List.filteri (fun i _ -> i < 7) !ring
+          | Restore i ->
+            (match List.nth_opt !ring (i mod max 1 (List.length !ring)) with
+             | Some held -> ignore (restore held)
+             | None -> ())
+          | Foreign ->
+            let written = restore foreign in
+            let pages = Array.length (fst foreign).Snapshot.Full.image in
+            if (not !foreign_restored) && written <> pages then
+              QCheck.Test.fail_reportf
+                "a foreign checkpoint wrote %d of %d pages" written pages;
+            foreign_restored := true)
+        ops;
+      true)
+
+(* ---------------------------------------------------------------- *)
 (* Reverse execution                                                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -421,6 +774,18 @@ let () =
             test_restart_returns_to_boot_state;
           Alcotest.test_case "second boot matches fresh boot" `Quick
             test_second_boot_matches_fresh_boot;
+        ] );
+      ( "pages",
+        [
+          Alcotest.test_case "captures share unwritten pages" `Quick
+            test_captures_share_pages;
+          Alcotest.test_case "restore onto unchanged memory writes nothing"
+            `Quick test_restore_unchanged_writes_nothing;
+          Alcotest.test_case "restore rejects a wrong page count" `Quick
+            test_restore_rejects_wrong_page_count;
+          Alcotest.test_case "periodic captures copy few pages" `Quick
+            test_periodic_captures_copy_few_pages;
+          QCheck_alcotest.to_alcotest prop_pages_match_full_copy;
         ] );
       ( "reverse",
         [
