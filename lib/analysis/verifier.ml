@@ -315,9 +315,9 @@ let verify_image ?(clock = fun () -> 0.) config ~origin ?entry image =
                 Int32.to_int (Bytes.get_int32_le image o) land 0xFFFFFFFF
               in
               let handler = word off and info = word (off + 4) in
-              if info land 1 = 1 then begin
+              if Isa.gate_present info then begin
                 gates := (vec, handler) :: !gates;
-                fresh_roots := (handler, (info lsr 1) land 3) :: !fresh_roots
+                fresh_roots := (handler, Isa.gate_ring info) :: !fresh_roots
               end
             end
           done

@@ -2,18 +2,26 @@
     Workstation 4 stand-in the paper compares against (architecture per
     Sugerman et al., USENIX ATC'01, which the paper cites).
 
-    Differences from the lightweight monitor in [Core.Monitor]:
+    It runs the guest on {!Core.Vcpu}, the same virtual CPU as the
+    lightweight monitor: trap reflection, privileged-instruction
+    emulation, guest page walks and shadow filling are one shared copy,
+    so a guest behaves identically under both.  It differs only in cost
+    model and failure policy:
 
+    - {b every exit goes through the host}: each trap is a modeled host
+      context switch, and every device access a host system call;
     - {b no pass-through}: every device port access traps and is routed
-      through the host operating system (a modeled context switch plus a
-      system call) before reaching the device;
+      through the host operating system before reaching the device;
     - {b per-packet host processing}: network sends pay the host's network
       stack and an extra buffer copy on top of the guest's own work;
     - {b per-transfer host processing}: disk reads pay the host file
       system path and a bounce-buffer copy;
     - {b interrupt delivery through the host}: a device interrupt is
       fielded by the host OS, handed to the VMM application, and only then
-      reflected into the guest.
+      reflected into the guest;
+    - {b no debug plane}: a guest the virtual CPU cannot deliver a fault
+      into is parked (stopped), where the lightweight monitor escalates
+      to its debug stub.
 
     The guest binary and the devices are identical to the other two
     systems; only the access-cost structure differs — which is exactly

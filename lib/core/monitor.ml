@@ -6,7 +6,6 @@ module Pic = Vmm_hw.Pic
 module Pit = Vmm_hw.Pit
 module Uart = Vmm_hw.Uart
 module Io_bus = Vmm_hw.Io_bus
-module Phys_mem = Vmm_hw.Phys_mem
 module Costs = Vmm_hw.Costs
 module Asm = Vmm_hw.Asm
 module Scsi = Vmm_hw.Scsi
@@ -78,20 +77,9 @@ type t = {
   machine : Machine.t;
   cpu : Cpu.t;
   costs : Costs.t;
-  layout : Vm_layout.t;
-  shadow : Shadow.t;
-  vpic : Pic.t;
-  mutable vpit : Pit.t option;
-  mutable v_if : bool;
-  mutable v_iht : int;
-  mutable v_ptb : int;
-  mutable v_cpl : int;
-  v_stacks : int array;
-  mutable v_halted : bool;
+  vcpu : Vcpu.t;
   mutable stub : Stub.t option;
   watchpoints : Watchpoints.t;
-  samples : (int, int) Hashtbl.t;
-      (* pc -> hits; sampled at every reflected timer interrupt *)
   mutable reprotect_pages : int list;
       (* pages to re-protect after a monitor-internal single step.  A
          list, not a slot: one stepped instruction can need several
@@ -168,13 +156,8 @@ type t = {
          composer needs *)
 }
 
-let real_ring_of_vring vring = if vring land 3 = 3 then 3 else 1
-
 let get_stub t =
   match t.stub with Some s -> s | None -> assert false
-
-let get_vpit t =
-  match t.vpit with Some p -> p | None -> assert false
 
 let charge t cycles = Cpu.charge t.cpu cycles
 
@@ -225,104 +208,9 @@ let span t cat name f =
 let with_cat t cat f =
   Vmm_sim.Stats.with_category (Machine.load t.machine) cat f
 
-(* -- Guest-virtual memory access through the guest's own tables -- *)
-
-let translate_guest t vaddr =
-  let vaddr = vaddr land 0xFFFFFFFF in
-  if t.v_ptb = 0 then
-    if Vm_layout.guest_owns t.layout vaddr then Some vaddr else None
-  else
-    match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb vaddr with
-    | Some pte ->
-      let frame = Mmu.frame_of pte in
-      if Vm_layout.guest_owns t.layout frame then
-        Some (frame lor (vaddr land 0xFFF))
-      else None
-    | None -> None
-
-let guest_read t ~addr ~len =
-  if len < 0 then None
-  else begin
-    let buf = Bytes.create len in
-    let rec go pos =
-      if pos = len then Some (Bytes.to_string buf)
-      else
-        let vaddr = addr + pos in
-        let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
-        match translate_guest t vaddr with
-        | Some paddr ->
-          Phys_mem.blit_to_bytes (Machine.mem t.machine) ~addr:paddr buf
-            ~off:pos ~len:room;
-          go (pos + room)
-        | None -> None
-    in
-    go 0
-  end
-
-let guest_write t ~addr ~data =
-  let len = String.length data in
-  let rec go pos =
-    if pos = len then true
-    else
-      let vaddr = addr + pos in
-      let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
-      match translate_guest t vaddr with
-      | Some paddr ->
-        Phys_mem.load_bytes (Machine.mem t.machine) ~addr:paddr
-          (Bytes.of_string (String.sub data pos room));
-        go (pos + room)
-      | None -> false
-  in
-  go 0
-
-(* Stack words and gate entries: a word inside one page is one
-   translation and one 32-bit access; only a word straddling a page goes
-   through the byte-string path, each part translated in its own page. *)
-let within_page vaddr = vaddr land 0xFFF <= Mmu.page_size - 4
-
-let guest_read_u32 t vaddr =
-  if within_page vaddr then
-    match translate_guest t vaddr with
-    | Some paddr -> Some (Phys_mem.read_u32 (Machine.mem t.machine) paddr)
-    | None -> None
-  else
-    match guest_read t ~addr:vaddr ~len:4 with
-    | Some s ->
-      Some
-        (Char.code s.[0]
-        lor (Char.code s.[1] lsl 8)
-        lor (Char.code s.[2] lsl 16)
-        lor (Char.code s.[3] lsl 24))
-    | None -> None
-
-let guest_write_u32 t vaddr v =
-  if within_page vaddr then
-    match translate_guest t vaddr with
-    | Some paddr ->
-      Phys_mem.write_u32 (Machine.mem t.machine) paddr v;
-      true
-    | None -> false
-  else
-    let s = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
-    guest_write t ~addr:vaddr ~data:s
-
-(* -- Guest-visible flags -- *)
-
-let guest_flags_word t =
-  Cpu.flags_word t.cpu land 0x7
-  lor (if t.v_if then 0x200 else 0)
-  lor (t.v_cpl lsl 12)
-
-let set_guest_flags t w =
-  (* Restore condition codes into the real flags; keep real IF on (the
-     monitor owns it) and the trap flag under stub control. *)
-  let real = Cpu.flags_word t.cpu in
-  let real = real land lnot 0x7 lor (w land 0x7) in
-  Cpu.set_flags_word t.cpu real;
-  Cpu.set_interrupts_enabled t.cpu true;
-  t.v_if <- w land 0x200 <> 0;
-  t.v_cpl <- (w lsr 12) land 3;
-  Cpu.set_cpl t.cpu (real_ring_of_vring t.v_cpl)
+let guest_read t ~addr ~len = Vcpu.read t.vcpu ~addr ~len
+let guest_write t ~addr ~data = Vcpu.write t.vcpu ~addr ~data
+let guest_flags_word t = Vcpu.flags_word t.vcpu
 
 (* -- Escalation: the guest is beyond saving; keep the debugger alive --
 
@@ -352,15 +240,6 @@ let escalate ?(cause = "unrecoverable_fault") ?(chain = []) t ~vector ~pc =
 
 (* -- Reflection into the guest's virtual interrupt table -- *)
 
-let read_guest_gate t vector =
-  if vector < 0 || vector >= 64 then None
-  else
-    let base = t.v_iht + (8 * vector) in
-    match (guest_read_u32 t base, guest_read_u32 t (base + 4)) with
-    | Some handler, Some info when info land 1 <> 0 ->
-      Some (handler, (info lsr 1) land 3, (info lsr 3) land 3)
-    | _ -> None
-
 let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
     ~depth =
   span t "irq" "reflect" @@ fun () ->
@@ -370,177 +249,77 @@ let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
   (* [chain] records each delivery attempt (vector, pc), innermost last,
      so a crash report shows the whole nested-exception cascade. *)
   let chain = chain @ [ (vector, return_pc) ] in
-  match read_guest_gate t vector with
-  | None ->
-    if depth > 0 || vector = Isa.vec_protection then
-      (* Guest double/triple fault: stop it, tell the debugger. *)
-      escalate t
-        ~cause:(if depth > 0 then "double_fault" else "no_fault_gate")
-        ~chain ~vector ~pc:return_pc
-    else
-      reflect ~chain t ~vector:Isa.vec_protection ~error:vector ~return_pc
-        ~depth:(depth + 1)
-  | Some (_, _, dpl) when check_dpl && dpl < t.v_cpl ->
-    (* Software interrupt through a gate the caller may not use: #GP,
-       like the hardware path. *)
+  match Vcpu.deliver t.vcpu ~check_dpl ~vector ~error ~return_pc with
+  | Vcpu.Delivered -> ()
+  | Vcpu.No_gate when depth > 0 || vector = Isa.vec_protection ->
+    (* Guest double/triple fault: stop it, tell the debugger. *)
+    escalate t
+      ~cause:(if depth > 0 then "double_fault" else "no_fault_gate")
+      ~chain ~vector ~pc:return_pc
+  | Vcpu.No_gate | Vcpu.Gate_dpl ->
+    (* A missing gate, or a software interrupt through a gate the caller
+       may not use: #GP, like the hardware path. *)
     reflect ~chain t ~vector:Isa.vec_protection ~error:vector ~return_pc
       ~depth:(depth + 1)
-  | Some (handler, target_vring, _dpl) ->
-    let sp0 =
-      if target_vring < t.v_cpl then t.v_stacks.(target_vring)
-      else Cpu.read_reg t.cpu Isa.sp
-    in
-    let flags = guest_flags_word t in
-    let push sp v = if guest_write_u32 t (sp - 4) v then Some (sp - 4) else None in
-    let frame =
-      match push sp0 (Cpu.read_reg t.cpu Isa.sp) with
-      | Some sp1 ->
-        (match push sp1 flags with
-         | Some sp2 ->
-           (match push sp2 (return_pc land 0xFFFFFFFF) with
-            | Some sp3 -> push sp3 (error land 0xFFFFFFFF)
-            | None -> None)
-         | None -> None)
-      | None -> None
-    in
-    (match frame with
-     | Some sp4 ->
-       Cpu.write_reg t.cpu Isa.sp sp4;
-       t.v_cpl <- target_vring;
-       Cpu.set_cpl t.cpu (real_ring_of_vring target_vring);
-       t.v_if <- false;
-       Cpu.set_pc t.cpu handler;
-       charge t t.costs.Costs.interrupt_delivery
-     | None ->
-       (* The guest's stack is unmapped: unrecoverable from its side. *)
-       escalate t ~cause:"stack_unmapped" ~chain ~vector ~pc:return_pc)
+  | Vcpu.Stack_unmapped ->
+    (* The guest's stack is unmapped: unrecoverable from its side. *)
+    escalate t ~cause:"stack_unmapped" ~chain ~vector ~pc:return_pc
 
 (* -- Virtual interrupt delivery -- *)
 
+(* Deliver a pending virtual interrupt when the guest can take it. *)
 let kick t =
-  (* Deliver a pending virtual interrupt when the guest can take it.  The
-     trap-flag check defers delivery across a debugger single-step. *)
-  if
-    t.v_if
-    && (not (Cpu.stopped t.cpu))
-    && (not (Cpu.trap_flag t.cpu))
-    && Pic.pending t.vpic
-  then
-    match Pic.ack t.vpic with
-    | Some vvector ->
-      t.c_irq <- t.c_irq + 1;
-      (* interrupt-driven pc sampling: the timer tick observes where the
-         guest was about to resume *)
-      if vvector = Pic.vector_base t.vpic + Machine.Irq.timer then begin
-        let pc = Cpu.pc t.cpu in
-        Hashtbl.replace t.samples pc
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.samples pc))
-      end;
-      (* Race-witness cross-validation: this delivery preempts the
-         mainline at [pc].  If that pc lies strictly inside a sampled
-         RMW window and the vector matches the static report, the
-         handler really is interleaving the read-modify-write — upgrade
-         the diagnostic from "static" to "witnessed".  Flight-ring only:
-         the replay stream must not change with witnessing on. *)
-      if Array.length t.race_sites > 0 then begin
-        let pc = Cpu.pc t.cpu in
-        Array.iter
-          (fun w ->
-            let s = w.rsite in
-            if
-              s.Races.vector = vvector
-              && s.Races.load_pc < pc
-              && pc <= s.Races.store_pc
-            then begin
-              w.rw_witnessed <- w.rw_witnessed + 1;
-              t.c_race_witnessed <- t.c_race_witnessed + 1;
-              flight_note t "race.witness"
-                (Flight.Text
-                   (Printf.sprintf
-                      "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x" vvector
-                      s.Races.load_pc s.Races.store_pc pc))
-            end)
-          t.race_sites
-      end;
-      if t.v_halted then begin
-        t.v_halted <- false;
-        Cpu.set_halted t.cpu false
-      end;
-      reflect t ~vector:vvector ~error:0 ~return_pc:(Cpu.pc t.cpu) ~depth:0
-    | None -> ()
+  match Vcpu.take_irq t.vcpu with
+  | Some vvector ->
+    t.c_irq <- t.c_irq + 1;
+    (* Race-witness cross-validation: this delivery preempts the
+       mainline at [pc].  If that pc lies strictly inside a sampled
+       RMW window and the vector matches the static report, the
+       handler really is interleaving the read-modify-write — upgrade
+       the diagnostic from "static" to "witnessed".  Flight-ring only:
+       the replay stream must not change with witnessing on. *)
+    if Array.length t.race_sites > 0 then begin
+      let pc = Cpu.pc t.cpu in
+      Array.iter
+        (fun w ->
+          let s = w.rsite in
+          if
+            s.Races.vector = vvector
+            && s.Races.load_pc < pc
+            && pc <= s.Races.store_pc
+          then begin
+            w.rw_witnessed <- w.rw_witnessed + 1;
+            t.c_race_witnessed <- t.c_race_witnessed + 1;
+            flight_note t "race.witness"
+              (Flight.Text
+                 (Printf.sprintf
+                    "vector %d interleaved rmw 0x%x..0x%x at pc 0x%x" vvector
+                    s.Races.load_pc s.Races.store_pc pc))
+          end)
+        t.race_sites
+    end;
+    reflect t ~vector:vvector ~error:0 ~return_pc:(Cpu.pc t.cpu) ~depth:0
+  | None -> ()
 
 let virtual_irq t line =
   emit_event t "monitor.virq" (Event.Irq_inject { line });
-  Pic.raise_irq t.vpic line;
-  if t.v_halted && t.v_if && Pic.pending t.vpic then begin
-    t.v_halted <- false;
-    Cpu.set_halted t.cpu false
-  end;
+  Vcpu.raise_irq t.vcpu line;
   kick t
 
 (* -- Privileged-instruction emulation (guest kernel only) -- *)
-
-let emulate_lptb t value =
-  t.v_ptb <- value;
-  Shadow.clear t.shadow;
-  Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-  charge t t.costs.Costs.shadow_pt_sync
 
 let emulate_privileged t instr pc =
   span t "mon_cpu" "emulate_priv" @@ fun () ->
   t.c_cpu <- t.c_cpu + 1;
   world_switch t;
   charge t t.costs.Costs.emulate_cpu;
-  let next = (pc + Isa.width) land 0xFFFFFFFF in
-  let reg r = Cpu.read_reg t.cpu r in
-  match instr with
-  | Isa.Sti ->
-    t.v_if <- true;
-    Cpu.set_pc t.cpu next;
-    kick t
-  | Isa.Cli ->
-    t.v_if <- false;
-    Cpu.set_pc t.cpu next
-  | Isa.Hlt ->
-    t.v_halted <- true;
-    Cpu.set_pc t.cpu next;
-    if t.v_if && Pic.pending t.vpic then kick t
-    else Cpu.set_halted t.cpu true
-  | Isa.Iret ->
-    let sp = Cpu.read_reg t.cpu Isa.sp in
-    (match
-       ( guest_read_u32 t sp,
-         guest_read_u32 t (sp + 4),
-         guest_read_u32 t (sp + 8),
-         guest_read_u32 t (sp + 12) )
-     with
-     | Some _error, Some return_pc, Some flags, Some old_sp ->
-       set_guest_flags t flags;
-       Cpu.write_reg t.cpu Isa.sp old_sp;
-       Cpu.set_pc t.cpu return_pc;
-       kick t
-     | _ -> escalate t ~cause:"bad_iret_frame" ~vector:Isa.vec_protection ~pc)
-  | Isa.Liht r ->
-    t.v_iht <- reg r;
-    Cpu.set_pc t.cpu next
-  | Isa.Lptb r ->
-    emulate_lptb t (reg r);
-    Cpu.set_pc t.cpu next
-  | Isa.Lstk (ring, r) ->
-    t.v_stacks.(ring land 3) <- reg r;
-    Cpu.set_pc t.cpu next
-  | Isa.Tlbflush ->
-    Shadow.clear t.shadow;
-    Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-    Cpu.set_pc t.cpu next
-  | Isa.Nop | Isa.Movi _ | Isa.Mov _ | Isa.Add _ | Isa.Addi _ | Isa.Sub _
-  | Isa.And_ _ | Isa.Or_ _ | Isa.Xor_ _ | Isa.Shl _ | Isa.Shr _ | Isa.Mul _
-  | Isa.Cmp _ | Isa.Cmpi _ | Isa.Ld _ | Isa.St _ | Isa.Ldb _ | Isa.Stb _
-  | Isa.Jmp _ | Isa.Jz _ | Isa.Jnz _ | Isa.Jlt _ | Isa.Jge _ | Isa.Jb _
-  | Isa.Jae _ | Isa.Jr _ | Isa.Call _ | Isa.Ret | Isa.Push _ | Isa.Pop _
-  | Isa.In_ _ | Isa.Ini _ | Isa.Out _ | Isa.Outi _ | Isa.Int_ _ | Isa.Copy _
-  | Isa.Csum _ | Isa.Rdtsc _ | Isa.Vmcall _ | Isa.Brk ->
-    (* Not privileged; cannot reach here via a privilege fault. *)
+  match Vcpu.emulate t.vcpu instr ~pc with
+  | Vcpu.Emulated -> ()
+  | Vcpu.Irq_window -> kick t
+  | Vcpu.Bad_iret_frame ->
+    escalate t ~cause:"bad_iret_frame" ~vector:Isa.vec_protection ~pc
+  | Vcpu.Not_privileged ->
+    (* Cannot reach here via a privilege fault. *)
     escalate t ~vector:Isa.vec_protection ~pc
 
 (* -- Emulated port I/O (the paper's "indirect access" resources) -- *)
@@ -554,13 +333,13 @@ let emulated_in t port =
     t.c_pic <- t.c_pic + 1;
     span t "mon_pic" "vpic_in" @@ fun () ->
     charge t t.costs.Costs.emulate_pic;
-    Pic.io_read t.vpic (port - pic_base)
+    Pic.io_read t.vcpu.Vcpu.vpic (port - pic_base)
   end
   else if port >= pit_base && port < pit_base + 3 then begin
     t.c_pit <- t.c_pit + 1;
     span t "mon_pit" "vpit_in" @@ fun () ->
     charge t t.costs.Costs.emulate_pit;
-    Pit.io_read (get_vpit t) (port - pit_base)
+    Pit.io_read t.vcpu.Vcpu.vpit (port - pit_base)
   end
   else if port >= uart_base && port < uart_base + 3 then begin
     charge t t.costs.Costs.emulate_cpu;
@@ -582,14 +361,14 @@ let emulated_out t port value =
     t.c_pic <- t.c_pic + 1;
     span t "mon_pic" "vpic_out" @@ fun () ->
     charge t t.costs.Costs.emulate_pic;
-    Pic.io_write t.vpic (port - pic_base) value;
+    Pic.io_write t.vcpu.Vcpu.vpic (port - pic_base) value;
     kick t
   end
   else if port >= pit_base && port < pit_base + 3 then begin
     t.c_pit <- t.c_pit + 1;
     span t "mon_pit" "vpit_out" @@ fun () ->
     charge t t.costs.Costs.emulate_pit;
-    Pit.io_write (get_vpit t) (port - pit_base) value
+    Pit.io_write t.vcpu.Vcpu.vpit (port - pit_base) value
   end
   else if port >= uart_base && port < uart_base + 3 then begin
     charge t t.costs.Costs.emulate_cpu;
@@ -637,29 +416,6 @@ let vbp_page_armed t addr =
     Breakpoints.page_armed (Stub.breakpoints stub) ~page:addr
   | None -> false
 
-(* The guest's own translation of [vaddr]: (frame, writable, user), or
-   [None] when the guest maps nothing there.  With guest paging off the
-   guest sees its physical memory identity-mapped and unrestricted. *)
-let guest_mapping t vaddr =
-  let page = vaddr land lnot 0xFFF in
-  if t.v_ptb = 0 then
-    if Vm_layout.guest_owns t.layout page then Some (page, true, true)
-    else None
-  else
-    match Mmu.probe (Machine.mem t.machine) ~ptb:t.v_ptb vaddr with
-    | Some pte -> Some (Mmu.frame_of pte, Mmu.is_writable pte, Mmu.is_user pte)
-    | None -> None
-
-(* Install a shadow entry; a full shadow pool is dropped and refilled
-   lazily from scratch. *)
-let shadow_map ?nx t ~vaddr ~frame ~writable ~user =
-  (try Shadow.map ?nx t.shadow ~vaddr ~frame ~writable ~user
-   with Shadow.Out_of_shadow_memory ->
-     Shadow.clear t.shadow;
-     Cpu.set_ptb t.cpu (Shadow.root t.shadow);
-     Shadow.map ?nx t.shadow ~vaddr ~frame ~writable ~user);
-  Cpu.flush_tlb t.cpu
-
 let fill_shadow t ~vaddr ~frame ~writable ~user =
   (* Watched pages stay read-only in the shadow so every store traps. *)
   let writable =
@@ -667,8 +423,7 @@ let fill_shadow t ~vaddr ~frame ~writable ~user =
   in
   (* Pages with armed virtual breakpoints stay readable/writable (guest
      data reads see pristine text) but no-execute: every fetch traps. *)
-  shadow_map t ~vaddr ~frame ~writable ~user ~nx:(vbp_page_armed t vaddr);
-  charge t t.costs.Costs.shadow_pt_sync
+  Vcpu.fill_shadow t.vcpu ~vaddr ~frame ~writable ~user ~nx:(vbp_page_armed t vaddr)
 
 (* Replay a store on a protected page: map it writable (bypassing the
    watch), single-step the faulting instruction, and re-protect on the
@@ -681,7 +436,7 @@ let unprotect_for_step ?(for_write = false) t page =
   if t.reprotect_pages = [] then
     t.mon_step_only <- not (Cpu.trap_flag t.cpu);
   let frame, writable, user =
-    Option.value (guest_mapping t page) ~default:(page, true, true)
+    Option.value (Vcpu.guest_mapping t.vcpu page) ~default:(page, true, true)
   in
   (* A virtual-breakpoint step-through only needs the page executable;
      lifting a watchpoint's write protection at the same time would let
@@ -690,13 +445,13 @@ let unprotect_for_step ?(for_write = false) t page =
   let writable =
     writable && (for_write || not (Watchpoints.page_watched t.watchpoints page))
   in
-  shadow_map t ~vaddr:page ~frame ~writable ~user;
+  Vcpu.shadow_map t.vcpu ~vaddr:page ~frame ~writable ~user;
   Cpu.set_trap_flag t.cpu true;
   if not (List.mem page t.reprotect_pages) then
     t.reprotect_pages <- page :: t.reprotect_pages
 
 let reprotect_after_step t pages =
-  List.iter (fun page -> Shadow.unmap t.shadow ~vaddr:page) pages;
+  List.iter (fun page -> Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page) pages;
   Cpu.flush_tlb t.cpu;
   t.reprotect_pages <- []
 
@@ -749,11 +504,8 @@ let handle_page_fault t (f : Mmu.fault) pc =
   world_switch t;
   let vaddr = f.Mmu.vaddr in
   let page = vaddr land lnot 0xFFF in
-  match guest_mapping t vaddr with
-  | Some (frame, writable, user)
-    when Vm_layout.guest_owns t.layout frame
-         && (f.Mmu.access <> Mmu.Write || writable)
-         && (t.v_cpl < 3 || user) ->
+  match Vcpu.permitted t.vcpu f with
+  | Some (frame, writable, user) ->
     if f.Mmu.access = Mmu.Exec && vbp_page_armed t vaddr then
       handle_vbp_fault t ~vaddr ~pc
     else if
@@ -769,7 +521,7 @@ let handle_page_fault t (f : Mmu.fault) pc =
     end
     else fill_shadow t ~vaddr ~frame ~writable ~user
     (* pc unchanged: the faulting access retries against the new entry *)
-  | Some _ | None ->
+  | None ->
     reflect t ~vector:Isa.vec_page_fault ~error:vaddr ~return_pc:pc ~depth:0
 
 (* -- Hypercalls -- *)
@@ -786,7 +538,7 @@ let handle_hypercall t imm =
   | 1 -> Cpu.write_reg t.cpu 1 0x0100 (* monitor version 1.0 *)
   | 2 ->
     t.shutdown <- true;
-    t.v_halted <- true;
+    t.vcpu.Vcpu.v_halted <- true;
     trace t Flight.Info "guest requested shutdown";
     Cpu.set_halted t.cpu true
   | _ -> ()
@@ -831,8 +583,8 @@ let inject t fault =
       { Mmu.vaddr; access = Mmu.Write; not_present = false }
       (Cpu.pc t.cpu)
   | Iht_clobber ->
-    ignore (guest_write t ~addr:t.v_iht ~data:(String.make (64 * 8) '\000'))
-  | Ptb_clobber -> emulate_lptb t 0
+    ignore (guest_write t ~addr:t.vcpu.Vcpu.v_iht ~data:(String.make (64 * 8) '\000'))
+  | Ptb_clobber -> Vcpu.load_ptb t.vcpu 0
   | Irq_storm { lines; rounds } ->
     for _ = 1 to rounds do
       for line = 0 to lines - 1 do
@@ -840,8 +592,8 @@ let inject t fault =
       done
     done
   | Guest_wedge ->
-    t.v_if <- false;
-    t.v_halted <- true;
+    t.vcpu.Vcpu.v_if <- false;
+    t.vcpu.Vcpu.v_halted <- true;
     Cpu.set_halted t.cpu true
 
 (* -- Real interrupt routing -- *)
@@ -878,13 +630,13 @@ let handle_real_irq t vector =
 let handle_fault t kind pc =
   match kind with
   | Cpu.Gp (Cpu.Privileged_instruction instr) ->
-    if t.v_cpl = 0 then emulate_privileged t instr pc
+    if t.vcpu.Vcpu.v_cpl = 0 then emulate_privileged t instr pc
     else
       span t "mon_cpu" "gp" @@ fun () ->
       world_switch t;
       reflect t ~vector:Isa.vec_protection ~error:0 ~return_pc:pc ~depth:0
   | Cpu.Gp (Cpu.Io_denied port) ->
-    if t.v_cpl = 0 then emulate_io t port pc
+    if t.vcpu.Vcpu.v_cpl = 0 then emulate_io t port pc
     else begin
       span t "mon_cpu" "gp" @@ fun () ->
       world_switch t;
@@ -940,42 +692,13 @@ let hook t _cpu event =
 
 (* -- Profiling -- *)
 
-let profile t =
-  Hashtbl.fold (fun pc count acc -> (pc, count) :: acc) t.samples []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let clear_profile t = Hashtbl.reset t.samples
-
-(* The [qP] payload: the continuous profiler's dump once it is armed (or
-   has samples), else the legacy timer-interrupt histogram rendered in
-   the same self-describing format ([period=0] marks it; the timer tick
-   cannot see the ring or attribution category, so both read as
-   unknown). *)
+(* The [qP] payload: the continuous profiler's dump.  Trailer: the block
+   translator's cache counters ride along so a host profiling session
+   sees translation behaviour without a separate query.
+   [Profiler.parse_dump] keeps only [pc=...] bucket lines, so the extra
+   line is transparent to existing consumers. *)
 let profile_dump t =
-  let prof = Machine.profiler t.machine in
-  let base =
-    if Profiler.enabled prof || Profiler.total_samples prof > 0 then
-      Profiler.dump prof
-    else begin
-      let pairs = profile t in
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "samples=%d period=0 buckets=%d\n"
-           (List.fold_left (fun acc (_, c) -> acc + c) 0 pairs)
-           (List.length pairs));
-      List.iter
-        (fun (pc, count) ->
-          Buffer.add_string b
-            (Printf.sprintf "pc=0x%x ring=0 cat=timer count=%d\n" pc count))
-        pairs;
-      Buffer.contents b
-    end
-  in
-  (* Trailer: the block translator's cache counters ride along so a host
-     profiling session sees translation behaviour without a separate
-     query.  [Profiler.parse_dump] keeps only [pc=...] bucket lines, so
-     the extra line is transparent to existing consumers. *)
-  base
+  Profiler.dump (Machine.profiler t.machine)
   ^ Printf.sprintf
       "jit compiled=%d hits=%d invalidations=%d chains=%d fallbacks=%d\n"
       (Cpu.blocks_compiled t.cpu) (Cpu.block_hits t.cpu)
@@ -991,9 +714,9 @@ let crashed t = match t.lifecycle with Crashed _ -> true | Healthy -> false
 let watchdog_sample t () =
   {
     Watchdog.retired = Cpu.instructions_retired t.cpu;
-    irq_acks = Pic.acks t.vpic;
-    interruptible = t.v_if;
-    halted = t.v_halted;
+    irq_acks = Pic.acks t.vcpu.Vcpu.vpic;
+    interruptible = t.vcpu.Vcpu.v_if;
+    halted = t.vcpu.Vcpu.v_halted;
     suspended = Cpu.stopped t.cpu || t.shutdown || crashed t;
   }
 
@@ -1074,7 +797,7 @@ let watchdog_report t =
 let verify_config t =
   let emulated base = (base, base + 2) in
   {
-    Verifier.guest_owns = Vm_layout.guest_owns t.layout;
+    Verifier.guest_owns = Vm_layout.guest_owns t.vcpu.Vcpu.layout;
     allowed_ports =
       emulated Machine.Ports.pic :: emulated Machine.Ports.pit
       :: emulated Machine.Ports.uart
@@ -1146,8 +869,8 @@ let register_metrics t =
   g "monitor_hypercalls_total" (fun () -> t.c_hyper);
   g "monitor_escalations_total" (fun () -> t.c_escal);
   g "monitor_injected_faults_total" (fun () -> t.c_inject);
-  g "shadow_fills_total" (fun () -> Shadow.fills t.shadow);
-  g "shadow_mappings" (fun () -> Shadow.mappings t.shadow);
+  g "shadow_fills_total" (fun () -> Shadow.fills t.vcpu.Vcpu.shadow);
+  g "shadow_mappings" (fun () -> Shadow.mappings t.vcpu.Vcpu.shadow);
   g "stublink_retransmits_total" (fun () ->
       (Stub.link_stats (get_stub t)).Vmm_proto.Reliable.retransmits);
   g "stublink_bad_checksums_total" (fun () ->
@@ -1161,7 +884,7 @@ let register_metrics t =
       Stub.commands_handled (get_stub t));
   g "stub_notifications_sent_total" (fun () ->
       Stub.notifications_sent (get_stub t));
-  Pic.set_latency_probe t.vpic
+  Pic.set_latency_probe t.vcpu.Vcpu.vpic
     ~now:(fun () -> Vmm_sim.Engine.now (Machine.engine t.machine))
     ~observe:
       (let h =
@@ -1169,8 +892,8 @@ let register_metrics t =
            ~buckets:64 ~width:2000.0
        in
        Vmm_sim.Stats.observe h);
-  g "vpic_irqs_raised_total" (fun () -> Pic.raises t.vpic);
-  g "vpic_irqs_acked_total" (fun () -> Pic.acks t.vpic);
+  g "vpic_irqs_raised_total" (fun () -> Pic.raises t.vcpu.Vcpu.vpic);
+  g "vpic_irqs_acked_total" (fun () -> Pic.acks t.vcpu.Vcpu.vpic);
   (* Lifecycle & recovery: is the guest quarantined, has the watchdog
      fired, how many warm restarts — the gauntlet's vital signs. *)
   g "monitor_crashes_total" (fun () -> t.c_crashes);
@@ -1242,15 +965,15 @@ let register_metrics t =
    reverse-continue become "restore, then deterministically re-execute
    to an instruction boundary". *)
 
-let mon_state t =
+let mon_state { vcpu = v; console_buf; _ } =
   {
-    Snapshot.Full.v_if = t.v_if;
-    v_iht = t.v_iht;
-    v_ptb = t.v_ptb;
-    v_cpl = t.v_cpl;
-    v_stacks = Array.copy t.v_stacks;
-    v_halted = t.v_halted;
-    console = Buffer.contents t.console_buf;
+    Snapshot.Full.v_if = v.Vcpu.v_if;
+    v_iht = v.Vcpu.v_iht;
+    v_ptb = v.Vcpu.v_ptb;
+    v_cpl = v.Vcpu.v_cpl;
+    v_stacks = Array.copy v.Vcpu.v_stacks;
+    v_halted = v.Vcpu.v_halted;
+    console = Buffer.contents console_buf;
   }
 
 let rec take n = function
@@ -1259,8 +982,8 @@ let rec take n = function
   | x :: rest -> x :: take (n - 1) rest
 
 let capture_full t =
-  Snapshot.Full.capture ~machine:t.machine ~pages:t.pages ~vpic:t.vpic
-    ~vpit:(get_vpit t)
+  Snapshot.Full.capture ~machine:t.machine ~pages:t.pages ~vpic:t.vcpu.Vcpu.vpic
+    ~vpit:t.vcpu.Vcpu.vpit
     ~link:(Stub.endpoint (get_stub t))
     ~mon:(mon_state t)
 
@@ -1309,12 +1032,10 @@ let checkpoint_stop t = t.checkpoint_gen <- t.checkpoint_gen + 1
 let checkpoints t = t.checkpoints
 
 (* Monitor-side state that belongs to the old guest's execution rather
-   than to any guest state: stale shadow translations, a crash verdict,
-   a half-finished monitor step.  Dropped whenever a guest state is
-   booted or loaded. *)
+   than to any guest state: a crash verdict, a half-finished monitor
+   step.  Dropped whenever a guest state is booted or loaded (each of
+   which also flushes the shadow). *)
 let forget_execution t =
-  Shadow.clear t.shadow;
-  Cpu.set_ptb t.cpu (Shadow.root t.shadow);
   t.lifecycle <- Healthy;
   t.shutdown <- false;
   t.reprotect_pages <- [];
@@ -1329,8 +1050,8 @@ let forget_execution t =
    loaded, and armed breakpoints re-arm lazily on the cleared shadow.
    Only the pages that may differ are written, through the normal store
    path, so cached ops on those pages invalidate and cached ops on the
-   others stay valid; [forget_execution]'s [set_ptb] still flushes the
-   TLB and the instruction cache.  A checkpoint whose page count does not
+   others stay valid; the shadow flush's [set_ptb] still flushes the TLB
+   and the instruction cache.  A checkpoint whose page count does not
    match this layout is refused before any state changes.  The
    instruction counter is left to the caller. *)
 let load_state t (full : Snapshot.Full.t) =
@@ -1342,22 +1063,23 @@ let load_state t (full : Snapshot.Full.t) =
   Cpu.set_halted t.cpu full.Snapshot.Full.halted;
   Cpu.set_trap_flag t.cpu false;
   Cpu.set_interrupts_enabled t.cpu true;
-  let mon = full.Snapshot.Full.mon in
-  t.v_if <- mon.Snapshot.Full.v_if;
-  t.v_iht <- mon.Snapshot.Full.v_iht;
-  t.v_ptb <- mon.Snapshot.Full.v_ptb;
-  t.v_cpl <- mon.Snapshot.Full.v_cpl;
-  Array.blit mon.Snapshot.Full.v_stacks 0 t.v_stacks 0
-    (Array.length t.v_stacks);
-  t.v_halted <- mon.Snapshot.Full.v_halted;
+  let mon = full.Snapshot.Full.mon and v = t.vcpu in
+  v.Vcpu.v_if <- mon.Snapshot.Full.v_if;
+  v.Vcpu.v_iht <- mon.Snapshot.Full.v_iht;
+  v.Vcpu.v_ptb <- mon.Snapshot.Full.v_ptb;
+  v.Vcpu.v_cpl <- mon.Snapshot.Full.v_cpl;
+  Array.blit mon.Snapshot.Full.v_stacks 0 v.Vcpu.v_stacks 0
+    (Array.length v.Vcpu.v_stacks);
+  v.Vcpu.v_halted <- mon.Snapshot.Full.v_halted;
   Buffer.clear t.console_buf;
   Buffer.add_string t.console_buf mon.Snapshot.Full.console;
-  Pic.restore t.vpic full.Snapshot.Full.vpic;
-  Pit.restore_phase (get_vpit t) full.Snapshot.Full.vpit;
+  Pic.restore v.Vcpu.vpic full.Snapshot.Full.vpic;
+  Pit.restore_phase v.Vcpu.vpit full.Snapshot.Full.vpit;
   Pic.restore (Machine.pic t.machine) full.Snapshot.Full.pic;
   Pit.restore_phase (Machine.pit t.machine) full.Snapshot.Full.pit;
   Scsi.restore (Machine.scsi t.machine) full.Snapshot.Full.scsi;
   Nic.restore (Machine.nic t.machine) full.Snapshot.Full.nic;
+  Vcpu.flush_shadow v;
   forget_execution t
 
 let restore_checkpoint t (full : Snapshot.Full.t) =
@@ -1378,7 +1100,6 @@ let restart_guest t =
          boot.Snapshot.Full.pc);
     load_state t boot;
     Cpu.set_stopped t.cpu false;
-    Hashtbl.reset t.samples;
     t.c_restarts <- t.c_restarts + 1;
     (* Pre-restart checkpoints describe a dead history line. *)
     t.checkpoints <- [];
@@ -1499,7 +1220,7 @@ let flight_query t =
 (* -- Stub target -- *)
 
 let vbp_sync_page t addr =
-  Shadow.unmap t.shadow ~vaddr:(addr land lnot 0xFFF);
+  Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:(addr land lnot 0xFFF);
   Cpu.flush_tlb t.cpu
 
 (* -- Race-witness arming --
@@ -1566,7 +1287,7 @@ let make_target t =
         else begin
           (if idx < 16 then Cpu.write_reg t.cpu idx v
            else if idx = 16 then Cpu.set_pc t.cpu v
-           else set_guest_flags t v);
+           else Vcpu.set_flags_word t.vcpu v);
           true
         end);
     read_memory = (fun ~addr ~len -> guest_read t ~addr ~len);
@@ -1596,7 +1317,7 @@ let make_target t =
         else begin
           List.iter
             (fun page ->
-              Shadow.unmap t.shadow ~vaddr:page)
+              Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page)
             (Watchpoints.pages_of ~addr ~len);
           Cpu.flush_tlb t.cpu;
           true
@@ -1607,7 +1328,7 @@ let make_target t =
           (* Drop the read-only shadow entries; the next fault refills
              them with the guest's real permissions. *)
           List.iter
-            (fun page -> Shadow.unmap t.shadow ~vaddr:page)
+            (fun page -> Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page)
             (Watchpoints.pages_of ~addr ~len);
           Cpu.flush_tlb t.cpu;
           true
@@ -1666,28 +1387,18 @@ let make_target t =
 (* -- Construction -- *)
 
 let install ?(passthrough = default_passthrough) machine =
-  let cpu = Machine.cpu machine in
-  let costs = Machine.costs machine in
-  let layout = Vm_layout.default ~mem_size:(Phys_mem.size (Machine.mem machine)) in
-  let shadow = Shadow.create ~mem:(Machine.mem machine) ~layout () in
+  (* The virtual PIT's expiry is a virtual IRQ, which needs [t]. *)
+  let on_timer = ref ignore in
+  let vcpu = Vcpu.create machine ~timer_irq:(fun () -> !on_timer ()) in
+  let cpu = vcpu.Vcpu.cpu and costs = vcpu.Vcpu.costs in
   let t =
     {
       machine;
       cpu;
       costs;
-      layout;
-      shadow;
-      vpic = Pic.create ();
-      vpit = None;
-      v_if = false;
-      v_iht = 0;
-      v_ptb = 0;
-      v_cpl = 0;
-      v_stacks = Array.make 4 0;
-      v_halted = false;
+      vcpu;
       stub = None;
       watchpoints = Watchpoints.create ();
-      samples = Hashtbl.create 256;
       reprotect_pages = [];
       mon_step_only = false;
       watch_resume = None;
@@ -1709,7 +1420,7 @@ let install ?(passthrough = default_passthrough) machine =
       checkpoints = [];
       pages =
         Snapshot.Pages.create (Machine.mem machine)
-          ~len:layout.Vm_layout.monitor_base;
+          ~len:vcpu.Vcpu.layout.Vm_layout.monitor_base;
       checkpoint_keep = 8;
       checkpoint_gen = 0;
       c_checkpoints = 0;
@@ -1736,18 +1447,14 @@ let install ?(passthrough = default_passthrough) machine =
     }
   in
   t.capture_bundle <- (fun ~cause -> capture_crash_bundle t ~cause);
-  let vpit =
-    Pit.create ~engine:(Machine.engine machine) ~costs
-      ~raise_irq:(fun () -> virtual_irq t Machine.Irq.timer)
-      ()
-  in
-  t.vpit <- Some vpit;
-  let vpic0 = Pic.capture t.vpic and vpit0 = Pit.capture_phase vpit in
+  on_timer := (fun () -> virtual_irq t Machine.Irq.timer);
+  let vpic = vcpu.Vcpu.vpic and vpit = vcpu.Vcpu.vpit in
+  let vpic0 = Pic.capture vpic and vpit0 = Pit.capture_phase vpit in
   let scsi0 = Scsi.capture (Machine.scsi machine)
   and nic0 = Nic.capture (Machine.nic machine) in
   t.power_on <-
     (fun () ->
-      Pic.restore t.vpic vpic0;
+      Pic.restore vpic vpic0;
       Pit.restore_phase vpit vpit0;
       Scsi.restore (Machine.scsi machine) scsi0;
       Nic.restore (Machine.nic machine) nic0);
@@ -1768,42 +1475,21 @@ let install ?(passthrough = default_passthrough) machine =
         Cpu.allow_port cpu port true
       done)
     passthrough;
-  (* The monitor owns the real interrupt path. *)
-  Pic.io_write (Machine.pic machine) 1 0x00;
-  Cpu.set_interrupts_enabled cpu true;
+  (* The debug UART interrupts the monitor on every received byte. *)
   Uart.io_write (Machine.uart machine) 2 1;
-  Cpu.set_ptb cpu (Shadow.root shadow);
   Cpu.set_hypervisor cpu (Some (hook t));
   t
 
 let uninstall t = Cpu.set_hypervisor t.cpu None
 
 let boot_guest t program ~entry =
-  let size = Bytes.length program.Asm.code in
-  if not (Vm_layout.guest_range_ok t.layout ~addr:program.Asm.origin ~len:size)
-  then invalid_arg "Monitor.boot_guest: image overlaps monitor memory";
+  Vcpu.boot t.vcpu program ~entry;
   t.power_on ();
-  Asm.load program (Machine.mem t.machine);
-  for i = 0 to 15 do
-    Cpu.write_reg t.cpu i 0
-  done;
-  t.v_if <- false;
-  t.v_iht <- 0;
-  t.v_ptb <- 0;
-  t.v_cpl <- 0;
-  Array.fill t.v_stacks 0 (Array.length t.v_stacks) 0;
-  t.v_halted <- false;
   Buffer.clear t.console_buf;
   t.last_wedge <- None;
   t.last_bundle <- None;
   t.checkpoints <- [];
   forget_execution t;
-  Cpu.set_cpl t.cpu 1;
-  Cpu.set_interrupts_enabled t.cpu true;
-  Cpu.set_trap_flag t.cpu false;
-  Cpu.set_pc t.cpu entry;
-  Cpu.set_halted t.cpu false;
-  Cpu.set_stopped t.cpu false;
   (* The image is loaded, the registers are zero and the devices at
      power-on: exactly the state a warm restart must reproduce.  Not a
      [checkpoint_now]: the boot state is no checkpoint of the run. *)
@@ -1822,17 +1508,17 @@ let boot_guest t program ~entry =
 
 (* -- Accessors -- *)
 
-let guest_interrupts_enabled t = t.v_if
-let guest_cpl t = t.v_cpl
-let guest_iht t = t.v_iht
-let guest_ptb t = t.v_ptb
-let guest_halted t = t.v_halted
+let guest_interrupts_enabled t = t.vcpu.Vcpu.v_if
+let guest_cpl t = t.vcpu.Vcpu.v_cpl
+let guest_iht t = t.vcpu.Vcpu.v_iht
+let guest_ptb t = t.vcpu.Vcpu.v_ptb
+let guest_halted t = t.vcpu.Vcpu.v_halted
 let stub t = get_stub t
 let machine t = t.machine
-let layout t = t.layout
-let shadow t = t.shadow
-let virtual_pic t = t.vpic
-let virtual_pit t = get_vpit t
+let layout t = t.vcpu.Vcpu.layout
+let shadow t = t.vcpu.Vcpu.shadow
+let virtual_pic t = t.vcpu.Vcpu.vpic
+let virtual_pit t = t.vcpu.Vcpu.vpit
 
 let stats t =
   {
@@ -1841,7 +1527,7 @@ let stats t =
     pit_emulations = t.c_pit;
     cpu_emulations = t.c_cpu;
     io_emulations = t.c_io;
-    shadow_fills = Shadow.fills t.shadow;
+    shadow_fills = Shadow.fills t.vcpu.Vcpu.shadow;
     reflected_irqs = t.c_irq;
     reflected_faults = t.c_fault;
     hypercalls = t.c_hyper;

@@ -10,7 +10,10 @@
     guest through the I/O permission bitmap.  Guest memory is virtualized
     with lazily-filled shadow page tables that never map monitor frames,
     yielding the application / guest-OS / monitor three-level protection
-    the paper describes on two-level hardware.
+    the paper describes on two-level hardware.  The virtualized CPU state
+    and its semantics are {!Vcpu}'s, shared with the hosted-VMM baseline;
+    this module adds the monitor's costs, device emulation, failure
+    policy and debug plane.
 
     The embedded {!Stub} services the host debugger; the monitor routes
     UART interrupts to it and escalates unrecoverable guest faults (e.g. a
@@ -110,20 +113,10 @@ val shadow : t -> Shadow.t
 val virtual_pic : t -> Vmm_hw.Pic.t
 val watchpoints : t -> Watchpoints.t
 
-(** [profile t] — the legacy timer-interrupt profile (pc, hits), hottest
-    first.  The monitor samples the interrupted guest pc at every
-    reflected timer interrupt, so the histogram approximates where guest
-    time goes — but goes blind when the guest masks interrupts.  The
-    continuous profiler ({!Vmm_hw.Machine.set_profiling}) has no such
-    blind spot. *)
-val profile : t -> (int * int) list
-
-val clear_profile : t -> unit
-
 (** [profile_dump t] — the [qP] payload: the continuous profiler's
-    {!Vmm_profile.Profiler.dump} once it is armed or has samples, else
-    the legacy timer-interrupt histogram rendered in the same format
-    (recognizable by [period=0]). *)
+    {!Vmm_profile.Profiler.dump} (arm it with
+    {!Vmm_hw.Machine.set_profiling}) plus a block-translator counter
+    line. *)
 val profile_dump : t -> string
 
 (** [flight_report t] — the machine's live flight-ring dump

@@ -203,17 +203,16 @@ let execute t line =
     in
     (match Session.read_profile_dump t.session with
      | None -> "error: no response"
-     | Some (_, _, []) ->
-       "(no samples yet -- arm the profiler, or wait for timer ticks)"
+     | Some (_, _, []) -> "(no samples yet -- arm the profiler)"
      | Some (_, header, buckets) ->
        let total = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
        let pct c = 100.0 *. float_of_int c /. float_of_int total in
        let buf = Buffer.create 512 in
-       (* period=0 marks the legacy timer-interrupt fallback *)
+       (* period=0: the profiler has been disarmed since sampling *)
        (match List.assoc_opt "period" header with
         | Some "0" | None ->
           Buffer.add_string buf
-            (Printf.sprintf "%d samples (timer-interrupt pc sampling)" total)
+            (Printf.sprintf "%d samples (continuous pc sampling, disarmed)" total)
         | Some p ->
           Buffer.add_string buf
             (Printf.sprintf

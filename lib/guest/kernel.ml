@@ -170,7 +170,7 @@ let emit_iht a ~gates =
     match List.assoc_opt v gates with
     | Some (target, dpl) ->
       Asm.word a (Asm.lbl target);
-      Asm.word a (Asm.imm (1 lor (dpl lsl 3))) (* present, handler ring 0 *)
+      Asm.word a (Asm.imm (Isa.gate_info ~ring:0 ~dpl))
     | None ->
       Asm.word a (Asm.imm 0);
       Asm.word a (Asm.imm 0)

@@ -345,20 +345,12 @@ let store_u8 t ~cpl ~lo ~hi vaddr v =
 
 (* -- Interrupt table -- *)
 
-type gate = { handler : int; present : bool; ring : int; dpl : int }
-
-let read_gate t ~table ~vector =
+(* Address of [vector]'s gate: the handler word, then the info word that
+   [Isa.gate_*] decode. *)
+let gate_base ~table ~vector =
   if vector < 0 || vector >= table_entries then
     raise (Fault_exn (Gp (Bad_vector vector)));
-  let base = Word.add table (8 * vector) in
-  let handler = load_u32 t ~cpl:0 base in
-  let info = load_u32 t ~cpl:0 (Word.add base 4) in
-  {
-    handler;
-    present = info land 1 <> 0;
-    ring = (info lsr 1) land 3;
-    dpl = (info lsr 3) land 3;
-  }
+  Word.add table (8 * vector)
 
 let push_frame t ~ring ~sp ~value =
   let sp = Word.sub sp 4 in
@@ -367,12 +359,14 @@ let push_frame t ~ring ~sp ~value =
 
 let deliver t ~table ~vector ~error ~return_pc =
   settle t (fun t ->
-      let gate = read_gate t ~table ~vector in
-      if not gate.present then
+      let base = gate_base ~table ~vector in
+      let handler = load_u32 t ~cpl:0 base in
+      let info = load_u32 t ~cpl:0 (Word.add base 4) in
+      if not (Isa.gate_present info) then
         raise (Panic (Printf.sprintf "no handler for vector %d" vector));
       let old_sp = t.regs.(Isa.sp) in
       let old_flags = flags_word t in
-      let ring = gate.ring in
+      let ring = Isa.gate_ring info in
       let sp0 = if ring < t.cpl then t.stacks.(ring) else old_sp in
       let sp1 = push_frame t ~ring ~sp:sp0 ~value:old_sp in
       let sp2 = push_frame t ~ring ~sp:sp1 ~value:old_flags in
@@ -382,7 +376,7 @@ let deliver t ~table ~vector ~error ~return_pc =
       t.cpl <- ring;
       t.if_ <- false;
       t.tf <- false;
-      t.pc <- gate.handler;
+      t.pc <- handler;
       charge t t.costs.interrupt_delivery)
 
 let do_iret t =
@@ -448,8 +442,11 @@ let poll_interrupts t =
 
 let dispatch_soft t ~vector ~next_pc =
   if offer t (Soft_int (vector, next_pc)) = Deliver then begin
-    let gate = read_gate t ~table:t.iht ~vector in
-    if (not gate.present) || gate.dpl < t.cpl then
+    let base = gate_base ~table:t.iht ~vector in
+    (* both gate words, in the order [deliver] reads them *)
+    ignore (load_u32 t ~cpl:0 base : int);
+    let info = load_u32 t ~cpl:0 (Word.add base 4) in
+    if (not (Isa.gate_present info)) || Isa.gate_dpl info < t.cpl then
       raise (Fault_exn (Gp (Bad_int_gate vector)))
     else deliver t ~table:t.iht ~vector ~error:0 ~return_pc:next_pc
   end

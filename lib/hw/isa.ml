@@ -358,3 +358,8 @@ let vec_machine_check = 8
 let vec_protection = 13
 let vec_page_fault = 14
 let vec_irq_base_default = 32
+
+let gate_present info = info land 1 <> 0
+let gate_ring info = (info lsr 1) land 3
+let gate_dpl info = (info lsr 3) land 3
+let gate_info ~ring ~dpl = 1 lor ((ring land 3) lsl 1) lor ((dpl land 3) lsl 3)

@@ -124,3 +124,17 @@ val vec_machine_check : int
 
 (** First vector usable for external interrupts by convention. *)
 val vec_irq_base_default : int
+
+(** {2 Interrupt-table gates}
+
+    A gate is two words: the handler address, then an info word with
+    bit 0 = present, bits 1-2 = the ring the handler runs in and bits
+    3-4 = the DPL, the least privileged ring that may [INT] through the
+    gate.  The decoders work on the info word and allocate nothing. *)
+
+val gate_present : int -> bool
+val gate_ring : int -> int
+val gate_dpl : int -> int
+
+(** [gate_info ~ring ~dpl] — the info word of a present gate. *)
+val gate_info : ring:int -> dpl:int -> int

@@ -1,10 +1,9 @@
 (** Continuous PC-sampling profiler.
 
     The monitor samples the guest program counter every N guest cycles
-    from the CPU dispatch loop — no cooperation from guest code, no
-    dependence on the guest's own timer (unlike the legacy
-    timer-interrupt sampling, which goes blind when the guest masks
-    interrupts or wedges).  Each sample is attributed to a
+    from the CPU dispatch loop — no cooperation from guest code and no
+    dependence on the guest's own timer, so it keeps sampling a guest
+    that masks interrupts or wedges.  Each sample is attributed to a
     (pc, ring, category) bucket: the ring is the guest's privilege level
     at the sample instant, the category is the monitor's current
     cycle-attribution category (see {!Vmm_sim.Stats.with_category}), so
@@ -65,7 +64,7 @@ val total_samples : t -> int
 val buckets : t -> (key * int) list
 
 (** [by_pc t] — per-pc totals over all rings/categories, hottest first
-    (the legacy profile shape). *)
+    (the per-pc view a host session reads back). *)
 val by_pc : t -> (int * int) list
 
 (** [by_ring t] — per-privilege-ring totals, sorted by ring. *)

@@ -99,6 +99,144 @@ let test_full_vmm_parks_crashed_guest () =
   Machine.run_seconds m 0.01;
   check bool "guest parked" true (Cpu.stopped (Machine.cpu m))
 
+(* -- Transparency: bare hardware vs lightweight VMM vs hosted VMM --
+
+   One program, three systems: run on the bare machine, under the
+   lightweight monitor and under the hosted VMM, a guest must end with
+   the same general registers and the same halt state.  The interrupt
+   table lives in the image so every system sees the same gates. *)
+
+module Monitor = Core.Monitor
+module Isa = Vmm_hw.Isa
+
+(* 64 gates at label [iht]; [gates] maps vector -> (label, ring, dpl). *)
+let emit_iht a ~gates =
+  Asm.align a 8;
+  Asm.label a "iht";
+  for v = 0 to 63 do
+    match List.assoc_opt v gates with
+    | Some (target, ring, dpl) ->
+      Asm.word a (Asm.lbl target);
+      Asm.word a (Asm.imm (Isa.gate_info ~ring ~dpl))
+    | None ->
+      Asm.word a (Asm.imm 0);
+      Asm.word a (Asm.imm 0)
+  done
+
+(* Ring-0 preamble: stack at [sp], table loaded, ring-0 entry stack. *)
+let setup a ~sp =
+  Asm.movi a Isa.sp (Asm.imm sp);
+  Asm.movi a 1 (Asm.lbl "iht");
+  Asm.liht a 1;
+  Asm.movi a 1 (Asm.imm 0x9000);
+  Asm.lstk a 0 1
+
+(* Drop to ring 3 at [user] on stack 0x7000 with an IRET frame. *)
+let enter_ring3 a =
+  List.iter
+    (fun v ->
+      Asm.movi a 3 v;
+      Asm.push a 3)
+    [ Asm.imm 0x7000; Asm.imm 0x3000; Asm.lbl "user"; Asm.imm 0 ];
+  Asm.iret a
+
+let final_state m ~halted =
+  let cpu = Machine.cpu m in
+  (List.init 16 (Cpu.read_reg cpu), halted)
+
+let run_three program =
+  let bare =
+    let m = fresh () in
+    Machine.boot m program ~entry:0x1000;
+    ignore (Machine.run_until_halted m);
+    final_state m ~halted:(Cpu.halted (Machine.cpu m))
+  in
+  let lightweight =
+    let m = fresh () in
+    let mon = Monitor.install m in
+    Monitor.boot_guest mon program ~entry:0x1000;
+    Machine.run_seconds m 0.001;
+    final_state m ~halted:(Monitor.guest_halted mon)
+  in
+  let hosted =
+    let m = fresh () in
+    let vmm = Full_vmm.install m in
+    Full_vmm.boot_guest vmm program ~entry:0x1000;
+    Machine.run_seconds m 0.001;
+    final_state m ~halted:(Full_vmm.guest_halted vmm)
+  in
+  (bare, lightweight, hosted)
+
+let machine_state = Alcotest.(pair (list int) bool)
+
+let check_transparent name program ~expect =
+  let bare, lightweight, hosted = run_three program in
+  expect bare;
+  check machine_state (name ^ ": lightweight = bare") bare lightweight;
+  check machine_state (name ^ ": hosted = bare") bare hosted
+
+let test_transparent_int_gate_dpl () =
+  (* A ring-3 INT through a DPL-0 gate takes #GP, not the gate. *)
+  let a = Asm.create ~origin:0x1000 () in
+  setup a ~sp:0x8000;
+  enter_ring3 a;
+  Asm.label a "user";
+  Asm.int_ a 48;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.label a "gate";
+  Asm.movi a 5 (Asm.imm 1);
+  Asm.hlt a;
+  Asm.label a "gp";
+  Asm.movi a 5 (Asm.imm 2);
+  Asm.hlt a;
+  emit_iht a ~gates:[ (48, ("gate", 0, 0)); (Isa.vec_protection, ("gp", 0, 0)) ];
+  check_transparent "dpl" (Asm.assemble a) ~expect:(fun (regs, halted) ->
+      check int "#GP handler ran" 2 (List.nth regs 5);
+      check bool "halted" true halted)
+
+let test_transparent_straddling_frame () =
+  (* The four-word frame of an INT at sp=0x70006 straddles a page. *)
+  let a = Asm.create ~origin:0x1000 () in
+  setup a ~sp:0x70006;
+  Asm.int_ a 48;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.label a "handler";
+  Asm.mov a 6 Isa.sp;
+  Asm.hlt a;
+  emit_iht a ~gates:[ (48, ("handler", 0, 0)) ];
+  check_transparent "straddle" (Asm.assemble a) ~expect:(fun (regs, halted) ->
+      check int "frame delivered" 0x6FFF6 (List.nth regs 6);
+      check bool "halted" true halted)
+
+let test_transparent_iret_ring_switch () =
+  (* Ring 3 traps to a ring-0 handler on the LSTK stack, IRETs back, then
+     traps again to halt. *)
+  let a = Asm.create ~origin:0x1000 () in
+  setup a ~sp:0x8000;
+  enter_ring3 a;
+  Asm.label a "user";
+  Asm.int_ a 48;
+  Asm.addi a 2 2 (Asm.imm 100);
+  Asm.mov a 7 Isa.sp;
+  Asm.int_ a 49;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.label a "bump";
+  Asm.addi a 2 2 (Asm.imm 1);
+  Asm.mov a 8 Isa.sp;
+  Asm.iret a;
+  Asm.label a "stop";
+  Asm.mov a 6 Isa.sp;
+  Asm.hlt a;
+  emit_iht a ~gates:[ (48, ("bump", 0, 3)); (49, ("stop", 0, 3)) ];
+  check_transparent "iret" (Asm.assemble a) ~expect:(fun (regs, halted) ->
+      check int "handler then continuation" 101 (List.nth regs 2);
+      check int "handler on the ring-0 stack" (0x9000 - 16) (List.nth regs 8);
+      check int "user stack restored" 0x7000 (List.nth regs 7);
+      check bool "halted" true halted)
+
 (* -- Embedded debugger -- *)
 
 let host_wire m =
@@ -172,6 +310,15 @@ let () =
           Alcotest.test_case "parks crashed guest" `Quick
             test_full_vmm_parks_crashed_guest;
           Alcotest.test_case "ring-3 guest" `Quick test_full_vmm_user_mode_guest;
+        ] );
+      ( "transparency",
+        [
+          Alcotest.test_case "ring-3 INT through a DPL-0 gate" `Quick
+            test_transparent_int_gate_dpl;
+          Alcotest.test_case "frame straddling a page" `Quick
+            test_transparent_straddling_frame;
+          Alcotest.test_case "IRET round trip with LSTK ring switch" `Quick
+            test_transparent_iret_ring_switch;
         ] );
       ( "embedded_debugger",
         [

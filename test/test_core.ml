@@ -44,7 +44,7 @@ let emit_iht a ~label ~gates =
     match List.assoc_opt v gates with
     | Some (target, ring, dpl) ->
       Asm.word a (Asm.lbl target);
-      Asm.word a (Asm.imm (1 lor (ring lsl 1) lor (dpl lsl 3)))
+      Asm.word a (Asm.imm (Isa.gate_info ~ring ~dpl))
     | None ->
       Asm.word a (Asm.imm 0);
       Asm.word a (Asm.imm 0)

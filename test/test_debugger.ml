@@ -258,9 +258,16 @@ let test_session_console_read () =
   | Some text -> Alcotest.failf "expected drained console, got %S" text
   | None -> Alcotest.fail "no second reply"
 
+(* Arm the continuous profiler for a window under load, then disarm it
+   so the samples stay put while the host reads them over the wire. *)
+let profile_window m =
+  Machine.set_profiling m ~period:Vmm_profile.Profiler.default_period;
+  Machine.run_seconds m 0.3;
+  Machine.set_profiling m ~period:0L
+
 let test_session_profile () =
-  let m, mon, program, session, _ = rig ~rate:100.0 () in
-  Machine.run_seconds m 0.3 (* accumulate timer samples under load *);
+  let m, _, program, session, _ = rig ~rate:100.0 () in
+  profile_window m;
   match Session.read_profile session with
   | None -> Alcotest.fail "no profile reply"
   | Some samples ->
@@ -274,10 +281,12 @@ let test_session_profile () =
         if pc < Kernel.entry || pc >= Kernel.entry + size then
           Alcotest.failf "sample outside guest image: 0x%x" pc)
       samples;
-    (* monitor-side view matches the wire view *)
-    check int "same total as monitor"
-      (List.fold_left (fun acc (_, c) -> acc + c) 0 (Monitor.profile mon))
-      total
+    (* the machine's profiler matches the wire view, pc for pc *)
+    check
+      Alcotest.(list (pair int int))
+      "same per-pc counts as the profiler"
+      (List.sort compare (Vmm_profile.Profiler.by_pc (Machine.profiler m)))
+      (List.sort compare samples)
 
 let test_breakpoint_and_watchpoint_together () =
   (* Both mechanisms active at once: a breakpoint in the timer handler
@@ -382,7 +391,7 @@ let test_cli_address_parsing () =
 
 let test_cli_profile () =
   let m, _, _, session, symbols = rig ~rate:100.0 () in
-  Machine.run_seconds m 0.3;
+  profile_window m;
   let cli = Cli.create ~session ~symbols in
   let out = Cli.execute cli "profile 5" in
   check bool "has sample header" true (contains out "samples");

@@ -358,11 +358,9 @@ let test_cpu_rdtsc_monotonic () =
 
 (* -- Interrupt table plumbing -- *)
 
-let gate_flags ~ring ~dpl = 1 lor (ring lsl 1) lor (dpl lsl 3)
-
 let write_gate mem ~table ~vector ~handler ~ring ~dpl =
   Phys_mem.write_u32 mem (table + (8 * vector)) handler;
-  Phys_mem.write_u32 mem (table + (8 * vector) + 4) (gate_flags ~ring ~dpl)
+  Phys_mem.write_u32 mem (table + (8 * vector) + 4) (Isa.gate_info ~ring ~dpl)
 
 let test_cpu_software_interrupt () =
   let m = fresh_machine () in
