@@ -200,6 +200,7 @@ let hook t _cpu event =
    | Cpu.Fault (kind, pc) -> handle_fault t kind pc
    | Cpu.Soft_int (vector, next_pc) ->
      host_round_trip t;
+     t.c_cpu <- t.c_cpu + 1;
      reflect ~check_dpl:true t ~vector ~error:0 ~return_pc:next_pc ~depth:0
    | Cpu.Hypercall (2, _) ->
      host_round_trip t;

@@ -38,6 +38,8 @@ type stats = {
   bytes_copied : int;  (** bounce-buffer bytes through the host *)
   reflected_irqs : int;
   cpu_emulations : int;
+      (** privileged instructions emulated plus software [INT]s
+          reflected, counted as [Core.Monitor.stats] counts them *)
   shadow_fills : int;
 }
 

@@ -35,6 +35,7 @@ type stats = {
   pic_emulations : int;
   pit_emulations : int;
   cpu_emulations : int;
+      (** privileged instructions emulated plus software [INT]s reflected *)
   io_emulations : int;
   shadow_fills : int;
   reflected_irqs : int;

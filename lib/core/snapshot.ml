@@ -172,9 +172,26 @@ module Full = struct
 
   let mix_bytes h b = mix_raw (mix_int h (Bytes.length b)) b
 
+  (* Mixing a zero byte is [h * p], so mixing a whole zero page is one
+     multiply by [p^page_size mod 2^64]. *)
+  let zero_page = Bytes.make Pages.page_size '\000'
+
+  let zero_page_factor =
+    let f = ref 1L in
+    for _ = 1 to Pages.page_size do
+      f := Int64.mul !f fnv_prime
+    done;
+    !f
+
+  (* [Bytes.equal] is one memcmp; a chunk of another length fails it and
+     takes the byte loop. *)
+  let mix_page h chunk =
+    if Bytes.equal chunk zero_page then Int64.mul h zero_page_factor
+    else mix_raw h chunk
+
   (* The same byte sequence as mixing the contiguous image. *)
   let mix_image h image =
-    Array.fold_left mix_raw (mix_int h (Array.length image * Pages.page_size))
+    Array.fold_left mix_page (mix_int h (Array.length image * Pages.page_size))
       image
 
   let mix_string h s = mix_bytes h (Bytes.unsafe_of_string s)

@@ -54,8 +54,8 @@ end
     at any later absolute engine time re-arms the same schedule without
     rewinding the clock.
 
-    {!Full.digest} hashes the guest-visible subset (FNV-1a 64) —
-    excluding the engine cycle and debug-plane link state — so
+    {!Full.digest} hashes everything above except the absolute engine
+    cycle (FNV-1a 64), the reliable-link sequence numbers included, so
     capture→restore→recapture digests compare equal and record/replay
     runs can assert bit-exact convergence. *)
 module Full : sig
@@ -105,11 +105,15 @@ module Full : sig
   val cycle : t -> int64
   val retired : t -> int64
 
-  (** [digest t] — FNV-1a 64 over the guest-visible state.  Equal
-      digests ⇒ bit-identical guest-visible state (memory, registers,
-      virtualized privileged state, device state with relative DMA
-      offsets).  Excludes the absolute capture cycle and link state.
-      The image is hashed as one contiguous byte string, a length
-      prefix and then the pages in order. *)
+  (** [digest t] — FNV-1a 64 over the captured state.  Equal digests ⇒
+      bit-identical guest-visible state (memory, registers, virtualized
+      privileged state, device state with relative DMA offsets) and
+      equal reliable-link sequence state ({!Vmm_proto.Reliable.seq_state}).
+      Excludes only the absolute capture cycle.  The image is hashed as
+      one contiguous byte string, a length prefix and then the pages in
+      order.  An all-zero page costs one compare and one multiply (a
+      zero byte's FNV-1a step is a multiply by the prime), so a digest
+      costs time in proportion to the non-zero pages; the value is the
+      byte-by-byte one. *)
   val digest : t -> int64
 end

@@ -156,24 +156,31 @@ let run_three program =
     let mon = Monitor.install m in
     Monitor.boot_guest mon program ~entry:0x1000;
     Machine.run_seconds m 0.001;
-    final_state m ~halted:(Monitor.guest_halted mon)
+    ( final_state m ~halted:(Monitor.guest_halted mon),
+      (Monitor.stats mon).Monitor.cpu_emulations )
   in
   let hosted =
     let m = fresh () in
     let vmm = Full_vmm.install m in
     Full_vmm.boot_guest vmm program ~entry:0x1000;
     Machine.run_seconds m 0.001;
-    final_state m ~halted:(Full_vmm.guest_halted vmm)
+    ( final_state m ~halted:(Full_vmm.guest_halted vmm),
+      (Full_vmm.stats vmm).Full_vmm.cpu_emulations )
   in
   (bare, lightweight, hosted)
 
 let machine_state = Alcotest.(pair (list int) bool)
 
+(* Both monitors also count each software INT, like each privileged
+   instruction they emulate, as a CPU emulation. *)
 let check_transparent name program ~expect =
-  let bare, lightweight, hosted = run_three program in
+  let bare, (lightweight, mon_emulations), (hosted, vmm_emulations) =
+    run_three program
+  in
   expect bare;
   check machine_state (name ^ ": lightweight = bare") bare lightweight;
-  check machine_state (name ^ ": hosted = bare") bare hosted
+  check machine_state (name ^ ": hosted = bare") bare hosted;
+  check int (name ^ ": equal cpu_emulations") mon_emulations vmm_emulations
 
 let test_transparent_int_gate_dpl () =
   (* A ring-3 INT through a DPL-0 gate takes #GP, not the gate. *)

@@ -32,6 +32,7 @@ module Event = Vmm_replay.Event
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let int64 = Alcotest.int64
 
 (* Fast serial line so debug round-trips stay cheap in simulated time. *)
 let test_costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 }
@@ -578,6 +579,47 @@ let test_periodic_captures_copy_few_pages () =
     Alcotest.failf "periodic captures copied %d pages in %d captures" copied
       taken
 
+(* The digest skips all-zero pages with one multiply each; these pin it
+   to the byte-by-byte reference where that shortcut could go wrong. *)
+let check_reference label m mon =
+  let full = Monitor.checkpoint_now mon in
+  check int64 label (reference_digest full (guest_bytes m mon))
+    (Snapshot.Full.digest full)
+
+(* A freshly booted kernel: nearly every page was never written. *)
+let test_digest_fresh_boot () =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+  let mon = Monitor.install m in
+  Monitor.boot_guest mon
+    (Kernel.build (Kernel.default_config ~rate_mbps:100.0))
+    ~entry:Kernel.entry;
+  check_reference "boot checkpoint" m mon
+
+(* A page whose one non-zero byte is its first, or its last. *)
+let test_digest_page_edges () =
+  List.iter
+    (fun offset ->
+      let m, mon = small_monitor () in
+      Phys_mem.write_u8 (Machine.mem m) ((5 * Snapshot.Pages.page_size) + offset)
+        0x80;
+      check_reference (Printf.sprintf "only byte %d non-zero" offset) m mon)
+    [ 0; Snapshot.Pages.page_size - 1 ]
+
+(* Written and then zeroed, a page is a copy of zeros, not the shared
+   never-written page, and must digest the same. *)
+let test_digest_zeroed_page () =
+  let m, mon = small_monitor () in
+  let never = Monitor.checkpoint_now mon in
+  let addr = 3 * Snapshot.Pages.page_size in
+  Phys_mem.fill (Machine.mem m) ~addr ~len:Snapshot.Pages.page_size 0x5A;
+  Phys_mem.fill (Machine.mem m) ~addr ~len:Snapshot.Pages.page_size 0;
+  let zeroed = Monitor.checkpoint_now mon in
+  check bool "the zeroed page is its own copy" true
+    (zeroed.Snapshot.Full.image.(3) != never.Snapshot.Full.image.(3));
+  check int64 "digests as never written"
+    (Snapshot.Full.digest never)
+    (Snapshot.Full.digest zeroed)
+
 (* Generated interleavings of every store path with captures into a ring
    of at most 8 and restores of random held checkpoints (and of one
    captured by a second monitor): after each restore memory equals the
@@ -589,6 +631,7 @@ type mem_op =
   | W32 of int * int
   | Blit of int * int * int
   | Fill of int * int * int
+  | Edge of int * int
   | Dma of int * string
   | Load of int * string
   | Capture
@@ -601,6 +644,7 @@ let show_op = function
   | W32 (a, v) -> Printf.sprintf "w32 %x %x" a v
   | Blit (s, d, l) -> Printf.sprintf "blit %x->%x %d" s d l
   | Fill (a, l, v) -> Printf.sprintf "fill %x %d %x" a l v
+  | Edge (a, v) -> Printf.sprintf "edge %x %x" a v
   | Dma (a, s) -> Printf.sprintf "dma %x %d" a (String.length s)
   | Load (a, s) -> Printf.sprintf "load %x %d" a (String.length s)
   | Capture -> "capture"
@@ -629,8 +673,18 @@ let gen_op =
       (3, map2 (fun a v -> W16 (fit a 2, v)) addr (int_bound 0xFFFF));
       (3, map2 (fun a v -> W32 (fit a 4, v)) addr (int_bound 0xFFFFFFF));
       (2, map3 (fun s d l -> Blit (fit s l, fit d l, l)) addr addr len);
+      (* zero about half the time: pages written and then zeroed *)
       ( 2,
-        map3 (fun a l v -> Fill (fit a l, l, v)) addr len (int_bound 0xFF) );
+        map3
+          (fun a l v -> Fill (fit a l, l, v))
+          addr len
+          (frequency [ (1, return 0); (1, int_bound 0xFF) ]) );
+      (* one non-zero byte at a page's first or last offset *)
+      ( 2,
+        map3
+          (fun p last v ->
+            Edge ((p * page) + (if last then page - 1 else 0), v))
+          (int_bound 15) bool (int_range 1 0xFF) );
       (2, map2 (fun a s -> Dma (fit a (String.length s), s)) addr data);
       (2, map2 (fun a s -> Load (fit a (String.length s), s)) addr data);
       (3, return Capture);
@@ -672,6 +726,7 @@ let prop_pages_match_full_copy =
           | W32 (a, v) -> Phys_mem.write_u32 mem a v
           | Blit (src, dst, len) -> Phys_mem.blit mem ~src ~dst ~len
           | Fill (addr, len, v) -> Phys_mem.fill mem ~addr ~len v
+          | Edge (a, v) -> Phys_mem.write_u8 mem a v
           | Dma (addr, s) ->
             Phys_mem.write_bytes mem ~addr (Bytes.of_string s) ~off:0
               ~len:(String.length s)
@@ -785,6 +840,12 @@ let () =
             test_restore_rejects_wrong_page_count;
           Alcotest.test_case "periodic captures copy few pages" `Quick
             test_periodic_captures_copy_few_pages;
+          Alcotest.test_case "digest of a fresh boot" `Quick
+            test_digest_fresh_boot;
+          Alcotest.test_case "digest of a page's first and last byte" `Quick
+            test_digest_page_edges;
+          Alcotest.test_case "digest of a written-then-zeroed page" `Quick
+            test_digest_zeroed_page;
           QCheck_alcotest.to_alcotest prop_pages_match_full_copy;
         ] );
       ( "reverse",
