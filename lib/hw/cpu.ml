@@ -226,10 +226,11 @@ let set_iht_base t v = t.iht <- Word.mask v
 let ptb t = t.ptb
 
 let flush_tlb t =
+  (* The monitor flushes on every shadow-table update, so neither drop
+     walks its whole array: the TLB clears only the slots filled since
+     its last flush, and the icache and block cache drop in O(1), because
+     entries filled under an older generation stop validating. *)
   Mmu.flush t.mmu;
-  (* O(1) whole-icache drop: entries filled under an older generation stop
-     validating.  The monitor flushes on every shadow-table update, so this
-     must not walk the array. *)
   t.icache_gen <- t.icache_gen + 1
 
 let set_ptb t v =
@@ -357,27 +358,33 @@ let push_frame t ~ring ~sp ~value =
   ignore (store_u32 t ~cpl:ring ~lo:0 ~hi:0 sp value);
   sp
 
+(* Push the frame and enter a gate whose two words, [handler] and [info],
+   the caller has already loaded. *)
+let deliver_gate t ~vector ~handler ~info ~error ~return_pc =
+  if not (Isa.gate_present info) then
+    raise (Panic (Printf.sprintf "no handler for vector %d" vector));
+  let old_sp = t.regs.(Isa.sp) in
+  let old_flags = flags_word t in
+  let ring = Isa.gate_ring info in
+  let sp0 = if ring < t.cpl then t.stacks.(ring) else old_sp in
+  let sp1 = push_frame t ~ring ~sp:sp0 ~value:old_sp in
+  let sp2 = push_frame t ~ring ~sp:sp1 ~value:old_flags in
+  let sp3 = push_frame t ~ring ~sp:sp2 ~value:(Word.mask return_pc) in
+  let sp4 = push_frame t ~ring ~sp:sp3 ~value:(Word.mask error) in
+  t.regs.(Isa.sp) <- sp4;
+  t.cpl <- ring;
+  t.if_ <- false;
+  t.tf <- false;
+  t.pc <- handler;
+  charge t t.costs.interrupt_delivery
+
+(* Load [vector]'s gate from [table], then deliver through it. *)
 let deliver t ~table ~vector ~error ~return_pc =
   settle t (fun t ->
       let base = gate_base ~table ~vector in
       let handler = load_u32 t ~cpl:0 base in
       let info = load_u32 t ~cpl:0 (Word.add base 4) in
-      if not (Isa.gate_present info) then
-        raise (Panic (Printf.sprintf "no handler for vector %d" vector));
-      let old_sp = t.regs.(Isa.sp) in
-      let old_flags = flags_word t in
-      let ring = Isa.gate_ring info in
-      let sp0 = if ring < t.cpl then t.stacks.(ring) else old_sp in
-      let sp1 = push_frame t ~ring ~sp:sp0 ~value:old_sp in
-      let sp2 = push_frame t ~ring ~sp:sp1 ~value:old_flags in
-      let sp3 = push_frame t ~ring ~sp:sp2 ~value:(Word.mask return_pc) in
-      let sp4 = push_frame t ~ring ~sp:sp3 ~value:(Word.mask error) in
-      t.regs.(Isa.sp) <- sp4;
-      t.cpl <- ring;
-      t.if_ <- false;
-      t.tf <- false;
-      t.pc <- handler;
-      charge t t.costs.interrupt_delivery)
+      deliver_gate t ~vector ~handler ~info ~error ~return_pc)
 
 let do_iret t =
   let sp = t.regs.(Isa.sp) in
@@ -443,12 +450,13 @@ let poll_interrupts t =
 let dispatch_soft t ~vector ~next_pc =
   if offer t (Soft_int (vector, next_pc)) = Deliver then begin
     let base = gate_base ~table:t.iht ~vector in
-    (* both gate words, in the order [deliver] reads them *)
-    ignore (load_u32 t ~cpl:0 base : int);
+    let handler = load_u32 t ~cpl:0 base in
     let info = load_u32 t ~cpl:0 (Word.add base 4) in
     if (not (Isa.gate_present info)) || Isa.gate_dpl info < t.cpl then
       raise (Fault_exn (Gp (Bad_int_gate vector)))
-    else deliver t ~table:t.iht ~vector ~error:0 ~return_pc:next_pc
+    else
+      settle t (fun t ->
+          deliver_gate t ~vector ~handler ~info ~error:0 ~return_pc:next_pc)
   end
 
 (* -- Port I/O -- *)

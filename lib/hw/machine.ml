@@ -153,6 +153,14 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
       Cpu.icache_misses cpu);
   Registry.int_gauge registry "cpu_icache_invalidations_total" (fun () ->
       Cpu.icache_invalidations cpu);
+  Registry.int_gauge registry "mmu_tlb_hits_total" (fun () ->
+      Mmu.tlb_hits (Cpu.mmu cpu));
+  Registry.int_gauge registry "mmu_tlb_misses_total"
+    ~help:"TLB misses: page-table walks, including walks that fault"
+    (fun () -> Mmu.tlb_misses (Cpu.mmu cpu));
+  Registry.int_gauge registry "mmu_tlb_flushes_total"
+    ~help:"whole-TLB flushes (LPTB, TLBFLUSH and monitor shadow updates)"
+    (fun () -> Mmu.tlb_flushes (Cpu.mmu cpu));
   Registry.int_gauge registry "cpu_block_compiled_total"
     ~help:"basic blocks compiled by the threaded-code translator" (fun () ->
       Cpu.blocks_compiled cpu);

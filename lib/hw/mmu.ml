@@ -47,8 +47,13 @@ type tlb_entry = {
 type t = {
   tlb : tlb_entry array;
   tlb_mask : int;
+  filled : int array;
+      (* slots that went from invalid to valid since the last flush; no
+         slot is listed twice, so [nfilled <= tlb_slots] *)
+  mutable nfilled : int;
   mutable hits : int;
   mutable misses : int;
+  mutable flushes : int;
 }
 
 let tlb_slots = 256
@@ -67,12 +72,21 @@ let create () =
             dirty = false;
           });
     tlb_mask = tlb_slots - 1;
+    filled = Array.make tlb_slots 0;
+    nfilled = 0;
     hits = 0;
     misses = 0;
+    flushes = 0;
   }
 
+(* Every valid slot is listed in [filled], so clearing the listed ones
+   leaves the same TLB as clearing all 256. *)
 let flush t =
-  Array.iter (fun e -> e.vpn <- -1) t.tlb
+  for i = 0 to t.nfilled - 1 do
+    t.tlb.(t.filled.(i)).vpn <- -1
+  done;
+  t.nfilled <- 0;
+  t.flushes <- t.flushes + 1
 
 let check_perms ~cpl ~access ~writable ~user ~nx ~vaddr =
   if cpl = 3 && not user then
@@ -83,17 +97,6 @@ let check_perms ~cpl ~access ~writable ~user ~nx ~vaddr =
   | Exec when nx ->
     raise (Page_fault { vaddr; access; not_present = false })
   | Write | Read | Exec -> ()
-
-let walk mem ~ptb ~vaddr ~access =
-  let pde_addr = (ptb land 0xFFFFF000) + (4 * dir_index vaddr) in
-  let pde = Phys_mem.read_u32 mem pde_addr in
-  if not (is_present pde) then
-    raise (Page_fault { vaddr; access; not_present = true });
-  let pte_addr = frame_of pde + (4 * table_index vaddr) in
-  let pte = Phys_mem.read_u32 mem pte_addr in
-  if not (is_present pte) then
-    raise (Page_fault { vaddr; access; not_present = true });
-  (pde, pde_addr, pte, pte_addr)
 
 let translate t mem ~ptb ~cpl access vaddr =
   if ptb = 0 then vaddr
@@ -117,7 +120,15 @@ let translate t mem ~ptb ~cpl access vaddr =
     end
     else begin
       t.misses <- t.misses + 1;
-      let pde, pde_addr, pte, pte_addr = walk mem ~ptb ~vaddr ~access in
+      (* The walk, inline so that a miss allocates nothing. *)
+      let pde_addr = (ptb land 0xFFFFF000) + (4 * dir_index vaddr) in
+      let pde = Phys_mem.read_u32 mem pde_addr in
+      if not (is_present pde) then
+        raise (Page_fault { vaddr; access; not_present = true });
+      let pte_addr = frame_of pde + (4 * table_index vaddr) in
+      let pte = Phys_mem.read_u32 mem pte_addr in
+      if not (is_present pte) then
+        raise (Page_fault { vaddr; access; not_present = true });
       (* Effective permissions combine both levels, like x86.  NX is
          restrictive at either level (shadow directories never set it, so
          in practice only leaf PTEs carry it). *)
@@ -128,6 +139,10 @@ let translate t mem ~ptb ~cpl access vaddr =
       Phys_mem.write_u32 mem pde_addr (pde lor pte_accessed);
       let dirty = if access = Write then pte_dirty else 0 in
       Phys_mem.write_u32 mem pte_addr (pte lor pte_accessed lor dirty);
+      if entry.vpn < 0 then begin
+        t.filled.(t.nfilled) <- vpn land t.tlb_mask;
+        t.nfilled <- t.nfilled + 1
+      end;
       entry.vpn <- vpn;
       entry.frame <- frame_of pte;
       entry.writable <- writable;
@@ -163,3 +178,4 @@ let tlb_covers t ~vpn = (t.tlb.(vpn land t.tlb_mask)).vpn = vpn
 
 let tlb_hits t = t.hits
 let tlb_misses t = t.misses
+let tlb_flushes t = t.flushes

@@ -64,7 +64,9 @@ type t
     {!tlb_misses}). *)
 val create : unit -> t
 
-(** [flush t] drops every TLB entry (LPTB and TLBFLUSH do this). *)
+(** [flush t] drops every TLB entry (LPTB and TLBFLUSH do this).  It
+    costs the number of slots filled since the last flush, not the TLB's
+    size, and bumps {!tlb_flushes}. *)
 val flush : t -> unit
 
 (** [translate t mem ~ptb ~cpl access vaddr] is the physical address of
@@ -97,3 +99,6 @@ val tlb_covers : t -> vpn:int -> bool
 val tlb_hits : t -> int
 
 val tlb_misses : t -> int
+
+(** [tlb_flushes t] counts {!flush} calls since [create]. *)
+val tlb_flushes : t -> int

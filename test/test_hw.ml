@@ -665,6 +665,27 @@ let test_mmu_hit_allocates_nothing () =
   check int "all hits" calls (Mmu.tlb_hits mmu - hits);
   check int "no walks" 0 (Mmu.tlb_misses mmu - misses)
 
+let test_mmu_flush_allocates_nothing () =
+  (* The monitor flushes on every shadow-table update, so a fill and the
+     flush that drops it must not allocate either. *)
+  let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
+  let mmu = Mmu.create () in
+  build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:false;
+  let misses = Mmu.tlb_misses mmu and flushes = Mmu.tlb_flushes mmu in
+  let cycles = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to cycles do
+    ignore (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0 Mmu.Read ((i land 0xFF) lsl 12));
+    Mmu.flush mmu
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool
+    (Printf.sprintf "no allocation per miss and flush (%.0f words over %d)"
+       words cycles)
+    true (words < 1.);
+  check int "every translation walked" cycles (Mmu.tlb_misses mmu - misses);
+  check int "flushes counted" cycles (Mmu.tlb_flushes mmu - flushes)
+
 let test_cpu_page_fault_delivery () =
   (* Enable paging, then touch an unmapped page; #PF handler records the
      faulting address from the error slot. *)
@@ -1170,6 +1191,119 @@ let prop_mmu_probe_agrees_with_translate =
       | Some pte, Some paddr -> Mmu.frame_of pte = paddr
       | None, None -> true
       | Some _, None | None, Some _ -> false)
+
+(* Operations on one MMU for the flush property: a translation, a sweep
+   of [len] consecutive pages (more than the TLB holds, so slots are
+   evicted and refilled), a flush, or a PTE rewrite. *)
+type tlb_op =
+  | Tr of Mmu.access * int * int (* access, cpl, vpn *)
+  | Sweep of int * int (* first vpn, len *)
+  | Flush
+  | Edit of int * int (* vpn, PTE flag bits *)
+
+let prop_tlb_flush_matches_whole_flush =
+  (* [Mmu.flush] clears only the slots filled since the last flush.  The
+     reference clears all 256 by starting from a fresh TLB; after every
+     op both must cover the same pages, count the same hits and misses,
+     and leave the same accessed/dirty bits in their tables. *)
+  let pd = 0x100000 and pt0 = 0x101000 and dirs = 4 in
+  let vpns = dirs * 1024 in
+  let pte_of ~vpn bits = ((vpn * 7919) land 511) lsl 12 lor bits in
+  let op_gen =
+    QCheck.Gen.(
+      let vpn = oneof [ int_bound 15; int_bound (vpns - 1) ] in
+      let access = oneofl [ Mmu.Read; Mmu.Write; Mmu.Exec ] in
+      frequency
+        [
+          (10, map3 (fun a c v -> Tr (a, c, v)) access (oneofl [ 0; 3 ]) vpn);
+          (1, map2 (fun v n -> Sweep (v, n)) (int_bound (vpns - 1)) (int_range 257 600));
+          (2, return Flush);
+          (2, map2 (fun v b -> Edit (v, b)) vpn (int_bound 0x7F));
+        ])
+  in
+  let print_op = function
+    | Tr (a, c, v) ->
+      Printf.sprintf "Tr(%s,%d,%#x)"
+        (match a with Mmu.Read -> "R" | Write -> "W" | Exec -> "X")
+        c v
+    | Sweep (v, n) -> Printf.sprintf "Sweep(%#x,%d)" v n
+    | Flush -> "Flush"
+    | Edit (v, b) -> Printf.sprintf "Edit(%#x,%#x)" v b
+  in
+  QCheck.Test.make ~name:"TLB flush in proportion to fills matches a whole-array flush"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_op))
+       QCheck.Gen.(pair (int_bound 0x7FFF) (list_size (int_range 1 60) op_gen)))
+    (fun (seed, ops) ->
+      let rng = Vmm_sim.Rng.create ~seed:(Int64.of_int seed) in
+      let tables () =
+        let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
+        for d = 0 to dirs - 1 do
+          (* the last directory entry is read-only supervisor *)
+          Phys_mem.write_u32 mem (pd + (4 * d))
+            (Mmu.make_pte ~frame:(pt0 + (d * 4096)) ~writable:(d < dirs - 1)
+               ~user:(d < dirs - 1))
+        done;
+        mem
+      in
+      let mem = tables () and ref_mem = tables () in
+      let edit vpn bits =
+        List.iter
+          (fun m -> Phys_mem.write_u32 m (pt0 + (4 * vpn)) (pte_of ~vpn bits))
+          [ mem; ref_mem ]
+      in
+      (* mostly present, with random writable/user/NX/accessed/dirty bits *)
+      for vpn = 0 to vpns - 1 do
+        let bits = Vmm_sim.Rng.int rng 0x80 in
+        edit vpn (if Vmm_sim.Rng.int rng 10 = 0 then bits else bits lor 1)
+      done;
+      let mmu = Mmu.create () in
+      (* The reference: a fresh TLB per flush, so every slot is empty after
+         one; [ref_hits]/[ref_misses] carry the counts of earlier ones. *)
+      let ref_mmu = ref (Mmu.create ()) and ref_hits = ref 0 and ref_misses = ref 0 in
+      let used = Hashtbl.create 64 in
+      let translate m mem access cpl vpn =
+        match Mmu.translate m mem ~ptb:pd ~cpl access ((vpn lsl 12) lor 0x123) with
+        | paddr -> Ok paddr
+        | exception Mmu.Page_fault f -> Error f
+      in
+      let tr access cpl vpn =
+        Hashtbl.replace used vpn ();
+        translate mmu mem access cpl vpn = translate !ref_mmu ref_mem access cpl vpn
+      in
+      let agrees () =
+        Mmu.tlb_hits mmu = !ref_hits + Mmu.tlb_hits !ref_mmu
+        && Mmu.tlb_misses mmu = !ref_misses + Mmu.tlb_misses !ref_mmu
+        && Hashtbl.fold
+             (fun vpn () ok ->
+               ok && Mmu.tlb_covers mmu ~vpn = Mmu.tlb_covers !ref_mmu ~vpn)
+             used true
+        && Bytes.equal
+             (Phys_mem.read_bytes mem ~addr:pd ~len:((dirs + 1) * 4096))
+             (Phys_mem.read_bytes ref_mem ~addr:pd ~len:((dirs + 1) * 4096))
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Tr (access, cpl, vpn) -> tr access cpl vpn
+            | Sweep (first, len) ->
+              List.for_all
+                (fun i -> tr Mmu.Read 0 ((first + i) mod vpns))
+                (List.init len Fun.id)
+            | Flush ->
+              Mmu.flush mmu;
+              ref_hits := !ref_hits + Mmu.tlb_hits !ref_mmu;
+              ref_misses := !ref_misses + Mmu.tlb_misses !ref_mmu;
+              ref_mmu := Mmu.create ();
+              true
+            | Edit (vpn, bits) ->
+              edit vpn bits;
+              true
+          in
+          same && agrees ())
+        ops)
 
 let prop_disassembly_roundtrip =
   (* Assembling a random instruction list and disassembling from memory
@@ -1687,6 +1821,8 @@ let () =
             test_mmu_write_hit_dirty_cached;
           Alcotest.test_case "hit allocates nothing" `Quick
             test_mmu_hit_allocates_nothing;
+          Alcotest.test_case "miss and flush allocate nothing" `Quick
+            test_mmu_flush_allocates_nothing;
         ] );
       ( "pic",
         [
@@ -1753,5 +1889,10 @@ let () =
           Alcotest.test_case "set_ptb remap" `Quick test_jit_set_ptb_remap;
         ] );
       ( "properties",
-        qsuite [ prop_mmu_probe_agrees_with_translate; prop_disassembly_roundtrip ] );
+        qsuite
+          [
+            prop_mmu_probe_agrees_with_translate;
+            prop_tlb_flush_matches_whole_flush;
+            prop_disassembly_roundtrip;
+          ] );
     ]

@@ -412,6 +412,9 @@ let test_machine_registry_wired () =
       "shadow_fills_total";
       "stublink_retransmits_total";
       "vpic_delivery_latency_cycles";
+      "mmu_tlb_hits_total";
+      "mmu_tlb_misses_total";
+      "mmu_tlb_flushes_total";
     ]
 
 let () =
