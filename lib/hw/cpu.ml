@@ -116,6 +116,7 @@ and jblock = {
   jb_gsum : int; (* summed granule generations over the text at compile *)
   jb_flush : int; (* icache_gen at compile *)
   jb_entry : t -> unit; (* head of the threaded-code chain *)
+  jb_reenter : bool; (* the final op stores nothing: see [jit_run] *)
 }
 
 let table_entries = 64
@@ -295,14 +296,50 @@ let settle t f =
    they wrote into the physical range [[lo, hi)] — a compiled block's own
    text (invariant 4 below); [lo = hi] watches nothing. *)
 
-let translate t ~access ~cpl vaddr =
-  let misses = Mmu.tlb_misses t.mmu in
-  let paddr =
-    Mmu.translate t.mmu t.mem ~ptb:t.ptb ~cpl access (Word.mask vaddr)
-  in
-  if Mmu.tlb_misses t.mmu <> misses then
-    t.jit_cyc <- t.jit_cyc + t.costs.tlb_miss;
+let tlb_mask = Mmu.tlb_slots - 1
+
+(* [Mmu.ready_bit], spelled out so that it folds into each access site
+   (the dev build cannot inline across modules). *)
+let[@inline] ready_bit ~cpl access =
+  1 lsl ((3 * cpl) + match access with Mmu.Read -> 0 | Mmu.Write -> 1 | Mmu.Exec -> 2)
+
+(* Everything but a ready TLB hit: paging off, a miss, a fault or the
+   first write through an entry.  [Mmu.translate] does the work; a walk
+   costs [costs.tlb_miss]. *)
+let translate_slow t ~access ~cpl vaddr =
+  let mmu = t.mmu in
+  let misses = mmu.Mmu.misses in
+  let paddr = Mmu.translate mmu t.mem ~ptb:t.ptb ~cpl access vaddr in
+  if mmu.Mmu.misses <> misses then t.jit_cyc <- t.jit_cyc + t.costs.tlb_miss;
   paddr
+
+(* The one write to [Mmu] state outside it: a hit served here. *)
+let[@inline] count_tlb_hit t =
+  let hits = t.mmu.Mmu.hits in
+  Array.unsafe_set hits 0 (Array.unsafe_get hits 0 + 1)
+
+(* The TLB hit test, inline at every access site: a ready hit counts
+   itself and returns the address exactly as [Mmu.translate]'s hit path
+   would.  [vaddr] is a 32-bit word; every caller masks it. *)
+let[@inline] translate t ~access ~cpl vaddr =
+  let mmu = t.mmu in
+  let vpn = vaddr lsr 12 in
+  let slot = vpn land tlb_mask in
+  if
+    t.ptb <> 0
+    && Array.unsafe_get mmu.Mmu.vpn slot = vpn
+    && Array.unsafe_get mmu.Mmu.ready slot land ready_bit ~cpl access <> 0
+  then begin
+    count_tlb_hit t;
+    Array.unsafe_get mmu.Mmu.frame slot lor (vaddr land 0xFFF)
+  end
+  else translate_slow t ~access ~cpl vaddr
+
+(* The code page of the executing block is still in its TLB slot (see
+   invariant 3). *)
+let[@inline] code_resident t =
+  t.ptb = 0
+  || Array.unsafe_get t.mmu.Mmu.vpn (t.jit_vpn land tlb_mask) = t.jit_vpn
 
 (* Multi-byte accesses that straddle a page fall back to byte-at-a-time so
    each byte is translated in its own page. *)
@@ -561,10 +598,13 @@ let checksum_block t ~addr ~len =
       like [step]'s fetch).  Later ops skip it, which is only visible if
       a data access evicts the code page's direct-mapped TLB entry — the
       next fetch would walk again, charging cycles and writing accessed
-      bits.  Memory ops therefore guard on [Mmu.tlb_covers] for the code
-      page and bail to the dispatcher when it fails (with paging off
-      there is nothing to evict).  The only tolerated divergence is the
-      MMU's internal hit counter, which no guest-visible path reads.
+      bits.  Memory ops therefore guard on the code page's TLB slot
+      ([code_resident]) and bail to the dispatcher when it fails (with
+      paging off there is nothing to evict).  The one divergence is the
+      TLB hit count ([Mmu.tlb_hits], exported as [mmu_tlb_hits_total]):
+      stepping counts a fetch hit per instruction, a chain one per block
+      dispatch, loop re-entries included.  Nothing guest-visible reads
+      it; misses, cycles and accessed bits are the same either way.
 
    4. Text stability.  A block is (re)validated at every dispatch against
       the granule write generations of its whole text plus the flush
@@ -609,7 +649,7 @@ let[@inline] fall_mem t ~hit next =
   if
     (not hit)
     && t.jit_cyc < t.jit_limit
-    && (t.ptb = 0 || Mmu.tlb_covers t.mmu ~vpn:t.jit_vpn)
+    && code_resident t
   then next t
 
 let[@inline] alu t rd v =
@@ -1019,6 +1059,10 @@ let compile_block t ~vpc ~ppc : jblock option =
         jb_gsum = jit_gsum t ~ppc ~bytes;
         jb_flush = t.icache_gen;
         jb_entry = entry;
+        jb_reenter =
+          (match Isa.read t.mem (text.hi - w) with
+           | Isa.Call _ -> false
+           | _ -> true);
       }
   end
 
@@ -1027,11 +1071,11 @@ let compile_block t ~vpc ~ppc : jblock option =
 let jit_block_at t ~ppc : jblock option =
   let slot = (ppc lsr 3) land jcache_mask in
   match t.jcache.(slot) with
-  | Some b when b.jb_ppc = ppc ->
+  | Some b as cached when b.jb_ppc = ppc ->
     if b.jb_flush = t.icache_gen && jit_gsum t ~ppc ~bytes:b.jb_bytes = b.jb_gsum
     then begin
       t.jb_hits <- t.jb_hits + 1;
-      Some b
+      cached
     end
     else begin
       t.jb_inval <- t.jb_inval + 1;
@@ -1105,7 +1149,7 @@ let fetch t =
 let read_instr t vaddr =
   settle t (fun t ->
       if vaddr land 0xFFF <= Mmu.page_size - Isa.width then
-        Isa.read t.mem (translate t ~access:Mmu.Read ~cpl:0 vaddr)
+        Isa.read t.mem (translate t ~access:Mmu.Read ~cpl:0 (Word.mask vaddr))
       else decode_bytewise t ~access:Mmu.Read ~cpl:0 vaddr)
 
 let step t =
@@ -1170,6 +1214,22 @@ let jit_run t ~limit =
          chained := true;
          t.jit_vpn <- pc lsr 12;
          b.jb_entry t;
+         (* A loop: the chain ended at the block's own entry.  The
+            dispatcher would find the same block: no Interp op ran, so
+            nothing flushed, no event fired and no DMA wrote; every Mid
+            store into the text ended the chain (invariant 4); and the
+            final op stores nothing.  While the code page keeps its TLB
+            slot the fetch would hit, charging nothing and setting no
+            accessed bit, so run the block again and count what the
+            dispatcher would have: a block hit, a chain follow and the
+            fetch's TLB hit. *)
+         if b.jb_reenter then
+           while t.pc = pc && t.jit_cyc < t.jit_limit && code_resident t do
+             t.jb_hits <- t.jb_hits + 1;
+             t.jb_chains <- t.jb_chains + 1;
+             if t.ptb <> 0 then count_tlb_hit t;
+             b.jb_entry t
+           done;
          if t.jit_cyc >= t.jit_limit then continue := false
      done
    with e ->

@@ -57,7 +57,55 @@ val table_index : int -> int
 
 (** {2 Translation} *)
 
-type t
+(** The TLB: 256 direct-mapped slots, virtual page [vpn] in slot
+    [vpn land (tlb_slots - 1)], stored as parallel arrays indexed by
+    slot.  The representation is exposed so that the CPU can test a hit
+    inline at every load, store and fetch (a cross-module call cannot be
+    inlined in the dev build, which compiles with [-opaque]).
+
+    This module is the only writer of entries: [vpn], [frame], [ready],
+    [flags], [pte_addr] and [filled] change only in {!translate} and
+    {!flush}.  [private] stops other modules from setting a field; the
+    arrays' contents are theirs to read only.  The one write allowed
+    outside is [hits.(0)]: the CPU bumps it for each hit it serves
+    itself, exactly as {!translate}'s hit path would have.  It may serve
+    a hit only when paging is on, [vpn.(slot)] is the page and
+    [ready.(slot)] has the bit {!ready_bit}[ ~cpl access]; the address is
+    then [frame.(slot) lor (vaddr land 0xFFF)].  Everything else goes to
+    {!translate}, the one miss, fault and dirty-bit path. *)
+type t = private {
+  vpn : int array;  (** virtual page number per slot; [-1] = invalid *)
+  frame : int array;  (** physical frame (byte address) per slot *)
+  ready : int array;
+      (** per slot, the {!ready_bit}s of the accesses a hit serves with
+          no further work: see {!ready_mask} *)
+  flags : int array;
+      (** per slot, the effective [pte_writable], [pte_user] and [pte_nx]
+          bits of both table levels, plus [pte_dirty] once this entry has
+          set the PTE's dirty bit *)
+  pte_addr : int array;  (** physical address of the slot's PTE *)
+  filled : int array;
+      (** the first [nfilled] are the slots filled since the last flush *)
+  mutable nfilled : int;
+  hits : int array;  (** one cell: translations served from the TLB *)
+  mutable misses : int;  (** table walks, including those that fault *)
+  mutable flushes : int;
+}
+
+val tlb_slots : int
+
+(** [ready_bit ~cpl access] is [1 lsl (3 * cpl + a)], where [a] is 0 for
+    [Read], 1 for [Write] and 2 for [Exec]. *)
+val ready_bit : cpl:int -> access -> int
+
+(** [ready_mask flags] is the [ready] value of an entry with [flags]: for
+    each ring [cpl] 0-3 and access, the {!ready_bit} is set exactly when
+    the access is permitted (ring 3 needs [pte_user], [Write] needs
+    [pte_writable], [Exec] needs no [pte_nx]) and, for [Write], [flags]
+    has [pte_dirty].  This is the one definition of the permission rule;
+    {!translate} raises the protection fault on exactly the accesses it
+    does not permit. *)
+val ready_mask : int -> int
 
 (** [create ()] is an MMU with an empty TLB.  The MMU only counts
     misses; the caller charges [Costs.tlb_miss] for each one (see
@@ -70,7 +118,8 @@ val create : unit -> t
 val flush : t -> unit
 
 (** [translate t mem ~ptb ~cpl access vaddr] is the physical address of
-    [vaddr].  Sets accessed/dirty bits on the walked entries.  A walk
+    [vaddr].  Sets accessed/dirty bits on the walked entries, and the
+    PTE's dirty bit on the first write hit through an entry.  A walk
     (TLB miss) bumps {!tlb_misses}; a caller that models the miss
     penalty compares that counter across the call, so a TLB hit
     allocates nothing.
@@ -82,16 +131,6 @@ val translate : t -> Phys_mem.t -> ptb:int -> cpl:int -> access -> int -> int
     a table lies outside physical memory.  Used by the monitor's
     shadow-paging code to read the guest's tables. *)
 val probe : Phys_mem.t -> ptb:int -> int -> int option
-
-(** [tlb_covers t ~vpn] — the direct-mapped slot for virtual page [vpn]
-    still holds that page's entry.  The CPU's block translator uses this
-    as a per-instruction guard: while the code page stays resident, no
-    fetch in the block could have walked the tables (no TLB-miss charge,
-    no accessed-bit store), so skipping the per-instruction fetch
-    translation is invisible.  A data access that evicts the code page's
-    entry flips this to [false] and the chain hands back to the
-    dispatcher. *)
-val tlb_covers : t -> vpn:int -> bool
 
 (** [tlb_hits t] / [tlb_misses t] count translations served from the TLB
     and table walks (including walks that end in a fault), since

@@ -361,10 +361,11 @@ let test_reflect_frame_over_text_refetched () =
   check bool "ran off the rewritten text" true (Monitor.shutdown_requested mon);
   check int "fetched the frame's bytes" (Asm.symbol p "fault") (reg m 9)
 
-let test_compute_guest_allocation () =
-  (* A warm CPU-bound ring-1 guest runs in translated chains: every load,
-     store and cycle charge on that path is allocation-free, so what
-     remains is per block dispatch, well under a word per instruction. *)
+(* Minor words per retired instruction of a warm ring-1 guest under the
+   monitor: the compute loop, or with [split] the same loop cut in two
+   blocks by a jump, so that every pass goes through the dispatcher
+   twice instead of re-entering its one block. *)
+let guest_words_per_instruction ~split =
   let m, mon = fresh () in
   let a = Asm.create ~origin:0x1000 () in
   Asm.movi a Isa.sp (Asm.imm 0x8000);
@@ -375,6 +376,10 @@ let test_compute_guest_allocation () =
   Asm.st a 4 0 1;
   Asm.ld a 5 4 0;
   Asm.add a 6 6 5;
+  if split then begin
+    Asm.jmp a (Asm.lbl "tail");
+    Asm.label a "tail"
+  end;
   Asm.mul a 7 1 5;
   Asm.push a 6;
   Asm.pop a 8;
@@ -389,10 +394,23 @@ let test_compute_guest_allocation () =
   let words = Gc.minor_words () -. before in
   let instrs = Int64.to_float (Int64.sub (Cpu.instructions_retired cpu) retired) in
   check bool "guest ran" true (instrs > 100_000.);
-  let per_instr = words /. instrs in
-  check bool
-    (Printf.sprintf "at most 0.5 minor words per instruction (%.3f)" per_instr)
-    true (per_instr <= 0.5)
+  words /. instrs
+
+let test_compute_guest_allocation () =
+  (* A warm CPU-bound guest runs in translated chains: every load, store,
+     cycle charge and block dispatch on that path is allocation-free, so
+     what remains is per batch (the boxed [int64] clock reads around each
+     [jit_run]), far under a word per instruction.  An option built per
+     dispatch (two words) would read about 0.4 on the split loop. *)
+  List.iter
+    (fun split ->
+      let per_instr = guest_words_per_instruction ~split in
+      check bool
+        (Printf.sprintf "%s: at most 0.01 minor words per instruction (%.6f)"
+           (if split then "two blocks" else "one block")
+           per_instr)
+        true (per_instr <= 0.01))
+    [ false; true ]
 
 (* The paper's streaming arm: the kernel guest at 150 Mbps under the
    monitor, on default costs, warmed past boot. *)

@@ -686,6 +686,87 @@ let test_mmu_flush_allocates_nothing () =
   check int "every translation walked" cycles (Mmu.tlb_misses mmu - misses);
   check int "flushes counted" cycles (Mmu.tlb_flushes mmu - flushes)
 
+let access_name = function
+  | Mmu.Read -> "read"
+  | Mmu.Write -> "write"
+  | Mmu.Exec -> "exec"
+
+let test_mmu_ready_mask_exhaustive () =
+  (* A TLB hit needs no further work exactly when the access is
+     permitted and, for a write, the entry has already set its PTE's
+     dirty bit.  Checked for every entry, ring and access against the
+     rule spelled out here, and, for every entry [translate] can fill,
+     against what [translate] then does. *)
+  let accesses = [ Mmu.Read; Mmu.Write; Mmu.Exec ] in
+  let permitted ~writable ~user ~nx ~cpl access =
+    (cpl <> 3 || user)
+    && match access with
+       | Mmu.Read -> true
+       | Mmu.Write -> writable
+       | Mmu.Exec -> not nx
+  in
+  let bit b flag = if b then flag else 0 in
+  let entry combo =
+    let writable = combo land 1 <> 0 and user = combo land 2 <> 0 in
+    let nx = combo land 4 <> 0 and dirty = combo land 8 <> 0 in
+    let flags =
+      bit writable Mmu.pte_writable lor bit user Mmu.pte_user
+      lor bit nx Mmu.pte_nx lor bit dirty Mmu.pte_dirty
+    in
+    (writable, user, nx, dirty, flags)
+  in
+  for combo = 0 to 15 do
+    let writable, user, nx, dirty, flags = entry combo in
+    let mask = Mmu.ready_mask flags in
+    for cpl = 0 to 3 do
+      List.iter
+        (fun access ->
+          check bool
+            (Printf.sprintf "flags %#x ring %d %s" flags cpl (access_name access))
+            (permitted ~writable ~user ~nx ~cpl access
+            && (access <> Mmu.Write || dirty))
+            (mask land Mmu.ready_bit ~cpl access <> 0))
+        accesses
+    done
+  done;
+  let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
+  build_identity_tables mem ~pd:0x4000 ~pt:0x5000 ~mbytes:1 ~user:true;
+  let vaddr = 0x1000 and slot = 1 in
+  for combo = 0 to 15 do
+    let writable, user, nx, dirty, flags = entry combo in
+    (* Only a write fills a dirty entry, so a read-only one is clean. *)
+    if writable || not dirty then
+      for cpl = 0 to 3 do
+        List.iter
+          (fun access ->
+            let what =
+              Printf.sprintf "flags %#x ring %d %s" flags cpl (access_name access)
+            in
+            let mmu = Mmu.create () in
+            Phys_mem.write_u32 mem (0x5000 + 4)
+              (Mmu.make_pte ~frame:vaddr ~writable ~user lor bit nx Mmu.pte_nx);
+            ignore
+              (Mmu.translate mmu mem ~ptb:0x4000 ~cpl:0
+                 (if dirty then Mmu.Write else Mmu.Read)
+                 vaddr);
+            check int ("fill: " ^ what) (Mmu.ready_mask flags)
+              mmu.Mmu.ready.(slot);
+            let allowed =
+              match Mmu.translate mmu mem ~ptb:0x4000 ~cpl access vaddr with
+              | _ -> true
+              | exception Mmu.Page_fault f ->
+                check bool ("protection: " ^ what) false f.Mmu.not_present;
+                false
+            in
+            check bool ("permitted: " ^ what)
+              (permitted ~writable ~user ~nx ~cpl access)
+              allowed;
+            let flags = if allowed && access = Mmu.Write then flags lor Mmu.pte_dirty else flags in
+            check int ("after: " ^ what) (Mmu.ready_mask flags) mmu.Mmu.ready.(slot))
+          accesses
+      done
+  done
+
 let test_cpu_page_fault_delivery () =
   (* Enable paging, then touch an unmapped page; #PF handler records the
      faulting address from the error slot. *)
@@ -1122,6 +1203,127 @@ let test_cpu_tlb_miss_charged_once () =
     (Int64.of_int (Cpu.costs cpu).Costs.tlb_miss)
     (Int64.sub cold warm)
 
+(* -- Inline TLB hits --
+
+   The CPU serves a ready TLB hit itself; everything else goes through
+   [Mmu.translate].  Each test fills an entry with one access, then makes
+   a second access through the same entry that the hit alone must not
+   serve. *)
+
+(* A bare machine with paging on over user-accessible identity tables,
+   booted at 0x1000 and stepped by hand.  A hook records page faults
+   instead of delivering them, so the faulting step leaves pc alone. *)
+let paged_machine build =
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m in
+  build_identity_tables (Machine.mem m) ~pd:0x40000 ~pt:0x41000 ~mbytes:1
+    ~user:true;
+  let a = Asm.create ~origin:0x1000 () in
+  build a;
+  Machine.boot m (Asm.assemble a) ~entry:0x1000;
+  Cpu.set_ptb cpu 0x40000;
+  let faults = ref [] in
+  Cpu.set_hypervisor cpu
+    (Some
+       (fun _ ev ->
+         (match ev with
+          | Cpu.Fault (Cpu.Page f, _) -> faults := f :: !faults
+          | _ -> ());
+         Cpu.Handled));
+  (m, cpu, faults)
+
+let data_page = 0x3000
+let data_pte = 0x41000 + (4 * (data_page lsr 12))
+
+let set_data_pte m ~writable ~user ~nx =
+  Phys_mem.write_u32 (Machine.mem m) data_pte
+    (Mmu.make_pte ~frame:data_page ~writable ~user
+    lor if nx then Mmu.pte_nx else 0)
+
+let check_protection_fault faults ~vaddr ~access =
+  match faults with
+  | [ f ] ->
+    check int "fault address" vaddr f.Mmu.vaddr;
+    check Alcotest.string "fault access" (access_name access)
+      (access_name f.Mmu.access);
+    check bool "protection, not absence" false f.Mmu.not_present
+  | _ -> Alcotest.failf "expected one page fault, got %d" (List.length faults)
+
+let test_tlb_write_after_read_sets_dirty () =
+  let st = Isa.St (2, 4, 3) in
+  let m, cpu, faults =
+    paged_machine (fun a ->
+        Asm.movi a 2 (Asm.imm data_page);
+        Asm.ld a 3 2 0;
+        Asm.instr a st;
+        Asm.hlt a)
+  in
+  Cpu.step cpu (* movi *);
+  Cpu.step cpu (* ld: fills the data page's entry, clean *);
+  let dirty () = Phys_mem.read_u32 (Machine.mem m) data_pte land Mmu.pte_dirty <> 0 in
+  check bool "read fill leaves the PTE clean" false (dirty ());
+  let misses = Mmu.tlb_misses (Cpu.mmu cpu) and t0 = Machine.now m in
+  Cpu.step cpu (* st: hits the clean entry *);
+  check bool "write sets the PTE dirty bit" true (dirty ());
+  check int "no walk" 0 (Mmu.tlb_misses (Cpu.mmu cpu) - misses);
+  check Alcotest.int64 "no tlb_miss charged"
+    (Int64.of_int (Isa.base_cycles (Cpu.costs cpu) st))
+    (Int64.sub (Machine.now m) t0);
+  check int "no fault" 0 (List.length !faults)
+
+let test_tlb_ring3_load_of_supervisor_page () =
+  let m, cpu, faults =
+    paged_machine (fun a ->
+        Asm.movi a 2 (Asm.imm data_page);
+        Asm.ld a 3 2 0;
+        Asm.ld a 4 2 0;
+        Asm.hlt a)
+  in
+  set_data_pte m ~writable:true ~user:false ~nx:false;
+  Phys_mem.write_u32 (Machine.mem m) data_page 0x5A;
+  Cpu.step cpu;
+  Cpu.step cpu (* ring 0 fills the supervisor page's entry *);
+  check int "ring 0 reads it" 0x5A (reg m 3);
+  Cpu.set_cpl cpu 3;
+  Cpu.step cpu;
+  check_protection_fault !faults ~vaddr:data_page ~access:Mmu.Read;
+  check int "ring 3 read nothing" 0 (reg m 4)
+
+let test_tlb_fetch_from_nx_page () =
+  let m, cpu, faults =
+    paged_machine (fun a ->
+        Asm.movi a 2 (Asm.imm data_page);
+        Asm.ld a 3 2 0;
+        Asm.jmp a (Asm.imm data_page);
+        Asm.hlt a)
+  in
+  set_data_pte m ~writable:true ~user:true ~nx:true;
+  Isa.write (Machine.mem m) data_page (Isa.Movi (9, 1));
+  Cpu.step cpu;
+  Cpu.step cpu (* a data read fills the NX page's entry *);
+  Cpu.step cpu (* jmp *);
+  Cpu.step cpu (* the fetch hits that entry *);
+  check_protection_fault !faults ~vaddr:data_page ~access:Mmu.Exec;
+  check int "nothing ran there" 0 (reg m 9);
+  check int "pc stays at the page" data_page (Cpu.pc cpu)
+
+let test_tlb_write_to_read_only_page () =
+  let m, cpu, faults =
+    paged_machine (fun a ->
+        Asm.movi a 2 (Asm.imm data_page);
+        Asm.movi a 3 (Asm.imm 0x77);
+        Asm.ld a 4 2 0;
+        Asm.st a 2 0 3;
+        Asm.hlt a)
+  in
+  set_data_pte m ~writable:false ~user:true ~nx:false;
+  Cpu.step cpu;
+  Cpu.step cpu;
+  Cpu.step cpu (* a read fills the read-only page's entry *);
+  Cpu.step cpu;
+  check_protection_fault !faults ~vaddr:data_page ~access:Mmu.Write;
+  check int "memory unchanged" 0 (Phys_mem.read_u32 (Machine.mem m) data_page)
+
 let test_cpu_iret_to_ring3_with_pending_step () =
   (* IRET restoring a flags word with TF set must trap after the first
      user instruction. *)
@@ -1204,8 +1406,9 @@ type tlb_op =
 let prop_tlb_flush_matches_whole_flush =
   (* [Mmu.flush] clears only the slots filled since the last flush.  The
      reference clears all 256 by starting from a fresh TLB; after every
-     op both must cover the same pages, count the same hits and misses,
-     and leave the same accessed/dirty bits in their tables. *)
+     op both must hold the same pages in the same slots, count the same
+     hits and misses, and leave the same accessed/dirty bits in their
+     tables. *)
   let pd = 0x100000 and pt0 = 0x101000 and dirs = 4 in
   let vpns = dirs * 1024 in
   let pte_of ~vpn bits = ((vpn * 7919) land 511) lsl 12 lor bits in
@@ -1262,23 +1465,18 @@ let prop_tlb_flush_matches_whole_flush =
       (* The reference: a fresh TLB per flush, so every slot is empty after
          one; [ref_hits]/[ref_misses] carry the counts of earlier ones. *)
       let ref_mmu = ref (Mmu.create ()) and ref_hits = ref 0 and ref_misses = ref 0 in
-      let used = Hashtbl.create 64 in
       let translate m mem access cpl vpn =
         match Mmu.translate m mem ~ptb:pd ~cpl access ((vpn lsl 12) lor 0x123) with
         | paddr -> Ok paddr
         | exception Mmu.Page_fault f -> Error f
       in
       let tr access cpl vpn =
-        Hashtbl.replace used vpn ();
         translate mmu mem access cpl vpn = translate !ref_mmu ref_mem access cpl vpn
       in
       let agrees () =
         Mmu.tlb_hits mmu = !ref_hits + Mmu.tlb_hits !ref_mmu
         && Mmu.tlb_misses mmu = !ref_misses + Mmu.tlb_misses !ref_mmu
-        && Hashtbl.fold
-             (fun vpn () ok ->
-               ok && Mmu.tlb_covers mmu ~vpn = Mmu.tlb_covers !ref_mmu ~vpn)
-             used true
+        && mmu.Mmu.vpn = !ref_mmu.Mmu.vpn
         && Bytes.equal
              (Phys_mem.read_bytes mem ~addr:pd ~len:((dirs + 1) * 4096))
              (Phys_mem.read_bytes ref_mem ~addr:pd ~len:((dirs + 1) * 4096))
@@ -1743,6 +1941,173 @@ let test_jit_set_ptb_remap () =
   Machine.run_for m ~cycles:20_000L;
   check int "new frame's code" 22 (reg m 1)
 
+(* -- Loop re-entry --
+
+   A block whose chain ends at its own entry runs again without the
+   dispatcher.  These loops try to make that visible: each runs as a
+   ring-1 guest under the monitor (shadow paging on) with chaining on
+   and off, and everything guest-visible must agree. *)
+
+(* Boots [build]'s guest, warms it past its shadow-page fills, then runs
+   a window of 200 slices of 300-1 693 cycles, so that their ends fall at
+   every point of a loop pass.  Returns the machine, its CPU, the
+   program, the retired count after each slice, the final digest and
+   the window's (retired, block dispatches, TLB hits, faults). *)
+let run_guest_loop ~jit build =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) () in
+  let cpu = Machine.cpu m in
+  Cpu.set_jit_enabled cpu jit;
+  let mon = Core.Monitor.install m in
+  let a = Asm.create ~origin:0x1000 () in
+  build a;
+  let p = Asm.assemble a in
+  Core.Monitor.boot_guest mon p ~entry:0x1000;
+  Machine.run_for m ~cycles:100_000L;
+  let counts () =
+    ( Int64.to_int (Cpu.instructions_retired cpu),
+      Cpu.block_hits cpu + Cpu.blocks_compiled cpu,
+      Mmu.tlb_hits (Cpu.mmu cpu),
+      Int64.to_int (Cpu.faults_taken cpu) )
+  in
+  let r0, d0, h0, f0 = counts () in
+  let slices =
+    List.init 200 (fun i ->
+        Machine.run_for m ~cycles:(Int64.of_int (300 + (7 * i)));
+        Cpu.instructions_retired cpu)
+  in
+  let r1, d1, h1, f1 = counts () in
+  ( m,
+    cpu,
+    p,
+    slices,
+    Core.Snapshot.Full.digest (Core.Monitor.checkpoint_now mon),
+    (r1 - r0, d1 - d0, h1 - h0, f1 - f0) )
+
+let check_loop_on_off build =
+  let m_on, on, p, slices_on, digest_on, (retired, dispatches, hits_on, faults)
+      =
+    run_guest_loop ~jit:true build
+  in
+  let m_off, off, _, slices_off, digest_off, (_, _, hits_off, _) =
+    run_guest_loop ~jit:false build
+  in
+  (* A cycle charged at another instruction moves some slice's end. *)
+  check (Alcotest.list Alcotest.int64) "retired at every slice end"
+    slices_off slices_on;
+  let regs cpu = List.init Isa.num_regs (Cpu.read_reg cpu) in
+  check (Alcotest.list int) "registers" (regs off) (regs on);
+  check int "pc" (Cpu.pc off) (Cpu.pc on);
+  check Alcotest.int64 "retired" (Cpu.instructions_retired off)
+    (Cpu.instructions_retired on);
+  check Alcotest.int64 "clock" (Machine.now m_off) (Machine.now m_on);
+  check Alcotest.int64 "busy cycles"
+    (Vmm_sim.Stats.busy_cycles (Machine.load m_off))
+    (Vmm_sim.Stats.busy_cycles (Machine.load m_on));
+  check Alcotest.int64 "digest" digest_off digest_on;
+  check int "tlb misses" (Mmu.tlb_misses (Cpu.mmu off))
+    (Mmu.tlb_misses (Cpu.mmu on));
+  (* TLB hits differ by design: stepping fetches every instruction, a
+     chain only its first.  In a window without faults (a fault refetches
+     the instruction), each block dispatch, re-entries included, is one
+     fetch. *)
+  check int "no faults in the window" 0 faults;
+  check int "no interpreter fallbacks" 0 (Cpu.block_fallbacks on);
+  check int "tlb hits: one fetch per dispatch" (retired - dispatches)
+    (hits_off - hits_on);
+  (on, p)
+
+let test_jit_loop_reenters () =
+  (* The control: a loop whose chain always ends at its own entry, so
+     almost every pass is a re-entry. *)
+  let on, _ =
+    check_loop_on_off (fun a ->
+        Asm.movi a Isa.sp (Asm.imm 0x8000);
+        Asm.movi a 4 (Asm.imm 0x4000);
+        Asm.label a "loop";
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.st a 4 0 1;
+        Asm.ld a 5 4 0;
+        Asm.push a 5;
+        Asm.pop a 6;
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  check bool "chained" true (Cpu.block_chain_follows on > 1000)
+
+let test_jit_loop_stores_own_text () =
+  (* Each pass rewrites the immediate of the loop's first instruction:
+     the store ends the chain, and the next pass must run the new
+     bytes. *)
+  let on, _ =
+    check_loop_on_off (fun a ->
+        Asm.movi a 8 (Asm.lbl "loop");
+        Asm.label a "loop";
+        Asm.movi a 5 (Asm.imm 0);
+        Asm.add a 2 2 5;
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.st a 8 4 1;
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  let r1 = Cpu.read_reg on 1 and r5 = Cpu.read_reg on 5 in
+  check bool "ran the rewritten immediate" true (r5 > 0 && r1 - r5 <= 1);
+  check bool "text stores invalidated the loop" true
+    (Cpu.block_invalidations on > 0)
+
+let test_jit_loop_call_pushes_into_text () =
+  (* The loop ends in [call loop] with sp inside its own text: every
+     push writes the return address over the immediate of [movi r5], so
+     a pass that re-ran the block without revalidating would load 7.
+     The jump makes the loop a block of its own, compiled before the
+     first push. *)
+  let on, p =
+    check_loop_on_off (fun a ->
+        Asm.movi a Isa.sp (Asm.lbl "loop");
+        Asm.addi a Isa.sp Isa.sp (Asm.imm 4);
+        Asm.jmp a (Asm.lbl "loop");
+        Asm.label a "loop";
+        Asm.movi a 5 (Asm.imm 7);
+        Asm.add a 2 2 5;
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.addi a Isa.sp Isa.sp (Asm.imm 4);
+        Asm.call a (Asm.lbl "loop");
+        Asm.label a "return")
+  in
+  check int "ran the pushed immediate" (Asm.symbol p "return")
+    (Cpu.read_reg on 5);
+  check bool "pushes invalidated the loop" true
+    (Cpu.block_invalidations on > 0)
+
+let test_jit_loop_load_evicts_code_page () =
+  (* The data page 0x101000 shares the code page's TLB slot (vpn 0x101
+     and 0x1 mod 256), so every load evicts the code page's entry and the
+     next fetch walks the tables again. *)
+  let on, _ =
+    check_loop_on_off (fun a ->
+        Asm.movi a 4 (Asm.imm 0x101000);
+        Asm.label a "loop";
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.ld a 5 4 0;
+        Asm.add a 2 2 5;
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  check bool "loop ran" true (Cpu.read_reg on 1 > 100)
+
+let test_jit_loop_ret_evicts_code_page () =
+  (* The loop ends in [ret] to its own head, and the return address
+     lives on a stack page that shares the code page's TLB slot: the
+     chain ends at its entry with the code page evicted, so re-running
+     the block must wait for the fetch's walk. *)
+  let on, _ =
+    check_loop_on_off (fun a ->
+        Asm.movi a Isa.sp (Asm.imm 0x101804);
+        Asm.movi a 7 (Asm.lbl "loop");
+        Asm.st a Isa.sp (-4) 7;
+        Asm.label a "loop";
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.addi a Isa.sp Isa.sp (Asm.imm (-4));
+        Asm.ret a)
+  in
+  check bool "loop ran" true (Cpu.read_reg on 1 > 100)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1807,6 +2172,14 @@ let () =
             test_cpu_copy_across_pages;
           Alcotest.test_case "csum across pages, paged" `Quick
             test_cpu_csum_across_pages_paged;
+          Alcotest.test_case "tlb write after read sets dirty" `Quick
+            test_tlb_write_after_read_sets_dirty;
+          Alcotest.test_case "tlb ring-3 load of supervisor page" `Quick
+            test_tlb_ring3_load_of_supervisor_page;
+          Alcotest.test_case "tlb fetch from NX page" `Quick
+            test_tlb_fetch_from_nx_page;
+          Alcotest.test_case "tlb write to read-only page" `Quick
+            test_tlb_write_to_read_only_page;
           Alcotest.test_case "tlb miss charged once" `Quick
             test_cpu_tlb_miss_charged_once;
           Alcotest.test_case "iret with TF" `Quick
@@ -1823,6 +2196,8 @@ let () =
             test_mmu_hit_allocates_nothing;
           Alcotest.test_case "miss and flush allocate nothing" `Quick
             test_mmu_flush_allocates_nothing;
+          Alcotest.test_case "ready mask is the permission rule" `Quick
+            test_mmu_ready_mask_exhaustive;
         ] );
       ( "pic",
         [
@@ -1887,6 +2262,15 @@ let () =
           Alcotest.test_case "breakpoint plant" `Quick
             test_jit_breakpoint_patch;
           Alcotest.test_case "set_ptb remap" `Quick test_jit_set_ptb_remap;
+          Alcotest.test_case "loop re-enters" `Quick test_jit_loop_reenters;
+          Alcotest.test_case "loop stores into its own text" `Quick
+            test_jit_loop_stores_own_text;
+          Alcotest.test_case "loop call pushes into its own text" `Quick
+            test_jit_loop_call_pushes_into_text;
+          Alcotest.test_case "loop load evicts the code page" `Quick
+            test_jit_loop_load_evicts_code_page;
+          Alcotest.test_case "loop ret evicts the code page" `Quick
+            test_jit_loop_ret_evicts_code_page;
         ] );
       ( "properties",
         qsuite
