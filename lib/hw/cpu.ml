@@ -35,12 +35,14 @@ exception Fault_exn of fault_kind
    the sum of both granule generations is stored — generations only grow,
    so any store under either granule makes the sum diverge for good.  The
    slot caches the instruction's compiled op (see [compile]), run with an
-   empty continuation. *)
+   empty continuation, and whether that op is an [Interp] one, so the
+   translator judges an [Interp] head once per text generation. *)
 type icache_slot = {
   mutable itag : int; (* physical address, -1 = invalid *)
   mutable igen : int; (* summed Phys_mem granule generations at fill *)
   mutable iflush : int; (* icache_gen at fill *)
   mutable iop : t -> unit;
+  mutable iinterp : bool; (* [iop] is an [Interp] op *)
 }
 
 and t = {
@@ -168,7 +170,13 @@ let create ~mem ~bus ~engine ~costs ~load () =
     fetch_buf = Bytes.make Isa.width '\000';
     icache =
       Array.init icache_slots (fun _ ->
-          { itag = -1; igen = 0; iflush = 0; iop = jit_block_end });
+          {
+            itag = -1;
+            igen = 0;
+            iflush = 0;
+            iop = jit_block_end;
+            iinterp = false;
+          });
     icache_gen = 0;
     ic_hits = 0;
     ic_misses = 0;
@@ -569,7 +577,11 @@ let checksum_block t ~addr ~len =
    - [Interp]: I/O, privileged control, COPY/CSUM, RDTSC, VMCALL, INT,
      HLT, IRET and BRK.  These reach devices, rings, the clock or the
      monitor, so they never join a block: [step] runs them, after
-     flushing their base cost (and the fetch's) to the engine.
+     flushing their base cost (and the fetch's) to the engine — called
+     by [run_batch] when no chain may run, else by [jit_run]'s dispatch
+     loop, which knows an [Interp] head from its icache slot and keeps
+     dispatching after the step while [run_batch] would only call it
+     again (see [jit_run]).
 
    The interpreter ([step]) runs one op per instruction with an empty
    continuation; the translator ([jit_run]) chains the ops of a whole
@@ -1096,9 +1108,10 @@ let jit_block_at t ~ppc : jblock option =
 let no_text = { lo = 0; hi = 0 }
 let no_rest () = jit_block_end
 
+let compile_one t instr = compile t instr ~text:no_text ~rest:no_rest
+
 let op_of t instr =
-  match compile t instr ~text:no_text ~rest:no_rest with
-  | Mid op | Final op | Interp op -> op
+  match compile_one t instr with Mid op | Final op | Interp op -> op
 
 (* Decode an instruction that straddles a page, translating each byte in
    its own page. *)
@@ -1109,27 +1122,54 @@ let decode_bytewise t ~access ~cpl vaddr =
   done;
   Isa.decode ~addr:vaddr t.fetch_buf ~off:0
 
+let[@inline] icache_slot t paddr =
+  Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask)
+
+let[@inline] granule_sum t paddr =
+  Phys_mem.generation t.mem paddr
+  + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
+
+(* [slot] holds the op of the current bytes at [paddr]. *)
+let[@inline] slot_valid t slot paddr pgen =
+  slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
+
 let fetch_cached t paddr =
-  let slot = Array.unsafe_get t.icache ((paddr lsr 3) land icache_mask) in
-  let pgen =
-    Phys_mem.generation t.mem paddr
-    + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
-  in
-  if slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
-  then begin
+  let slot = icache_slot t paddr in
+  let pgen = granule_sum t paddr in
+  if slot_valid t slot paddr pgen then begin
     t.ic_hits <- t.ic_hits + 1;
     slot.iop
   end
   else begin
     if slot.itag = paddr then t.ic_inval <- t.ic_inval + 1;
     t.ic_misses <- t.ic_misses + 1;
-    let op = op_of t (Isa.read t.mem paddr) in
+    let op, interp =
+      match compile_one t (Isa.read t.mem paddr) with
+      | Mid op | Final op -> (op, false)
+      | Interp op -> (op, true)
+    in
     slot.itag <- paddr;
     slot.igen <- pgen;
     slot.iflush <- t.icache_gen;
     slot.iop <- op;
+    slot.iinterp <- interp;
     op
   end
+
+(* The icache's verdict that [ppc] heads an [Interp] op, trusted exactly
+   when [fetch_cached] would hit the slot.  The block cache can still
+   hold a block compiled at [ppc] before its head was rewritten, when a
+   step outside [jit_run] filled the slot since (chaining off, trap
+   flag, retire stop); the verdict then defers to [jit_block_at], which
+   counts that block's invalidation. *)
+let interp_at t ppc =
+  let slot = icache_slot t ppc in
+  slot.iinterp
+  && slot_valid t slot ppc (granule_sum t ppc)
+  &&
+  match Array.unsafe_get t.jcache ((ppc lsr 3) land jcache_mask) with
+  | Some b -> b.jb_ppc <> ppc
+  | None -> true
 
 let fetch t =
   let pc = t.pc in
@@ -1173,18 +1213,50 @@ let step t =
     jit_flush t;
     dispatch_exn t e ~return_pc:start_pc
 
-(* Dispatch loop of the block translator: execute compiled blocks from
-   the cache, chaining across taken transfers while the cycle budget
-   [limit] holds, and falling back to one [step] whenever the pc cannot
-   head a block (straddling fetch, out-of-RAM text, [Interp]
-   instruction).  At least one instruction always retires.  See the
-   invariants at [compile] for why this is bit-identical to stepping. *)
-let jit_run t ~limit =
+(* [run_batch] may run [jit_run] in place of a step: chaining is on and
+   no per-instruction observer is armed — no trap flag, no retire stop,
+   no deliverable interrupt. *)
+let can_chain t =
+  t.jit_enabled
+  && (not t.tf)
+  && (match t.retire_stop with None -> true | Some _ -> false)
+  && not (t.if_ && t.pic_pending ())
+
+(* A chain's clock bound: the nearer of [horizon] and the next profiler
+   sample. *)
+let chain_limit t ~horizon =
+  if
+    Int64.compare t.sample_period 0L > 0
+    && Int64.compare t.next_sample horizon < 0
+  then t.next_sample
+  else horizon
+
+let set_jit_limit t limit =
   let rel = Int64.sub limit (Engine.now t.engine) in
   t.jit_limit <-
     (if Int64.compare rel (Int64.of_int max_int) >= 0 then max_int
      else if Int64.compare rel 0L < 0 then 0
-     else Int64.to_int rel);
+     else Int64.to_int rel)
+
+(* Dispatch loop of the block translator: execute compiled blocks from
+   the cache, chaining across taken transfers while the cycle budget
+   holds, and falling back to one [step] whenever the pc cannot head a
+   block (straddling fetch, out-of-RAM text, [Interp] instruction).  At
+   least one instruction always retires.  See the invariants at
+   [compile] for why this is bit-identical to stepping.
+
+   An [Interp] head is known from its icache slot ([interp_at]), so it
+   is decoded and compiled once per text generation, not on every
+   visit.  After its [step] the loop goes on dispatching exactly when
+   [run_batch] would only call [jit_run] again: the CPU neither halted
+   nor stopped, the clock short of the chain limit (so no profiler
+   sample is due and the horizon is not reached), nothing newly
+   scheduled ([wake] unchanged) and [can_chain] still true, which also
+   makes [run_batch]'s interrupt poll a no-op.  Going on is then the
+   same as returning and re-entering: the limit is recomputed from the
+   new clock and the next dispatch is not a chain follow. *)
+let jit_run t ~horizon ~wake =
+  set_jit_limit t (chain_limit t ~horizon);
   let chained = ref false in
   (try
      let continue = ref true in
@@ -1196,7 +1268,11 @@ let jit_run t ~limit =
            (* Instruction 1's fetch-translate, for real: charges a miss
               and sets accessed bits exactly like [step]'s fetch would. *)
            let ppc = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
-           if ppc < 0 || ppc + Isa.width > Phys_mem.size t.mem then None
+           if
+             ppc < 0
+             || ppc + Isa.width > Phys_mem.size t.mem
+             || interp_at t ppc
+           then None
            else jit_block_at t ~ppc
          end
        in
@@ -1208,7 +1284,18 @@ let jit_run t ~limit =
             becomes a machine check. *)
          t.jb_fallbacks <- t.jb_fallbacks + 1;
          step t;
-         continue := false
+         let limit = chain_limit t ~horizon in
+         if
+           (not t.halted)
+           && (not t.stopped)
+           && Int64.compare (Engine.now t.engine) limit < 0
+           && Engine.wake_generation t.engine = wake
+           && can_chain t
+         then begin
+           set_jit_limit t limit;
+           chained := false
+         end
+         else continue := false
        | Some b ->
          if !chained then t.jb_chains <- t.jb_chains + 1;
          chained := true;
@@ -1257,22 +1344,7 @@ let run_batch t ~horizon ~wake =
   let engine = t.engine in
   let continue = ref true in
   while !continue do
-    if
-      t.jit_enabled
-      && (not t.tf)
-      && (match t.retire_stop with None -> true | Some _ -> false)
-      && not (t.if_ && t.pic_pending ())
-    then begin
-      let limit =
-        if
-          Int64.compare t.sample_period 0L > 0
-          && Int64.compare t.next_sample horizon < 0
-        then t.next_sample
-        else horizon
-      in
-      jit_run t ~limit
-    end
-    else step t;
+    if can_chain t then jit_run t ~horizon ~wake else step t;
     (* Continuous pc sampling: a pure read of (pc, cpl) handed to the
        profiler between instructions.  It never advances the clock or
        schedules events, so enabling it cannot perturb guest-visible

@@ -116,32 +116,46 @@ let blit t ~src ~dst ~len =
   if len > 0 then bump t dst len;
   Bytes.blit t.data src t.data dst len
 
-(* Sum of the four little-endian 16-bit lanes of the 8 bytes at [i]. *)
-let lanes_at data i =
-  let w = Bytes.get_int64_le data i in
-  let lo = Int64.to_int w in
-  (lo land 0xFFFF)
-  + ((lo lsr 16) land 0xFFFF)
-  + ((lo lsr 32) land 0xFFFF)
-  + Int64.to_int (Int64.shift_right_logical w 48)
+(* [checksum_add]'s word-wide loop keeps the even and the odd 16-bit
+   lanes of each little-endian word apart, two lanes per accumulator in
+   32-bit slots.  A slot takes at most two lanes per 16 bytes, so after a
+   4 KiB drain block it holds under 2^26 and never carries into its
+   neighbour; draining adds the slots to the sum. *)
+let lane_mask = 0x0000FFFF0000FFFF
+let drain_bytes = 4096
 
 let checksum_add t ~addr ~len ~index sum =
   check t addr len;
   (* Ones'-complement accumulation with explicit byte index, so callers
      summing chunk by chunk keep global little-endian 16-bit pairing.  A
      byte at an even message index is a low byte, at an odd one a high
-     byte; once the index is even, every 8 bytes are four such pairs, so
-     the word-wide loop returns the same unfolded sum as adding byte by
-     byte. *)
+     byte; once the index is even, every 16 bytes are eight such pairs,
+     so the word-wide loop returns the same unfolded sum as adding byte
+     by byte. *)
   let data = t.data in
   let sum = ref sum and pos = ref addr and stop = addr + len in
   if len > 0 && index land 1 = 1 then begin
     sum := !sum + (Char.code (Bytes.unsafe_get data addr) lsl 8);
     pos := addr + 1
   end;
-  while !pos + 8 <= stop do
-    sum := !sum + lanes_at data !pos;
-    pos := !pos + 8
+  while !pos + 16 <= stop do
+    let block_stop = min stop (!pos + drain_bytes) in
+    let even = ref 0 and odd = ref 0 in
+    while !pos + 16 <= block_stop do
+      let a = Bytes.get_int64_le data !pos
+      and b = Bytes.get_int64_le data (!pos + 8) in
+      even :=
+        !even + (Int64.to_int a land lane_mask) + (Int64.to_int b land lane_mask);
+      odd :=
+        !odd
+        + (Int64.to_int (Int64.shift_right_logical a 16) land lane_mask)
+        + (Int64.to_int (Int64.shift_right_logical b 16) land lane_mask);
+      pos := !pos + 16
+    done;
+    sum :=
+      !sum
+      + (!even land 0xFFFFFFFF) + (!even lsr 32)
+      + (!odd land 0xFFFFFFFF) + (!odd lsr 32)
   done;
   while !pos + 2 <= stop do
     sum :=

@@ -139,19 +139,20 @@ let bytewise_checksum_add mem ~addr ~len ~index sum =
   !s
 
 let checksum_mem =
-  let mem = Phys_mem.create ~size:(16 * 1024) in
+  let mem = Phys_mem.create ~size:(24 * 1024) in
   let rng = Vmm_sim.Rng.create ~seed:2005L in
   for i = 0 to Phys_mem.size mem - 1 do
     Phys_mem.write_u8 mem i (Vmm_sim.Rng.int rng 256)
   done;
-  (* Runs of 0xFF make the lane sums carry. *)
-  Phys_mem.fill mem ~addr:0x1000 ~len:600 0xFF;
+  (* Runs of 0xFF make the lane sums carry; this one fills a whole
+     4 KiB drain block of the word-wide loop. *)
+  Phys_mem.fill mem ~addr:0x1000 ~len:5000 0xFF;
   mem
 
 let prop_checksum_add_matches_bytewise =
   QCheck.Test.make ~name:"checksum_add matches bytewise model" ~count:500
     QCheck.(
-      quad (int_bound 8191) (int_bound 4200) (int_bound 1_000_001)
+      quad (int_bound 8191) (int_bound 9000) (int_bound 1_000_001)
         (int_bound 0xFFFFFF))
     (fun (addr, len, index, sum) ->
       Phys_mem.checksum_add checksum_mem ~addr ~len ~index sum
@@ -1948,12 +1949,15 @@ let test_jit_set_ptb_remap () =
    ring-1 guest under the monitor (shadow paging on) with chaining on
    and off, and everything guest-visible must agree. *)
 
-(* Boots [build]'s guest, warms it past its shadow-page fills, then runs
-   a window of 200 slices of 300-1 693 cycles, so that their ends fall at
-   every point of a loop pass.  Returns the machine, its CPU, the
-   program, the retired count after each slice, the final digest and
-   the window's (retired, block dispatches, TLB hits, faults). *)
-let run_guest_loop ~jit build =
+(* Boots [build]'s guest, runs [prepare] on the machine and program,
+   warms the guest past its shadow-page fills, then runs a window of 200
+   slices of [slice] + 7i cycles (300-1 693 by default), so that their
+   ends fall at every point of a loop pass; [before_slice] runs before
+   slice i.  Returns the machine, its CPU, the program, the retired count
+   after each slice, the final digest and the window's (retired, block
+   dispatches, TLB hits, faults). *)
+let run_guest_loop ?(prepare = fun _ _ -> ()) ?(slice = 300)
+    ?(before_slice = fun _ _ _ -> ()) ~jit build =
   let m = Machine.create ~mem_size:(16 * 1024 * 1024) () in
   let cpu = Machine.cpu m in
   Cpu.set_jit_enabled cpu jit;
@@ -1962,6 +1966,7 @@ let run_guest_loop ~jit build =
   build a;
   let p = Asm.assemble a in
   Core.Monitor.boot_guest mon p ~entry:0x1000;
+  prepare m p;
   Machine.run_for m ~cycles:100_000L;
   let counts () =
     ( Int64.to_int (Cpu.instructions_retired cpu),
@@ -1972,7 +1977,8 @@ let run_guest_loop ~jit build =
   let r0, d0, h0, f0 = counts () in
   let slices =
     List.init 200 (fun i ->
-        Machine.run_for m ~cycles:(Int64.of_int (300 + (7 * i)));
+        before_slice m p i;
+        Machine.run_for m ~cycles:(Int64.of_int (slice + (7 * i)));
         Cpu.instructions_retired cpu)
   in
   let r1, d1, h1, f1 = counts () in
@@ -1983,13 +1989,15 @@ let run_guest_loop ~jit build =
     Core.Snapshot.Full.digest (Core.Monitor.checkpoint_now mon),
     (r1 - r0, d1 - d0, h1 - h0, f1 - f0) )
 
-let check_loop_on_off build =
-  let m_on, on, p, slices_on, digest_on, (retired, dispatches, hits_on, faults)
-      =
-    run_guest_loop ~jit:true build
+(* Runs [build]'s guest with chaining on and off and checks that
+   everything guest-visible agrees; returns the chaining-on CPU, the
+   program and both runs' window counts. *)
+let check_on_off ?prepare ?slice ?before_slice build =
+  let m_on, on, p, slices_on, digest_on, counts_on =
+    run_guest_loop ?prepare ?slice ?before_slice ~jit:true build
   in
-  let m_off, off, _, slices_off, digest_off, (_, _, hits_off, _) =
-    run_guest_loop ~jit:false build
+  let m_off, off, _, slices_off, digest_off, counts_off =
+    run_guest_loop ?prepare ?slice ?before_slice ~jit:false build
   in
   (* A cycle charged at another instruction moves some slice's end. *)
   check (Alcotest.list Alcotest.int64) "retired at every slice end"
@@ -2006,6 +2014,12 @@ let check_loop_on_off build =
   check Alcotest.int64 "digest" digest_off digest_on;
   check int "tlb misses" (Mmu.tlb_misses (Cpu.mmu off))
     (Mmu.tlb_misses (Cpu.mmu on));
+  (on, p, counts_on, counts_off)
+
+let check_loop_on_off build =
+  let on, p, (retired, dispatches, hits_on, faults), (_, _, hits_off, _) =
+    check_on_off build
+  in
   (* TLB hits differ by design: stepping fetches every instruction, a
      chain only its first.  In a window without faults (a fault refetches
      the instruction), each block dispatch, re-entries included, is one
@@ -2107,6 +2121,186 @@ let test_jit_loop_ret_evicts_code_page () =
         Asm.ret a)
   in
   check bool "loop ran" true (Cpu.read_reg on 1 > 100)
+
+(* -- Interp heads in the dispatch loop --
+
+   The translator knows an [Interp] head from its icache slot, and after
+   stepping it goes on dispatching while [run_batch] would only call it
+   again.  These guests make each reason to stop visible, chaining on
+   against off.  Most are granted the real PIC and PIT ports, so their
+   OUTs run in the CPU instead of trapping into the monitor. *)
+
+let pic_mask = Machine.Ports.pic + 1
+let pit_reload = Machine.Ports.pit
+let pit_mode = Machine.Ports.pit + 2
+
+let grant_pic_pit m _ =
+  List.iter
+    (fun base ->
+      for port = base to base + 2 do
+        Cpu.allow_port (Machine.cpu m) port true
+      done)
+    [ Machine.Ports.pic; Machine.Ports.pit ]
+
+(* Loads the PIT's reload value with [ticks] ticks of about 1 056
+   cycles, and [r11] with [mode] (1 periodic, 2 one-shot): the real PIT
+   when the guest is granted its ports, else the monitor's virtual
+   one. *)
+let load_pit a ~ticks ~mode =
+  Asm.movi a 10 (Asm.imm ticks);
+  Asm.movi a 11 (Asm.imm mode);
+  Asm.movi a 12 (Asm.imm 0);
+  Asm.outi a (Asm.imm pit_reload) 10;
+  Asm.outi a (Asm.imm (pit_reload + 1)) 12
+
+let program_pit a ~ticks ~mode =
+  load_pit a ~ticks ~mode;
+  Asm.outi a (Asm.imm pit_mode) 11
+
+let spin a label ~iterations =
+  Asm.movi a 5 (Asm.imm 0);
+  Asm.label a label;
+  Asm.addi a 5 5 (Asm.imm 1);
+  Asm.cmpi a 5 (Asm.imm iterations);
+  Asm.jnz a (Asm.lbl label)
+
+let test_jit_out_unmasks_pending_irq () =
+  (* Every line stays masked through a long spin and is unmasked once a
+     pass, so a timer tick that came while masked becomes deliverable
+     right after the unmasking OUT (the monitor keeps IF set), where
+     [run_batch] polls it. *)
+  let on, _, _, _ =
+    check_on_off ~prepare:grant_pic_pit ~slice:3000 (fun a ->
+        program_pit a ~ticks:32 ~mode:1;
+        Asm.movi a 2 (Asm.imm 0xFF);
+        Asm.movi a 3 (Asm.imm 0);
+        Asm.label a "loop";
+        Asm.outi a (Asm.imm pic_mask) 2;
+        spin a "spin" ~iterations:200;
+        Asm.outi a (Asm.imm pic_mask) 3;
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  check bool "ticks delivered" true (Cpu.interrupts_taken on > 10L);
+  check bool "loop ran" true (Cpu.read_reg on 1 > 100)
+
+let test_jit_out_arms_pit_before_horizon () =
+  (* Each pass arms a one-shot tick about 1 056 cycles out and spins
+     longer than that: the arming OUT schedules an event before the
+     slice's end, so the batch must hand back to the engine. *)
+  let on, _, _, _ =
+    check_on_off ~prepare:grant_pic_pit ~slice:3000 (fun a ->
+        load_pit a ~ticks:1 ~mode:2;
+        Asm.label a "loop";
+        Asm.outi a (Asm.imm pit_mode) 11;
+        spin a "spin" ~iterations:600;
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  check bool "ticks delivered" true (Cpu.interrupts_taken on > 10L);
+  check bool "loop ran" true (Cpu.read_reg on 1 > 10)
+
+let test_jit_hlt_after_out () =
+  (* A pass-through OUT, then [hlt], which traps into the monitor and
+     halts the CPU until the guest's virtual timer ticks; the slices are
+     long enough that the clock is still short of them after the trap,
+     so only [halted] ends the dispatch. *)
+  let iht = 0x8000 in
+  let timer_gate m p =
+    write_gate (Machine.mem m) ~table:iht
+      ~vector:(Isa.vec_irq_base_default + Machine.Irq.timer)
+      ~handler:(Asm.symbol p "handler") ~ring:0 ~dpl:0
+  in
+  let on, _, _, _ =
+    check_on_off ~prepare:timer_gate ~slice:40_000 (fun a ->
+        Asm.movi a Isa.sp (Asm.imm 0x20000);
+        Asm.movi a 1 (Asm.imm iht);
+        Asm.liht a 1;
+        program_pit a ~ticks:64 ~mode:1;
+        Asm.movi a 3 (Asm.imm 0);
+        Asm.sti a;
+        Asm.label a "loop";
+        Asm.outi a (Asm.imm Machine.Ports.scsi) 3;
+        Asm.hlt a;
+        Asm.addi a 2 2 (Asm.imm 1);
+        Asm.jmp a (Asm.lbl "loop");
+        Asm.label a "handler";
+        Asm.addi a 7 7 (Asm.imm 1);
+        Asm.movi a 8 (Asm.imm 0x20);
+        Asm.outi a (Asm.imm Machine.Ports.pic) 8;
+        Asm.iret a)
+  in
+  check bool "woke on ticks and halted again" true
+    (Cpu.read_reg on 7 > 10 && Cpu.read_reg on 2 > 10)
+
+let test_jit_out_head_rewritten () =
+  (* The loop's head is an OUT, then an ADDI from slice 70, then the OUT
+     again from slice 140.  With the OUT head every pass steps it and
+     enters the loop's block afresh, never as a chain follow; with the
+     ADDI head the next visit compiles the loop whole and no pass falls
+     back. *)
+  let head = 0x1000 + (2 * Isa.width) in
+  let counters cpu =
+    ( Cpu.blocks_compiled cpu,
+      Cpu.block_fallbacks cpu,
+      Cpu.block_chain_follows cpu )
+  in
+  let marks = ref [] in
+  let before_slice m _ i =
+    let cpu = Machine.cpu m in
+    if Cpu.jit_enabled cpu && (i = 0 || i = 70 || i = 140) then
+      marks := counters cpu :: !marks;
+    if i = 70 then Isa.write (Machine.mem m) head (Isa.Addi (4, 4, 1))
+    else if i = 140 then Isa.write (Machine.mem m) head (Isa.Outi (pic_mask, 3))
+  in
+  let on, p, _, _ =
+    check_on_off ~prepare:grant_pic_pit ~before_slice (fun a ->
+        Asm.movi a 3 (Asm.imm 0);
+        Asm.jmp a (Asm.lbl "loop");
+        Asm.label a "loop";
+        Asm.outi a (Asm.imm pic_mask) 3;
+        Asm.addi a 1 1 (Asm.imm 1);
+        Asm.addi a 2 2 (Asm.imm 3);
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  check int "head" head (Asm.symbol p "loop");
+  match List.rev (counters on :: !marks) with
+  | [ (_, f0, ch0); (c1, f1, ch1); (c2, f2, ch2); (_, f3, ch3) ] ->
+    check bool "the OUT head falls back" true (f1 > f0 && f3 > f2);
+    check int "a pass after the OUT's step is no chain follow" ch0 ch1;
+    check int "nor after it comes back" ch2 ch3;
+    check bool "the ADDI head compiles on its next visit" true (c2 > c1);
+    check int "and never falls back" f1 f2;
+    check bool "ran the ADDI" true (Cpu.read_reg on 4 > 100)
+  | _ -> Alcotest.fail "three marks and the end"
+
+let test_jit_stale_block_under_interp_verdict () =
+  (* The loop's block is compiled, its head is rewritten to an OUT and
+     stepped with chaining off, so the icache says OUT while the block
+     cache still holds the old block.  The first chained visit must
+     still find that block stale and count it, as one without the
+     icache's verdict does. *)
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 3 (Asm.imm 0);
+  Asm.jmp a (Asm.lbl "loop");
+  Asm.label a "loop";
+  Asm.addi a 1 1 (Asm.imm 1);
+  Asm.addi a 2 2 (Asm.imm 3);
+  Asm.jmp a (Asm.lbl "loop");
+  let p = Asm.assemble a in
+  Machine.boot m p ~entry:0x1000;
+  Machine.run_for m ~cycles:20_000L;
+  check bool "loop block compiled" true (Cpu.blocks_compiled cpu > 0);
+  Isa.write (Machine.mem m) (Asm.symbol p "loop") (Isa.Outi (pic_mask, 3));
+  Cpu.set_jit_enabled cpu false;
+  Machine.run_for m ~cycles:20_000L;
+  let inval0 = Cpu.block_invalidations cpu in
+  Cpu.set_jit_enabled cpu true;
+  Machine.run_for m ~cycles:20_000L;
+  check int "stale block counted once" (inval0 + 1)
+    (Cpu.block_invalidations cpu)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -2271,6 +2465,16 @@ let () =
             test_jit_loop_load_evicts_code_page;
           Alcotest.test_case "loop ret evicts the code page" `Quick
             test_jit_loop_ret_evicts_code_page;
+          Alcotest.test_case "OUT unmasks a pending IRQ" `Quick
+            test_jit_out_unmasks_pending_irq;
+          Alcotest.test_case "OUT arms the PIT before the horizon" `Quick
+            test_jit_out_arms_pit_before_horizon;
+          Alcotest.test_case "HLT right after an OUT" `Quick
+            test_jit_hlt_after_out;
+          Alcotest.test_case "OUT head rewritten to ADDI and back" `Quick
+            test_jit_out_head_rewritten;
+          Alcotest.test_case "stale block under an Interp verdict" `Quick
+            test_jit_stale_block_under_interp_verdict;
         ] );
       ( "properties",
         qsuite
