@@ -118,7 +118,7 @@ and jblock = {
   jb_gsum : int; (* summed granule generations over the text at compile *)
   jb_flush : int; (* icache_gen at compile *)
   jb_entry : t -> unit; (* head of the threaded-code chain *)
-  jb_reenter : bool; (* the final op stores nothing: see [jit_run] *)
+  jb_reenter : bool; (* the final op stores nothing: see [run_batch] *)
 }
 
 let table_entries = 64
@@ -199,7 +199,6 @@ let set_pic t ~ack ~pending =
   t.pic_pending <- pending
 
 let set_hypervisor t hook = t.hypervisor <- hook
-let has_hypervisor t = t.hypervisor <> None
 
 (* -- Architectural state -- *)
 
@@ -230,8 +229,6 @@ let interrupts_enabled t = t.if_
 let set_interrupts_enabled t v = t.if_ <- v
 let trap_flag t = t.tf
 let set_trap_flag t v = t.tf <- v
-let iht_base t = t.iht
-let set_iht_base t v = t.iht <- Word.mask v
 let ptb t = t.ptb
 
 let flush_tlb t =
@@ -246,8 +243,6 @@ let set_ptb t v =
   t.ptb <- Word.mask v;
   flush_tlb t
 
-let ring_stack t ring = t.stacks.(ring land 3)
-let set_ring_stack t ring v = t.stacks.(ring land 3) <- Word.mask v
 let halted t = t.halted
 let set_halted t v = t.halted <- v
 let stopped t = t.stopped
@@ -471,7 +466,8 @@ let dispatch_fault t kind ~return_pc =
   if offer t (Fault (kind, return_pc)) = Deliver then
     hw_deliver_fault t kind ~return_pc
 
-(* The one exception-to-fault mapping, shared by [step] and [jit_run]. *)
+(* The one exception-to-fault mapping, shared by [step] and the chains
+   of [run_batch]. *)
 let dispatch_exn t e ~return_pc =
   match e with
   | Fault_exn kind -> dispatch_fault t kind ~return_pc
@@ -577,16 +573,15 @@ let checksum_block t ~addr ~len =
    - [Interp]: I/O, privileged control, COPY/CSUM, RDTSC, VMCALL, INT,
      HLT, IRET and BRK.  These reach devices, rings, the clock or the
      monitor, so they never join a block: [step] runs them, after
-     flushing their base cost (and the fetch's) to the engine — called
-     by [run_batch] when no chain may run, else by [jit_run]'s dispatch
-     loop, which knows an [Interp] head from its icache slot and keeps
-     dispatching after the step while [run_batch] would only call it
-     again (see [jit_run]).
+     flushing their base cost (and the fetch's) to the engine.  The
+     dispatch loop, [run_batch], steps one when no chain may run, or as
+     the fallback that ends a chain, knowing an [Interp] head from its
+     icache slot.
 
    The interpreter ([step]) runs one op per instruction with an empty
-   continuation; the translator ([jit_run]) chains the ops of a whole
-   block.  A chain is bit-identical to stepping the same ops one at a
-   time because of four invariants:
+   continuation; a chain in [run_batch] runs the ops of whole blocks.
+   A chain is bit-identical to stepping the same ops one at a time
+   because of four invariants:
 
    1. Frozen clock.  While a chain runs, nothing reads the engine clock:
       every charge lands in the accumulator, so true time is always
@@ -594,14 +589,14 @@ let checksum_block t ~addr ~len =
       [jit_cyc < jit_limit] is exactly the unbatched loop's
       [now < min horizon next_sample] test.  The accumulator is flushed
       before anything that could observe the clock or counters runs: an
-      interpreter fallback, a fault hook, or returning to [run_batch].
+      interpreter fallback, a fault hook, or the end of the chain.
       Chains therefore stop on the same instruction boundary where the
       unbatched loop would have stopped for the horizon, a profiler
       sample, or an event.
 
    2. Poll elision.  [Mid] and [Final] ops cannot change IF, HALT, the
       PIC, or schedule events, so if no interrupt was deliverable when
-      the chain started (the dispatcher checks), none can become
+      the chain started ([can_chain] checks), none can become
       deliverable mid-chain, and the skipped per-instruction polls were
       all no-ops.
 
@@ -628,7 +623,7 @@ let checksum_block t ~addr ~len =
       cannot happen mid-chain because no events dispatch mid-chain.
 
    Faults propagate out of an op as exceptions with pc still at the
-   faulting instruction; [step] and [jit_run] flush the accumulator and
+   faulting instruction; [step] and [run_batch] flush the accumulator and
    dispatch with [return_pc] at that instruction. *)
 
 (* A block's physical text, [[lo, hi)]; [hi] grows while it compiles. *)
@@ -1159,9 +1154,9 @@ let fetch_cached t paddr =
 (* The icache's verdict that [ppc] heads an [Interp] op, trusted exactly
    when [fetch_cached] would hit the slot.  The block cache can still
    hold a block compiled at [ppc] before its head was rewritten, when a
-   step outside [jit_run] filled the slot since (chaining off, trap
-   flag, retire stop); the verdict then defers to [jit_block_at], which
-   counts that block's invalidation. *)
+   step outside a chain filled the slot since (chaining off, trap flag,
+   retire stop); the verdict then defers to [jit_block_at], which counts
+   that block's invalidation. *)
 let interp_at t ppc =
   let slot = icache_slot t ppc in
   slot.iinterp
@@ -1213,138 +1208,115 @@ let step t =
     jit_flush t;
     dispatch_exn t e ~return_pc:start_pc
 
-(* [run_batch] may run [jit_run] in place of a step: chaining is on and
-   no per-instruction observer is armed — no trap flag, no retire stop,
-   no deliverable interrupt. *)
+(* [run_batch] may run a chain in place of a step: chaining is on and no
+   per-instruction observer is armed — no trap flag, no retire stop, no
+   deliverable interrupt. *)
 let can_chain t =
   t.jit_enabled
   && (not t.tf)
   && (match t.retire_stop with None -> true | Some _ -> false)
   && not (t.if_ && t.pic_pending ())
 
-(* A chain's clock bound: the nearer of [horizon] and the next profiler
-   sample. *)
-let chain_limit t ~horizon =
-  if
-    Int64.compare t.sample_period 0L > 0
-    && Int64.compare t.next_sample horizon < 0
-  then t.next_sample
-  else horizon
+(* The dispatch loop between event horizons.  The caller has already
+   dispatched due events and polled once, so an iteration starts with
+   guest code: a chain when [can_chain] holds, else one [step].  Then it
+   flushes the accumulator, samples, tests for exit and polls.
 
-let set_jit_limit t limit =
-  let rel = Int64.sub limit (Engine.now t.engine) in
-  t.jit_limit <-
-    (if Int64.compare rel (Int64.of_int max_int) >= 0 then max_int
-     else if Int64.compare rel 0L < 0 then 0
-     else Int64.to_int rel)
+   A chain is the block at the pc, followed by the blocks it leads to
+   (chain follows) while the budget holds; a block that loops to its own
+   entry re-runs as its own inner loop ([jb_reenter]).  The budget is
+   the nearer of [horizon] and the next profiler sample, relative to the
+   clock at chain entry.  A pc that cannot head a block (straddling
+   fetch, out-of-RAM text, [Interp] head) takes one [step], counted as a
+   fallback, and ends the chain; so does a fault.
 
-(* Dispatch loop of the block translator: execute compiled blocks from
-   the cache, chaining across taken transfers while the cycle budget
-   holds, and falling back to one [step] whenever the pc cannot head a
-   block (straddling fetch, out-of-RAM text, [Interp] instruction).  At
-   least one instruction always retires.  See the invariants at
-   [compile] for why this is bit-identical to stepping.
-
-   An [Interp] head is known from its icache slot ([interp_at]), so it
-   is decoded and compiled once per text generation, not on every
-   visit.  After its [step] the loop goes on dispatching exactly when
-   [run_batch] would only call [jit_run] again: the CPU neither halted
-   nor stopped, the clock short of the chain limit (so no profiler
-   sample is due and the horizon is not reached), nothing newly
-   scheduled ([wake] unchanged) and [can_chain] still true, which also
-   makes [run_batch]'s interrupt poll a no-op.  Going on is then the
-   same as returning and re-entering: the limit is recomputed from the
-   new clock and the next dispatch is not a chain follow. *)
-let jit_run t ~horizon ~wake =
-  set_jit_limit t (chain_limit t ~horizon);
-  let chained = ref false in
-  (try
-     let continue = ref true in
-     while !continue do
-       let pc = t.pc in
-       let block =
-         if pc land 0xFFF > Mmu.page_size - Isa.width then None
-         else begin
-           (* Instruction 1's fetch-translate, for real: charges a miss
-              and sets accessed bits exactly like [step]'s fetch would. *)
-           let ppc = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
-           if
-             ppc < 0
-             || ppc + Isa.width > Phys_mem.size t.mem
-             || interp_at t ppc
-           then None
-           else jit_block_at t ~ppc
-         end
-       in
-       match block with
-       | None ->
-         (* [step] refetches through the now-warm TLB, so nothing
-            double-charges, and flushes the accumulator before anything
-            can observe it; out-of-RAM text raises Bus_error there and
-            becomes a machine check. *)
-         t.jb_fallbacks <- t.jb_fallbacks + 1;
-         step t;
-         let limit = chain_limit t ~horizon in
-         if
-           (not t.halted)
-           && (not t.stopped)
-           && Int64.compare (Engine.now t.engine) limit < 0
-           && Engine.wake_generation t.engine = wake
-           && can_chain t
-         then begin
-           set_jit_limit t limit;
-           chained := false
-         end
-         else continue := false
-       | Some b ->
-         if !chained then t.jb_chains <- t.jb_chains + 1;
-         chained := true;
-         t.jit_vpn <- pc lsr 12;
-         b.jb_entry t;
-         (* A loop: the chain ended at the block's own entry.  The
-            dispatcher would find the same block: no Interp op ran, so
-            nothing flushed, no event fired and no DMA wrote; every Mid
-            store into the text ended the chain (invariant 4); and the
-            final op stores nothing.  While the code page keeps its TLB
-            slot the fetch would hit, charging nothing and setting no
-            accessed bit, so run the block again and count what the
-            dispatcher would have: a block hit, a chain follow and the
-            fetch's TLB hit. *)
-         if b.jb_reenter then
-           while t.pc = pc && t.jit_cyc < t.jit_limit && code_resident t do
-             t.jb_hits <- t.jb_hits + 1;
-             t.jb_chains <- t.jb_chains + 1;
-             if t.ptb <> 0 then count_tlb_hit t;
-             b.jb_entry t
-           done;
-         if t.jit_cyc >= t.jit_limit then continue := false
-     done
-   with e ->
-     jit_flush t;
-     dispatch_exn t e ~return_pc:t.pc);
-  jit_flush t
-
-(* Tight stepping loop between event horizons.  The caller has already
-   dispatched due events and polled once, so the first action is a step;
-   the loop preserves the canonical dispatch/poll/step interleaving by
-   construction: while the clock stays short of [horizon] and nothing new
-   is scheduled ([wake] unchanged), a dispatch would be a no-op, so
-   step/poll pairs are exactly what the unbatched loop would execute.  Any
-   exit condition returns control to the dispatcher *between* a step and
-   the next poll — the same point where the unbatched loop runs its
-   dispatch — so cycle accounting, trap ordering and IRQ delivery points
-   are bit-identical.
-
-   When the block translator is on and no per-instruction observer is
-   armed — no trap flag, no retire stop, no deliverable interrupt — the
-   step is replaced by [jit_run], bounded by the nearer of the horizon
-   and the next profiler sample so chains stop on exactly the boundary
-   the unbatched loop would have stopped on. *)
+   This is bit-identical to the unbatched loop, which dispatches due
+   events, polls and steps one instruction at a time.  While the clock
+   stays short of [horizon] and nothing new is scheduled ([wake]
+   unchanged) a dispatch is a no-op, so polls and steps are all it
+   would run.  Inside a chain the polls are no-ops too and the budget
+   ends it on the boundary where the horizon or a sample would have
+   stopped stepping (invariants 1 and 2 at [compile]).  Every exit hands
+   back between an instruction and the next poll, the point where the
+   unbatched loop dispatches, so cycle accounting, trap ordering, IRQ
+   delivery points and sample boundaries are the same.  After a fallback
+   step, ending the chain and starting the next one (when the poll found
+   nothing and [can_chain] still holds) re-reads the clock for the new
+   budget and does not count the next block as a chain follow. *)
 let run_batch t ~horizon ~wake =
   let engine = t.engine in
   let continue = ref true in
   while !continue do
-    if can_chain t then jit_run t ~horizon ~wake else step t;
+    (if can_chain t then begin
+       let limit =
+         if
+           Int64.compare t.sample_period 0L > 0
+           && Int64.compare t.next_sample horizon < 0
+         then t.next_sample
+         else horizon
+       in
+       let rel = Int64.sub limit (Engine.now engine) in
+       t.jit_limit <-
+         (if Int64.compare rel (Int64.of_int max_int) >= 0 then max_int
+          else if Int64.compare rel 0L < 0 then 0
+          else Int64.to_int rel);
+       try
+         let chained = ref false in
+         let more = ref true in
+         while !more do
+           let pc = t.pc in
+           let block =
+             if pc land 0xFFF > Mmu.page_size - Isa.width then None
+             else begin
+               (* Instruction 1's fetch-translate, for real: charges a
+                  miss and sets accessed bits exactly like [step]'s fetch
+                  would. *)
+               let ppc = translate t ~access:Mmu.Exec ~cpl:t.cpl pc in
+               if
+                 ppc < 0
+                 || ppc + Isa.width > Phys_mem.size t.mem
+                 || interp_at t ppc
+               then None
+               else jit_block_at t ~ppc
+             end
+           in
+           match block with
+           | None ->
+             (* [step] refetches through the now-warm TLB, so nothing
+                double-charges; out-of-RAM text raises Bus_error there
+                and becomes a machine check. *)
+             t.jb_fallbacks <- t.jb_fallbacks + 1;
+             step t;
+             more := false
+           | Some b ->
+             if !chained then t.jb_chains <- t.jb_chains + 1;
+             chained := true;
+             t.jit_vpn <- pc lsr 12;
+             b.jb_entry t;
+             (* A loop: the chain ended at the block's own entry.  The
+                dispatcher would find the same block: no Interp op ran,
+                so nothing flushed, no event fired and no DMA wrote;
+                every Mid store into the text ended the chain (invariant
+                4); and the final op stores nothing.  While the code page
+                keeps its TLB slot the fetch would hit, charging nothing
+                and setting no accessed bit, so run the block again and
+                count what the dispatcher would have: a block hit, a
+                chain follow and the fetch's TLB hit. *)
+             if b.jb_reenter then
+               while t.pc = pc && t.jit_cyc < t.jit_limit && code_resident t do
+                 t.jb_hits <- t.jb_hits + 1;
+                 t.jb_chains <- t.jb_chains + 1;
+                 if t.ptb <> 0 then count_tlb_hit t;
+                 b.jb_entry t
+               done;
+             more := t.jit_cyc < t.jit_limit
+         done
+       with e ->
+         jit_flush t;
+         dispatch_exn t e ~return_pc:t.pc
+     end
+     else step t);
+    jit_flush t;
     (* Continuous pc sampling: a pure read of (pc, cpl) handed to the
        profiler between instructions.  It never advances the clock or
        schedules events, so enabling it cannot perturb guest-visible
@@ -1380,8 +1352,6 @@ let set_sampling t ~period ~hook =
     (if Int64.compare period 0L > 0 then Int64.add (Engine.now t.engine) period
      else 0L)
 
-let sampling_period t = t.sample_period
-
 let icache_hits t = t.ic_hits
 let icache_misses t = t.ic_misses
 let icache_invalidations t = t.ic_inval
@@ -1402,41 +1372,7 @@ let instructions_retired t = Int64.of_int t.retired
    counter; replay-to-N arms a stop at an absolute retirement count. *)
 let set_instructions_retired t v = t.retired <- Int64.to_int v
 let set_retire_stop t spec = t.retire_stop <- spec
-let retire_stop_armed t =
-  match t.retire_stop with Some _ -> true | None -> false
 let interrupts_taken t = Int64.of_int t.irqs_taken
 let faults_taken t = Int64.of_int t.faults
 let mmu t = t.mmu
-let mem t = t.mem
-let bus t = t.bus
-let engine t = t.engine
 let costs t = t.costs
-
-let pp_gp_reason fmt = function
-  | Privileged_instruction i ->
-    Format.fprintf fmt "privileged instruction (%s)" (Isa.to_string i)
-  | Io_denied port -> Format.fprintf fmt "i/o denied on port 0x%x" port
-  | Bad_iret -> Format.fprintf fmt "malformed iret"
-  | Bad_int_gate v -> Format.fprintf fmt "gate %d not callable" v
-  | Bad_vector v -> Format.fprintf fmt "bad vector %d" v
-  | Bad_ring r -> Format.fprintf fmt "bad ring %d" r
-
-let pp_fault fmt = function
-  | Page f ->
-    Format.fprintf fmt "page fault at 0x%x (%s, %s)" f.Mmu.vaddr
-      (match f.Mmu.access with
-       | Mmu.Read -> "read"
-       | Mmu.Write -> "write"
-       | Mmu.Exec -> "exec")
-      (if f.Mmu.not_present then "not present" else "protection")
-  | Gp reason -> Format.fprintf fmt "protection fault: %a" pp_gp_reason reason
-  | Undefined opcode -> Format.fprintf fmt "undefined opcode 0x%x" opcode
-  | Breakpoint_trap -> Format.fprintf fmt "breakpoint"
-  | Step_trap -> Format.fprintf fmt "single-step"
-  | Machine_check addr -> Format.fprintf fmt "machine check at 0x%x" addr
-
-let pp_event fmt = function
-  | Fault (kind, pc) -> Format.fprintf fmt "fault@0x%x: %a" pc pp_fault kind
-  | Irq vector -> Format.fprintf fmt "irq vector %d" vector
-  | Soft_int (v, _) -> Format.fprintf fmt "int %d" v
-  | Hypercall (imm, _) -> Format.fprintf fmt "vmcall 0x%x" imm

@@ -69,8 +69,6 @@ val set_pic : t -> ack:(unit -> int option) -> pending:(unit -> bool) -> unit
 (** [set_hypervisor t hook] installs/removes the monitor. *)
 val set_hypervisor : t -> (t -> event -> hook_result) option -> unit
 
-val has_hypervisor : t -> bool
-
 (** {2 Architectural state} *)
 
 val read_reg : t -> Isa.reg -> Word.t
@@ -88,8 +86,6 @@ val interrupts_enabled : t -> bool
 val set_interrupts_enabled : t -> bool -> unit
 val trap_flag : t -> bool
 val set_trap_flag : t -> bool -> unit
-val iht_base : t -> int
-val set_iht_base : t -> int -> unit
 val ptb : t -> int
 
 (** [set_ptb t v] loads the page-table base and flushes the TLB. *)
@@ -98,8 +94,6 @@ val set_ptb : t -> int -> unit
 (** [flush_tlb t] drops the TLB and every cached instruction and block. *)
 val flush_tlb : t -> unit
 
-val ring_stack : t -> int -> int
-val set_ring_stack : t -> int -> int -> unit
 val halted : t -> bool
 val set_halted : t -> bool -> unit
 
@@ -136,13 +130,15 @@ val poll_interrupts : t -> unit
     function returns normally unless the machine panics. *)
 val step : t -> unit
 
-(** [run_batch t ~horizon ~wake] steps the CPU in a tight loop until the
-    clock reaches [horizon], the engine's wake generation moves past
-    [wake] (something scheduled an event), or the CPU halts/stops.  The
-    caller must have dispatched due events and polled interrupts
-    immediately before; the interleaving then matches step-at-a-time
-    execution exactly.  Interrupts are still polled between instructions
-    inside the batch. *)
+(** [run_batch t ~horizon ~wake] is the CPU's one dispatch loop.  It
+    runs until the clock reaches [horizon], the engine's wake generation
+    moves past [wake] (something scheduled an event), or the CPU
+    halts/stops.  Each iteration runs a chain of translated blocks when
+    chaining is on and no per-instruction observer is armed, else one
+    {!step}; then it samples the profiler, tests for exit and polls
+    interrupts.  The caller must have dispatched due events and polled
+    interrupts immediately before; the interleaving then matches
+    step-at-a-time execution exactly. *)
 val run_batch : t -> horizon:int64 -> wake:int -> unit
 
 (** [read_instr t vaddr] fetches and decodes the instruction at a virtual
@@ -165,8 +161,6 @@ val read_instr : t -> int -> Isa.instr
     ([period = 0]) the sampler; the next sample is due one period from
     now.  @raise Invalid_argument on a negative period. *)
 val set_sampling : t -> period:int64 -> hook:(pc:int -> cpl:int -> unit) -> unit
-
-val sampling_period : t -> int64
 
 (** {2 Introspection} *)
 
@@ -231,15 +225,8 @@ val set_instructions_retired : t -> int64 -> unit
     reaches [target], then calls [f].  [None] disarms. *)
 val set_retire_stop : t -> (int64 * (t -> unit)) option -> unit
 
-val retire_stop_armed : t -> bool
 val interrupts_taken : t -> int64
 val faults_taken : t -> int64
 val mmu : t -> Mmu.t
-val mem : t -> Phys_mem.t
-val bus : t -> Io_bus.t
-val engine : t -> Vmm_sim.Engine.t
 val costs : t -> Costs.t
 
-val pp_gp_reason : Format.formatter -> gp_reason -> unit
-val pp_fault : Format.formatter -> fault_kind -> unit
-val pp_event : Format.formatter -> event -> unit

@@ -34,22 +34,22 @@ let set_latency_probe t ~now ~observe =
   t.probe_now <- Some now;
   t.probe_observe <- observe
 
-let lowest_bit v =
-  let rec scan i = if i >= lines then None else if v land (1 lsl i) <> 0 then Some i else scan (i + 1) in
-  scan 0
+(* The lowest set line of [v] at or above [i], or -1. *)
+let rec lowest_bit v i =
+  if i >= lines then -1 else if v land (1 lsl i) <> 0 then i else lowest_bit v (i + 1)
 
-(* A request is deliverable when unmasked and of strictly higher priority
-   (lower line number) than everything currently in service. *)
+(* The line an acknowledge would take, or -1.  A request is deliverable
+   when unmasked and of strictly higher priority (lower line number) than
+   everything currently in service. *)
 let deliverable t =
-  match lowest_bit (t.request land lnot t.mask) with
-  | None -> None
-  | Some line ->
-    (match lowest_bit t.service with
-     | Some s when s <= line -> None
-     | Some _ | None -> Some line)
+  let line = lowest_bit (t.request land lnot t.mask) 0 in
+  let s = lowest_bit t.service 0 in
+  if line >= 0 && (s < 0 || line < s) then line else -1
 
+(* Every write to [request], [service] or [mask] ends here, so
+   [intr_level] is always the current deliverability. *)
 let update_intr t =
-  let level = deliverable t <> None in
+  let level = deliverable t >= 0 in
   if level <> t.intr_level then begin
     t.intr_level <- level;
     t.intr level
@@ -57,7 +57,6 @@ let update_intr t =
 
 let set_intr t f =
   t.intr <- f;
-  t.intr_level <- deliverable t <> None;
   f t.intr_level
 
 let raise_irq t line =
@@ -73,12 +72,12 @@ let raise_irq t line =
   t.request <- t.request lor (1 lsl line);
   update_intr t
 
-let pending t = deliverable t <> None
+let pending t = t.intr_level
 
 let ack t =
-  match deliverable t with
-  | None -> None
-  | Some line ->
+  let line = deliverable t in
+  if line < 0 then None
+  else begin
     t.request <- t.request land lnot (1 lsl line);
     t.service <- t.service lor (1 lsl line);
     t.acks <- t.acks + 1;
@@ -89,15 +88,14 @@ let ack t =
      | None -> ());
     update_intr t;
     Some (t.vector_base + line)
+  end
 
 let vector_base t = t.vector_base
 
+(* Retires the highest-priority line in service, the lowest set bit. *)
 let eoi t =
-  match lowest_bit t.service with
-  | Some line ->
-    t.service <- t.service land lnot (1 lsl line);
-    update_intr t
-  | None -> ()
+  t.service <- t.service land (t.service - 1);
+  update_intr t
 
 let io_read t offset =
   match offset with
@@ -144,7 +142,6 @@ let attach t bus ~base =
     ~write:(io_write t)
 
 let requested t = t.request
-let in_service t = t.service
 let mask t = t.mask
 let raises t = t.raises
 let acks t = t.acks

@@ -27,7 +27,8 @@ val set_intr : t -> (bool -> unit) -> unit
 (** [raise_irq t line] latches a request. *)
 val raise_irq : t -> int -> unit
 
-(** [pending t] — would an acknowledge succeed now? *)
+(** [pending t] — would an acknowledge succeed now?  The level last
+    passed to the {!set_intr} callback. *)
 val pending : t -> bool
 
 (** [ack t] acknowledges the highest-priority deliverable request: moves it
@@ -70,7 +71,6 @@ val set_latency_probe : t -> now:(unit -> int64) -> observe:(float -> unit) -> u
 (** Introspection for tests. *)
 val requested : t -> int
 
-val in_service : t -> int
 val mask : t -> int
 
 (** [raises t] / [acks t] — cumulative {!raise_irq} and successful

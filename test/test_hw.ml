@@ -838,6 +838,108 @@ let test_pic_intr_line_callback () =
   Pic.io_write pic 0 0x20;
   check bool "deasserted" false !level
 
+type pic_op =
+  | Raise of int
+  | Ack
+  | Eoi
+  | Mask of int
+  | Capture
+  | Restore
+
+let prop_pic_level_is_deliverability =
+  (* [Pic.pending] reads the level the PIC keeps after every write to
+     its request, service and mask bits.  After any sequence of writes it
+     must equal deliverability recomputed from those bits (service read
+     through the command port), the level last passed to the INTR
+     callback, and whether an acknowledge succeeds. *)
+  let print_op = function
+    | Raise l -> Printf.sprintf "Raise %d" l
+    | Ack -> "Ack"
+    | Eoi -> "Eoi"
+    | Mask v -> Printf.sprintf "Mask %#x" v
+    | Capture -> "Capture"
+    | Restore -> "Restore"
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun l -> Raise l) (int_bound (Pic.lines - 1)));
+          (2, return Ack);
+          (2, return Eoi);
+          (2, map (fun v -> Mask v) (int_bound 0xFF));
+          (1, return Capture);
+          (1, return Restore);
+        ])
+  in
+  QCheck.Test.make ~name:"PIC level is deliverability" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op)
+       QCheck.Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let pic = Pic.create () in
+      let level = ref None in
+      Pic.set_intr pic (fun l -> level := Some l);
+      let saved = ref (Pic.capture pic) in
+      let lowest v =
+        let rec go i = if i >= Pic.lines || v land (1 lsl i) <> 0 then i else go (i + 1) in
+        go 0
+      in
+      let deliverable () =
+        let line = lowest (Pic.requested pic land lnot (Pic.mask pic)) in
+        line < Pic.lines && line < lowest (Pic.io_read pic 0)
+      in
+      List.for_all
+        (fun op ->
+          let ack_agrees =
+            match op with
+            | Ack ->
+              let before = Pic.pending pic in
+              before = (Pic.ack pic <> None)
+            | Raise l ->
+              Pic.raise_irq pic l;
+              true
+            | Eoi ->
+              Pic.io_write pic 0 0x20;
+              true
+            | Mask v ->
+              Pic.io_write pic 1 v;
+              true
+            | Capture ->
+              saved := Pic.capture pic;
+              true
+            | Restore ->
+              Pic.restore pic !saved;
+              true
+          in
+          let pending = Pic.pending pic in
+          ack_agrees
+          && pending = deliverable ()
+          && !level = Some pending)
+        ops)
+
+let test_poll_blocked_line_allocates_nothing () =
+  (* With IF set, every instruction boundary asks the PIC whether a line
+     is deliverable.  Here line 3 is requested but blocked by line 0 in
+     service, so each poll must answer no without building anything. *)
+  let m = fresh_machine () in
+  let cpu = Machine.cpu m and pic = Machine.pic m in
+  Cpu.set_interrupts_enabled cpu true;
+  Pic.raise_irq pic 0;
+  ignore (Pic.ack pic);
+  Pic.raise_irq pic 3;
+  let taken = Cpu.interrupts_taken cpu in
+  let polls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to polls do
+    Cpu.poll_interrupts cpu
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool
+    (Printf.sprintf "no allocation per poll (%.0f words over %d)" words polls)
+    true (words < 1.);
+  check Alcotest.int64 "nothing delivered" taken (Cpu.interrupts_taken cpu);
+  check int "line 3 still requested" 0x08 (Pic.requested pic land 0x08)
+
 let test_pit_periodic () =
   let engine = Engine.create () in
   let fired = ref 0 in
@@ -2124,10 +2226,10 @@ let test_jit_loop_ret_evicts_code_page () =
 
 (* -- Interp heads in the dispatch loop --
 
-   The translator knows an [Interp] head from its icache slot, and after
-   stepping it goes on dispatching while [run_batch] would only call it
-   again.  These guests make each reason to stop visible, chaining on
-   against off.  Most are granted the real PIC and PIT ports, so their
+   [run_batch] knows an [Interp] head from its icache slot and steps
+   it as the fallback that ends a chain; the next chain starts only
+   when the exit test and the interrupt poll let the loop go on.  These
+   guests make each reason to stop visible, chaining on against off.  Most are granted the real PIC and PIT ports, so their
    OUTs run in the CPU instead of trapping into the monitor. *)
 
 let pic_mask = Machine.Ports.pic + 1
@@ -2400,7 +2502,10 @@ let () =
             test_pic_higher_priority_preempts_service;
           Alcotest.test_case "mask" `Quick test_pic_mask;
           Alcotest.test_case "intr line" `Quick test_pic_intr_line_callback;
-        ] );
+          Alcotest.test_case "blocked poll allocates nothing" `Quick
+            test_poll_blocked_line_allocates_nothing;
+        ]
+        @ qsuite [ prop_pic_level_is_deliverability ] );
       ("pit", [ Alcotest.test_case "periodic rate" `Quick test_pit_periodic ]);
       ( "uart",
         [
