@@ -134,9 +134,6 @@ let instruction_count t = Hashtbl.length t.insns
 let issues t = List.rev t.issues
 let calls t = t.calls
 let roots t = t.roots
-let origin t = t.origin
-let image t = t.image
-let in_image t ~addr ~len = addr >= t.origin && addr + len <= t.limit
 
 let text t =
   match t.text_cache with

@@ -51,12 +51,6 @@ val issues : t -> issue list
 val calls : t -> (int * int) list
 
 val roots : t -> int list
-val origin : t -> int
-val image : t -> bytes
-
-(** [in_image t ~addr ~len] — the byte range lies entirely inside the
-    image. *)
-val in_image : t -> addr:int -> len:int -> bool
 
 (** Sorted addresses of every reachable instruction. *)
 val text : t -> int array

@@ -62,8 +62,3 @@ let logor = const_only Word.logor
 let logxor = const_only Word.logxor
 let shl = const_only (fun x y -> Word.shift_left x y)
 let shr = const_only (fun x y -> Word.shift_right x y)
-
-let pp ppf = function
-  | Top -> Format.fprintf ppf "T"
-  | Iv (lo, hi) when lo = hi -> Format.fprintf ppf "0x%x" lo
-  | Iv (lo, hi) -> Format.fprintf ppf "[0x%x,0x%x]" lo hi

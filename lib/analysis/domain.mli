@@ -35,4 +35,3 @@ val logor : value -> value -> value
 val logxor : value -> value -> value
 val shl : value -> value -> value
 val shr : value -> value -> value
-val pp : Format.formatter -> value -> unit

@@ -30,8 +30,6 @@ type result = {
          on the path taken *)
 }
 
-let empty = { sites = []; wedges = []; divergent = [] }
-
 (* Asynchronous = wired to a PIC line; software-interrupt gates (e.g.
    syscalls) only run synchronously and cannot interleave an RMW. *)
 let is_async_vector v =

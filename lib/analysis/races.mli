@@ -31,9 +31,6 @@ type result = {
           depends on the path taken *)
 }
 
-val empty : result
-
-val is_async_vector : int -> bool
 (** Wired to a PIC line, i.e. can preempt mainline code. *)
 
 val analyze :

@@ -13,27 +13,12 @@ type ifs = int
 
 val if_enabled : ifs
 val if_disabled : ifs
-val if_either : ifs
 
 (** A function's effect on the caller's IF state:
-    [apply x i = (if x.dep then i else 0) lor x.forced].  Exact as a
-    set transformer under {!xfer_join}, so joining paths loses no
-    precision. *)
+    [(if x.dep then i else 0) lor x.forced] for the caller's state [i].
+    Exact as a set transformer under the field-wise join, so joining
+    paths loses no precision. *)
 type xfer = { dep : bool; forced : ifs }
-
-val xfer_bottom : xfer
-(** Never returns (no reachable [Ret]); identity of {!xfer_join} and
-    maps every input to the empty may-set. *)
-
-val xfer_identity : xfer
-
-val apply : xfer -> ifs -> ifs
-val xfer_join : xfer -> xfer -> xfer
-
-val xfer_compose : xfer -> xfer -> xfer
-(** [xfer_compose f g] — run [f], then [g]. *)
-
-val xfer_equal : xfer -> xfer -> bool
 
 val xfer_divergent_for : xfer -> ifs -> bool
 (** [xfer_divergent_for x i] — starting from the single state [i],
@@ -54,8 +39,6 @@ type access = {
   reads_unknown : bool;
   writes_unknown : bool;
 }
-
-val access_empty : access
 
 type func = {
   entry : int;

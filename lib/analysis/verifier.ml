@@ -63,9 +63,6 @@ let default_ports =
     (Ports.nic, Ports.nic + 7);
   ]
 
-let default_config =
-  { guest_owns = (fun _ -> true); allowed_ports = default_ports; entry_ring = 0 }
-
 let class_name = function
   | Monitor_store -> "monitor-store"
   | Privileged_reach -> "privileged"

@@ -65,10 +65,6 @@ type config = {
 (** PIC/PIT/UART plus the passed-through SCSI and NIC register files. *)
 val default_ports : (int * int) list
 
-(** Everything-allowed memory, {!default_ports}, ring 0 — flags only
-    intrinsic image problems (classes (b)–(e)). *)
-val default_config : config
-
 val class_name : diag_class -> string
 
 (** [verify config program] — [entry] defaults to the program origin.

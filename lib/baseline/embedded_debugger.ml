@@ -109,5 +109,3 @@ let service t =
   in
   drain ();
   t.answered - before
-
-let commands_answered t = t.answered

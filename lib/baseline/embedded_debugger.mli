@@ -17,9 +17,6 @@ type t
     [region] (guest-reachable) and takes over the UART. *)
 val attach : Vmm_hw.Machine.t -> region:int -> t
 
-(** Size of the planted agent image in bytes. *)
-val footprint : int
-
 (** [alive t] — integrity check: region unmodified and machine not
     panicked. *)
 val alive : t -> bool
@@ -32,5 +29,3 @@ val mark_machine_dead : t -> unit
     while [alive], stays silent forever otherwise.  Returns the number of
     commands answered. *)
 val service : t -> int
-
-val commands_answered : t -> int

@@ -237,8 +237,6 @@ let install machine =
   Cpu.set_hypervisor t.cpu (Some (hook t));
   t
 
-let uninstall t = Cpu.set_hypervisor t.cpu None
-
 let boot_guest t program ~entry =
   Vcpu.boot t.vcpu program ~entry;
   t.shutdown <- false

@@ -46,8 +46,6 @@ type stats = {
 (** [install machine] takes ownership like a hosted VMM would. *)
 val install : Vmm_hw.Machine.t -> t
 
-val uninstall : t -> unit
-
 (** [boot_guest t program ~entry] — as [Core.Monitor.boot_guest]. *)
 val boot_guest : t -> Vmm_hw.Asm.program -> entry:int -> unit
 

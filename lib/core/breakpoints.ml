@@ -59,7 +59,6 @@ let addresses t = sorted_keys t.table
 let add_observe t ~addr = set_add t t.observe addr
 let remove_observe t ~addr = set_remove t t.observe addr
 let observe_mem t ~addr = Hashtbl.mem t.observe addr
-let observe_count t = Hashtbl.length t.observe
 let observed t = sorted_keys t.observe
 
 (* Detach clears only the stub's breakpoints: observe sites belong to the

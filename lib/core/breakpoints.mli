@@ -47,7 +47,6 @@ val add_observe : t -> addr:int -> bool
 val remove_observe : t -> addr:int -> bool
 
 val observe_mem : t -> addr:int -> bool
-val observe_count : t -> int
 
 (** Sorted observe-site addresses. *)
 val observed : t -> int list

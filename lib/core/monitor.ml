@@ -99,7 +99,6 @@ type t = {
   mutable shutdown : bool;
   (* load-time static verification *)
   passthrough : passthrough list;
-  mutable verify_on_boot : bool;
   mutable boot_image : (Asm.program * int) option;
   mutable last_verify : Verifier.report option;
   mutable c_verifies : int;
@@ -195,17 +194,17 @@ let world_switch t =
    category, and per-category totals keep summing to the busy total by
    construction.  When the machine tracer is enabled the same scope also
    appears as a Perfetto span. *)
-let span t cat name f =
+let span t (cat : Vmm_sim.Stats.category) name f =
   let load = Machine.load t.machine in
   let tracer = Machine.tracer t.machine in
   if Vmm_obs.Tracer.enabled tracer then
-    Vmm_obs.Tracer.with_span tracer ~cat name (fun () ->
-        Vmm_sim.Stats.with_category load cat f)
+    Vmm_obs.Tracer.with_span tracer ~cat:(Vmm_sim.Stats.category_name cat)
+      name (fun () -> Vmm_sim.Stats.with_category load cat f)
   else Vmm_sim.Stats.with_category load cat f
 
 (* Category only, no span: for closures fired on every stub byte, where
    a trace event apiece would drown the timeline. *)
-let with_cat t cat f =
+let with_cat t (cat : Vmm_sim.Stats.category) f =
   Vmm_sim.Stats.with_category (Machine.load t.machine) cat f
 
 let guest_read t ~addr ~len = Vcpu.read t.vcpu ~addr ~len
@@ -242,7 +241,7 @@ let escalate ?(cause = "unrecoverable_fault") ?(chain = []) t ~vector ~pc =
 
 let rec reflect ?(check_dpl = false) ?(chain = []) t ~vector ~error ~return_pc
     ~depth =
-  span t "irq" "reflect" @@ fun () ->
+  span t Irq "reflect" @@ fun () ->
   t.c_fault <- t.c_fault + 1;
   flight_note t "monitor.reflect"
     (Flight.Reflect { vector; pc = return_pc; depth });
@@ -309,7 +308,7 @@ let virtual_irq t line =
 (* -- Privileged-instruction emulation (guest kernel only) -- *)
 
 let emulate_privileged t instr pc =
-  span t "mon_cpu" "emulate_priv" @@ fun () ->
+  span t Mon_cpu "emulate_priv" @@ fun () ->
   t.c_cpu <- t.c_cpu + 1;
   world_switch t;
   charge t t.costs.Costs.emulate_cpu;
@@ -331,13 +330,13 @@ let uart_base = Machine.Ports.uart
 let emulated_in t port =
   if port >= pic_base && port < pic_base + 3 then begin
     t.c_pic <- t.c_pic + 1;
-    span t "mon_pic" "vpic_in" @@ fun () ->
+    span t Mon_pic "vpic_in" @@ fun () ->
     charge t t.costs.Costs.emulate_pic;
     Pic.io_read t.vcpu.Vcpu.vpic (port - pic_base)
   end
   else if port >= pit_base && port < pit_base + 3 then begin
     t.c_pit <- t.c_pit + 1;
-    span t "mon_pit" "vpit_in" @@ fun () ->
+    span t Mon_pit "vpit_in" @@ fun () ->
     charge t t.costs.Costs.emulate_pit;
     Pit.io_read t.vcpu.Vcpu.vpit (port - pit_base)
   end
@@ -359,14 +358,14 @@ let emulated_in t port =
 let emulated_out t port value =
   if port >= pic_base && port < pic_base + 3 then begin
     t.c_pic <- t.c_pic + 1;
-    span t "mon_pic" "vpic_out" @@ fun () ->
+    span t Mon_pic "vpic_out" @@ fun () ->
     charge t t.costs.Costs.emulate_pic;
     Pic.io_write t.vcpu.Vcpu.vpic (port - pic_base) value;
     kick t
   end
   else if port >= pit_base && port < pit_base + 3 then begin
     t.c_pit <- t.c_pit + 1;
-    span t "mon_pit" "vpit_out" @@ fun () ->
+    span t Mon_pit "vpit_out" @@ fun () ->
     charge t t.costs.Costs.emulate_pit;
     Pit.io_write t.vcpu.Vcpu.vpit (port - pit_base) value
   end
@@ -380,7 +379,7 @@ let emulated_out t port value =
   end
 
 let emulate_io t port pc =
-  span t "mon_io" "emulate_io" @@ fun () ->
+  span t Mon_io "emulate_io" @@ fun () ->
   t.c_io <- t.c_io + 1;
   flight_note t "monitor.io" (Flight.Io { port; pc });
   world_switch t;
@@ -500,7 +499,7 @@ let handle_vbp_fault t ~vaddr ~pc =
   end
 
 let handle_page_fault t (f : Mmu.fault) pc =
-  span t "mon_shadow" "page_fault" @@ fun () ->
+  span t Mon_shadow "page_fault" @@ fun () ->
   world_switch t;
   let vaddr = f.Mmu.vaddr in
   let page = vaddr land lnot 0xFFF in
@@ -527,7 +526,7 @@ let handle_page_fault t (f : Mmu.fault) pc =
 (* -- Hypercalls -- *)
 
 let handle_hypercall t imm =
-  span t "mon_cpu" "hypercall" @@ fun () ->
+  span t Mon_cpu "hypercall" @@ fun () ->
   t.c_hyper <- t.c_hyper + 1;
   world_switch t;
   charge t t.costs.Costs.emulate_cpu;
@@ -599,7 +598,7 @@ let inject t fault =
 (* -- Real interrupt routing -- *)
 
 let drain_uart t =
-  span t "stub" "drain_uart" @@ fun () ->
+  span t Stub "drain_uart" @@ fun () ->
   let uart = Machine.uart t.machine in
   let stub = get_stub t in
   let rec go () =
@@ -613,7 +612,7 @@ let drain_uart t =
   go ()
 
 let handle_real_irq t vector =
-  span t "irq" "real_irq" @@ fun () ->
+  span t Irq "real_irq" @@ fun () ->
   world_switch t;
   let line = vector - Pic.vector_base (Machine.pic t.machine) in
   (* The monitor owns the physical controller: retire the interrupt now. *)
@@ -632,27 +631,27 @@ let handle_fault t kind pc =
   | Cpu.Gp (Cpu.Privileged_instruction instr) ->
     if t.vcpu.Vcpu.v_cpl = 0 then emulate_privileged t instr pc
     else
-      span t "mon_cpu" "gp" @@ fun () ->
+      span t Mon_cpu "gp" @@ fun () ->
       world_switch t;
       reflect t ~vector:Isa.vec_protection ~error:0 ~return_pc:pc ~depth:0
   | Cpu.Gp (Cpu.Io_denied port) ->
     if t.vcpu.Vcpu.v_cpl = 0 then emulate_io t port pc
     else begin
-      span t "mon_cpu" "gp" @@ fun () ->
+      span t Mon_cpu "gp" @@ fun () ->
       world_switch t;
       reflect t ~vector:Isa.vec_protection ~error:port ~return_pc:pc ~depth:0
     end
   | Cpu.Gp _ ->
-    span t "mon_cpu" "gp" @@ fun () ->
+    span t Mon_cpu "gp" @@ fun () ->
     world_switch t;
     reflect t ~vector:Isa.vec_protection ~error:0 ~return_pc:pc ~depth:0
   | Cpu.Page f -> handle_page_fault t f pc
   | Cpu.Breakpoint_trap ->
-    span t "stub" "breakpoint" @@ fun () ->
+    span t Stub "breakpoint" @@ fun () ->
     world_switch t;
     Stub.on_breakpoint (get_stub t) ~pc
   | Cpu.Step_trap ->
-    span t "stub" "step_trap" @@ fun () ->
+    span t Stub "step_trap" @@ fun () ->
     world_switch t;
     (match t.reprotect_pages with
      | _ :: _ as pages ->
@@ -668,13 +667,13 @@ let handle_fault t kind pc =
        else Stub.on_step_trap (get_stub t) ~pc
      | [] -> Stub.on_step_trap (get_stub t) ~pc)
   | Cpu.Undefined opcode ->
-    span t "mon_cpu" "undefined" @@ fun () ->
+    span t Mon_cpu "undefined" @@ fun () ->
     world_switch t;
     reflect t ~vector:Isa.vec_undefined ~error:opcode ~return_pc:pc ~depth:0
   | Cpu.Machine_check _ ->
     (* A fetch or access beyond physical memory — the signature of a wild
        jump outside anything mapped. *)
-    span t "mon_cpu" "machine_check" @@ fun () ->
+    span t Mon_cpu "machine_check" @@ fun () ->
     world_switch t;
     escalate t ~cause:"machine_check" ~vector:Isa.vec_machine_check ~pc
 
@@ -683,7 +682,7 @@ let hook t _cpu event =
    | Cpu.Irq vector -> handle_real_irq t vector
    | Cpu.Fault (kind, pc) -> handle_fault t kind pc
    | Cpu.Soft_int (vector, next_pc) ->
-     span t "mon_cpu" "soft_int" @@ fun () ->
+     span t Mon_cpu "soft_int" @@ fun () ->
      world_switch t;
      t.c_cpu <- t.c_cpu + 1;
      reflect ~check_dpl:true t ~vector ~error:0 ~return_pc:next_pc ~depth:0
@@ -757,11 +756,6 @@ let watchdog_start ?period_cycles ?max_stalled_periods t =
   t.watchdog <- Some w;
   Watchdog.start w
 
-let watchdog_stop t =
-  match t.watchdog with Some w -> Watchdog.stop w | None -> ()
-
-let watchdog t = t.watchdog
-
 (* The [qW] payload: flat [key=value] pairs, single tokens only, so the
    host side needs no quoting rules. *)
 let watchdog_report t =
@@ -814,10 +808,6 @@ let verify_guest t program ~entry =
       (Printf.sprintf "static verifier: %d diagnostic(s) in the guest image"
          (List.length report.Verifier.diagnostics));
   report
-
-let set_verify_on_boot t flag = t.verify_on_boot <- flag
-let verify_on_boot t = t.verify_on_boot
-let verification t = t.last_verify
 
 (* The [qV] payload; same flat [key=value] shape as [qW].  When race
    witnessing is armed, a wire-compatible trailer reports the dynamic
@@ -1028,9 +1018,6 @@ let checkpoint_start ?period_cycles ?(keep = 8) t =
   in
   arm ()
 
-let checkpoint_stop t = t.checkpoint_gen <- t.checkpoint_gen + 1
-let checkpoints t = t.checkpoints
-
 (* Monitor-side state that belongs to the old guest's execution rather
    than to any guest state: a crash verdict, a half-finished monitor
    step.  Dropped whenever a guest state is booted or loaded (each of
@@ -1112,8 +1099,8 @@ let restart_guest t =
     (* The restored memory is the boot image again: re-verify so the qV
        report always describes what is actually running. *)
     (match t.boot_image with
-    | Some (p, entry) when t.verify_on_boot -> ignore (verify_guest t p ~entry)
-    | _ -> ());
+    | Some (p, entry) -> ignore (verify_guest t p ~entry)
+    | None -> ());
     true
 
 (* -- Crash bundles --
@@ -1268,7 +1255,6 @@ let set_race_witness t flag =
   t.race_witness <- flag;
   if flag then arm_race_sites t else disarm_race_sites t
 
-let race_witness t = t.race_witness
 let race_witness_sites t = Array.length t.race_sites
 let race_windows t = t.c_race_windows
 let race_witnessed t = t.c_race_witnessed
@@ -1336,10 +1322,10 @@ let make_target t =
         else false);
     send_byte =
       (fun byte ->
-        with_cat t "stub" @@ fun () ->
+        with_cat t Stub @@ fun () ->
         charge t t.costs.Costs.port_io;
         Uart.io_write (Machine.uart t.machine) 0 byte);
-    charge = (fun cycles -> with_cat t "stub" (fun () -> charge t cycles));
+    charge = (fun cycles -> with_cat t Stub (fun () -> charge t cycles));
     note_flight = (fun detail -> flight_note t "stub.cmd" (Flight.Text detail));
     query_watchdog = (fun () -> watchdog_report t);
     query_verify = (fun () -> verify_report_text t);
@@ -1406,7 +1392,6 @@ let install ?(passthrough = default_passthrough) machine =
       console_buf = Buffer.create 256;
       shutdown = false;
       passthrough;
-      verify_on_boot = true;
       boot_image = None;
       last_verify = None;
       c_verifies = 0;
@@ -1480,8 +1465,6 @@ let install ?(passthrough = default_passthrough) machine =
   Cpu.set_hypervisor cpu (Some (hook t));
   t
 
-let uninstall t = Cpu.set_hypervisor t.cpu None
-
 let boot_guest t program ~entry =
   Vcpu.boot t.vcpu program ~entry;
   t.power_on ();
@@ -1498,7 +1481,7 @@ let boot_guest t program ~entry =
      report is queryable over qV and published as analysis_* gauges, but
      never blocks the boot). *)
   t.boot_image <- Some (program, entry);
-  if t.verify_on_boot then ignore (verify_guest t program ~entry);
+  ignore (verify_guest t program ~entry);
   (* Re-sample race sites against the image just loaded.  (A warm
      restart needs no re-arm: the observe table is stub state and the
      shadow clear re-arms every observed page NX on its first fill.) *)
@@ -1517,8 +1500,6 @@ let stub t = get_stub t
 let machine t = t.machine
 let layout t = t.vcpu.Vcpu.layout
 let shadow t = t.vcpu.Vcpu.shadow
-let virtual_pic t = t.vcpu.Vcpu.vpic
-let virtual_pit t = t.vcpu.Vcpu.vpit
 
 let stats t =
   {

@@ -75,9 +75,6 @@ type lifecycle = Healthy | Crashed of crash_report
     interrupt and prepares empty shadow tables. *)
 val install : ?passthrough:passthrough list -> Vmm_hw.Machine.t -> t
 
-(** [uninstall t] removes the hook (the machine reverts to bare metal). *)
-val uninstall : t -> unit
-
 (** [boot_guest t program ~entry] returns the virtual PIC/PIT, SCSI and
     NIC to their state at {!install}, loads a guest image into
     guest-owned memory and starts it at guest ring 0 with interrupts
@@ -94,16 +91,9 @@ val guest_iht : t -> int
 val guest_ptb : t -> int
 val guest_halted : t -> bool
 
-(** [guest_flags_word t] — the flags word the guest believes it has. *)
-val guest_flags_word : t -> int
-
 (** [guest_read t ~addr ~len] reads guest-virtual memory through the
     guest's own page tables; [None] when any page is unmapped. *)
 val guest_read : t -> addr:int -> len:int -> string option
-
-(** [guest_write t ~addr ~data] writes guest-virtual memory (debugger
-    privilege: ignores guest write protection). *)
-val guest_write : t -> addr:int -> data:string -> bool
 
 (** {2 Components} *)
 
@@ -111,7 +101,6 @@ val stub : t -> Stub.t
 val machine : t -> Vmm_hw.Machine.t
 val layout : t -> Vm_layout.t
 val shadow : t -> Shadow.t
-val virtual_pic : t -> Vmm_hw.Pic.t
 val watchpoints : t -> Watchpoints.t
 
 (** [profile_dump t] — the [qP] payload: the continuous profiler's
@@ -131,7 +120,6 @@ val flight_report : t -> string
     healthy guest.  Sticky across warm restarts; cleared by a fresh
     {!boot_guest}. *)
 val crash_bundle : t -> string option
-val virtual_pit : t -> Vmm_hw.Pit.t
 val stats : t -> stats
 
 (** [console t] — text the guest wrote via the console hypercall or its
@@ -179,14 +167,6 @@ val crashed : t -> bool
 val watchdog_start :
   ?period_cycles:int64 -> ?max_stalled_periods:int -> t -> unit
 
-val watchdog_stop : t -> unit
-val watchdog : t -> Watchdog.t option
-
-(** [watchdog_report t] — the [qW] payload: flat [key=value] pairs
-    covering lifecycle, crash context (cause, vector, pc, nested-fault
-    chain), watchdog counters and restart count. *)
-val watchdog_report : t -> string
-
 (** [restart_guest t] loads the boot state {!boot_guest} captured — the
     same load as {!restore_checkpoint}: memory, registers, virtualized
     privileged state, the virtual and real PIC/PIT (the virtual PIT's
@@ -219,13 +199,6 @@ val checkpoint_now : t -> Snapshot.Full.t
     history. *)
 val checkpoint_start : ?period_cycles:int64 -> ?keep:int -> t -> unit
 
-(** [checkpoint_stop t] disarms the periodic capture (kept checkpoints
-    stay available). *)
-val checkpoint_stop : t -> unit
-
-(** [checkpoints t] — the held ring, newest first. *)
-val checkpoints : t -> Snapshot.Full.t list
-
 (** [restore_checkpoint t full] puts the guest back to [full]'s
     instruction boundary.  Guest memory, CPU context, virtualized
     privileged state and device state are reinstated; the lifecycle
@@ -249,26 +222,9 @@ val restore_checkpoint : t -> Snapshot.Full.t -> unit
     published as [analysis_*] registry gauges and over the [qV] debug
     query. *)
 
-(** [set_verify_on_boot t flag] — enable/disable load-time verification
-    (on by default).  Affects subsequent boots and restarts. *)
-val set_verify_on_boot : t -> bool -> unit
-
-val verify_on_boot : t -> bool
-
 (** [verify_guest t program ~entry] runs the verifier immediately under
     the monitor's memory/port policy and records the report. *)
 val verify_guest : t -> Vmm_hw.Asm.program -> entry:int -> Vmm_analysis.Verifier.report
-
-(** [verification t] — the most recent report, if any guest was verified. *)
-val verification : t -> Vmm_analysis.Verifier.report option
-
-(** [verify_report_text t] — the [qV] payload: flat [key=value] pairs
-    ([analysis=clean|dirty], counts, and the first diagnostics as
-    [dN=<class>@0xADDR] tokens); ["analysis=off"] before any
-    verification ran.  With race witnessing armed, a wire-compatible
-    trailer follows: [witness=on wsites= wwindows= wseen=] plus one
-    [wN=0xSTORE:COUNT] token per site actually witnessed. *)
-val verify_report_text : t -> string
 
 (** {2 Race-witness cross-validation}
 
@@ -286,8 +242,6 @@ val verify_report_text : t -> string
 (** [set_race_witness t flag] — arm (sampling the latest report) or
     disarm.  Sites re-sample automatically on the next boot. *)
 val set_race_witness : t -> bool -> unit
-
-val race_witness : t -> bool
 
 (** Number of sites currently under observation. *)
 val race_witness_sites : t -> int

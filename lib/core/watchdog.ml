@@ -112,4 +112,3 @@ let stalled_periods t = t.stalled
 let checks t = t.checks
 let stalled_total t = t.stalled_total
 let breakins t = t.breakins
-let config t = t.config

@@ -14,8 +14,6 @@
 
 type config = { period_cycles : int64; max_stalled_periods : int }
 
-val default_config : config
-
 (** One progress observation, supplied by the monitor. *)
 type sample = {
   retired : int64;  (** cumulative instructions retired *)
@@ -57,4 +55,3 @@ val checks : t -> int
 
 val stalled_total : t -> int
 val breakins : t -> int
-val config : t -> config

@@ -36,9 +36,3 @@ let page_watched t page_base =
     t.ranges
 
 let count t = List.length t.ranges
-let ranges t = t.ranges
-
-let clear t =
-  let old = t.ranges in
-  t.ranges <- [];
-  old

@@ -28,5 +28,3 @@ val page_watched : t -> int -> bool
 val pages_of : addr:int -> len:int -> int list
 
 val count : t -> int
-val ranges : t -> (int * int) list
-val clear : t -> (int * int) list

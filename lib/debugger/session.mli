@@ -24,9 +24,6 @@ val attach :
   Vmm_hw.Machine.t ->
   t
 
-(** Simulated seconds a blocking call will pump before giving up. *)
-val default_timeout_s : float
-
 (** {2 Synchronous commands} *)
 
 val read_registers : ?timeout_s:float -> t -> int array option

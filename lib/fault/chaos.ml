@@ -84,19 +84,6 @@ let set_profile t p =
 let set_active t flag = t.active <- flag
 let set_recorder t r = t.recorder <- Some r
 
-(* [window t ~start ~stop ~profile] arms the profile for the sim-time
-   interval [start, stop); both edges are Engine events so the schedule
-   is part of the deterministic replay. *)
-let window t ~start ~stop ~profile =
-  check_profile profile;
-  if Int64.compare stop start < 0 then invalid_arg "Chaos.window: stop < start";
-  ignore
-    (Engine.at t.engine ~time:start (fun () ->
-         t.profile <- profile;
-         t.active <- true));
-  ignore (Engine.at t.engine ~time:stop (fun () -> t.active <- false))
-
-let active t = t.active
 let stats t = t.counters
 
 let roll t p = p > 0.0 && Rng.float t.rng 1.0 < p

@@ -45,12 +45,6 @@ val set_active : t -> bool -> unit
     under the wrap's [source] when recording, scripted when replaying. *)
 val set_recorder : t -> Vmm_replay.Recorder.t -> unit
 
-(** [window t ~start ~stop ~profile] arms [profile] for the sim-time
-    interval [start, stop); both edges are Engine events, so the schedule
-    is part of the deterministic replay. *)
-val window : t -> start:int64 -> stop:int64 -> profile:profile -> unit
-
-val active : t -> bool
 val stats : t -> counters
 
 (** [wrap ?source t sink] is a sink that applies the chaos (when active)

@@ -77,11 +77,9 @@ type arming = {
 }
 
 type t = {
-  seed : int64;
   engine : Engine.t;
   rng : Rng.t;
   chaos : Chaos.t;
-  mutable armed : int;
   mutable disarms : int;
   mutable armings : arming list;  (* arm order, oldest first *)
 }
@@ -89,11 +87,9 @@ type t = {
 let create ~seed ~engine =
   let rng = Rng.create ~seed in
   let chaos = Chaos.create ~engine ~rng:(Rng.split rng) () in
-  { seed; engine; rng; chaos; armed = 0; disarms = 0; armings = [] }
+  { engine; rng; chaos; disarms = 0; armings = [] }
 
-let seed t = t.seed
 let chaos t = t.chaos
-let armed t = t.armed
 let disarms t = t.disarms
 
 let live a = (not a.disarmed) && not a.spent
@@ -173,7 +169,6 @@ let arm t ~monitor fault ~at ~until =
   List.iter
     (fun a -> if a.cls = fault && live a then disarm_arming t a)
     t.armings;
-  t.armed <- t.armed + 1;
   let rng = Rng.split t.rng in
   let machine = Monitor.machine monitor in
   let profile =

@@ -41,7 +41,6 @@ val name : fault_class -> string
 type t
 
 val create : seed:int64 -> engine:Vmm_sim.Engine.t -> t
-val seed : t -> int64
 
 (** The plan's lossy wire; wrap the session's byte streams with
     [Chaos.wrap (chaos plan)] to expose them to the link classes. *)
@@ -64,9 +63,6 @@ val disarm : t -> fault_class -> bool
     disarmed, and not yet spent (fired / window elapsed), in arm
     order. *)
 val armed_classes : t -> fault_class list
-
-(** [armed t] — faults scheduled so far (cumulative, disarms included). *)
-val armed : t -> int
 
 (** [disarms t] — live armings withdrawn via {!disarm} or superseded by
     a re-arm. *)

@@ -15,9 +15,6 @@ val default_config : config
 
 val entry : int
 
-(** Physical address of the receive staging buffer. *)
-val rx_buffer : int
-
 (** Disk layout of the log: each logged payload occupies this many
     512-byte sectors starting at sector {!log_first_lba}. *)
 val log_stride_sectors : int

@@ -160,25 +160,3 @@ let symbol p name =
   | None -> raise Not_found
 
 let load p mem = Phys_mem.load_bytes mem ~addr:p.origin p.code
-
-let disassemble p ~addr ~count =
-  let sym_at a =
-    List.filter_map (fun (n, v) -> if v = a then Some n else None) p.symbols
-  in
-  let rec loop a n acc =
-    if n = 0 then List.rev acc
-    else
-      let off = a - p.origin in
-      if off < 0 || off + Isa.width > Bytes.length p.code then List.rev acc
-      else begin
-        let labels =
-          match sym_at a with
-          | [] -> ""
-          | names -> String.concat ", " names ^ ":\n"
-        in
-        let i = Isa.decode ~addr:a p.code ~off in
-        let line = Printf.sprintf "%s  %08x: %s" labels a (Isa.to_string i) in
-        loop (a + Isa.width) (n - 1) (line :: acc)
-      end
-  in
-  loop addr count []

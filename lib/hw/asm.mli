@@ -118,7 +118,3 @@ val symbol : program -> string -> int
 
 (** [load p mem] copies the image into physical memory at its origin. *)
 val load : program -> Phys_mem.t -> unit
-
-(** [disassemble p ~addr ~count] renders [count] instructions starting at
-    absolute address [addr], annotated with symbols. *)
-val disassemble : program -> addr:int -> count:int -> string list

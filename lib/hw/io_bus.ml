@@ -29,12 +29,6 @@ let register t ~name ~base ~count ~read ~write =
     t.ports.(p) <- Some h
   done
 
-let unregister t ~base ~count =
-  check_range base count;
-  for p = base to base + count - 1 do
-    t.ports.(p) <- None
-  done
-
 let read t port =
   if port < 0 || port >= port_space then 0xFFFFFFFF
   else

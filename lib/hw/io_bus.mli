@@ -25,10 +25,6 @@ val register :
   write:(int -> int -> unit) ->
   unit
 
-(** [unregister t ~base ~count] releases a range (device hot-unplug in
-    tests). *)
-val unregister : t -> base:int -> count:int -> unit
-
 (** [read t port] dispatches a port read. *)
 val read : t -> int -> int
 

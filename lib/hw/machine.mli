@@ -113,9 +113,6 @@ val run_steps : t -> int -> int
     was reached. *)
 val run_until_halted : ?limit:int -> t -> bool
 
-(** [load_program t program] copies an assembled image into memory. *)
-val load_program : t -> Asm.program -> unit
-
 (** [boot t program ~entry] loads the image, points pc at [entry] and
     clears halt state. *)
 val boot : t -> Asm.program -> entry:int -> unit

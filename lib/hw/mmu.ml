@@ -9,7 +9,6 @@ type fault = {
 exception Page_fault of fault
 
 let page_size = 4096
-let entries_per_table = 1024
 
 let pte_present = 0x1
 let pte_writable = 0x2
@@ -27,7 +26,6 @@ let frame_of pte = pte land 0xFFFFF000
 let is_present pte = pte land pte_present <> 0
 let is_writable pte = pte land pte_writable <> 0
 let is_user pte = pte land pte_user <> 0
-let is_nx pte = pte land pte_nx <> 0
 let dir_index vaddr = (vaddr lsr 22) land 0x3FF
 let table_index vaddr = (vaddr lsr 12) land 0x3FF
 

@@ -22,11 +22,9 @@ type fault = {
 exception Page_fault of fault
 
 val page_size : int
-val entries_per_table : int
 
 (** {2 Entry construction/inspection} *)
 
-val pte_present : int
 val pte_writable : int
 val pte_user : int
 
@@ -48,7 +46,6 @@ val frame_of : int -> int
 val is_present : int -> bool
 val is_writable : int -> bool
 val is_user : int -> bool
-val is_nx : int -> bool
 
 (** [dir_index vaddr] and [table_index vaddr] split a virtual address. *)
 val dir_index : int -> int

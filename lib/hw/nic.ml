@@ -34,7 +34,6 @@ type t = {
   mutable epoch : int;
       (* bumped by [tx_reset]/[restore]; in-flight completion events compare
          their captured epoch and only recycle their buffer afterwards *)
-  mutable tx_resets : int;
 }
 
 let create ~engine ~costs ~mem () =
@@ -63,7 +62,6 @@ let create ~engine ~costs ~mem () =
     stall_cycles = 0L;
     tracer = None;
     epoch = 0;
-    tx_resets = 0;
   }
 
 let set_irq t f = t.irq <- f
@@ -150,8 +148,7 @@ let tx_reset t =
   t.inflight <- [];
   t.queued <- 0;
   t.completions <- 0;
-  t.overflow <- false;
-  t.tx_resets <- t.tx_resets + 1
+  t.overflow <- false
 
 let receive_into_buffer t =
   match Queue.take_opt t.rx with
@@ -225,7 +222,6 @@ let stall_tx t ~cycles =
 let tx_stalls t = t.tx_stalls
 let stall_cycles t = t.stall_cycles
 let tx_queued t = t.queued
-let tx_ring_resets t = t.tx_resets
 
 (* Checkpoint support.  Wire and completion times are captured relative
    (cycles from capture) so a restore at a later absolute time re-arms
@@ -289,5 +285,3 @@ let restore t s =
       Bytes.blit xs.xs_data 0 buf 0 len;
       arm_tx t ~buf ~len ~done_at:(Int64.add now xs.xs_remaining))
     s.n_inflight
-
-let inflight_tx t = List.length t.inflight

@@ -3,7 +3,7 @@
     Transmit-side model: the driver points the NIC at a frame in physical
     memory and issues a send; the NIC DMAs the frame, serializes it at the
     wire rate ({!Costs.t.nic_gbps}) and raises a completion interrupt (PIC
-    line 5).  Up to {!tx_ring_slots} frames may be queued; a send into a
+    line 5).  Up to 64 frames may be queued; a send into a
     full ring sets the overflow flag and is dropped (like a driver bug
     would on real hardware).  Transmitted frames are handed to the host
     harness via {!set_on_frame} for validation and rate measurement.
@@ -27,9 +27,6 @@
     - +7 length of the waiting rx frame (read; 0 = none) *)
 
 type t
-
-val tx_ring_slots : int
-val mtu : int
 
 val create :
   engine:Vmm_sim.Engine.t -> costs:Costs.t -> mem:Phys_mem.t -> unit -> t
@@ -58,8 +55,6 @@ val inject_rx : t -> bytes -> unit
     network ingress, one of the nondeterministic inputs. *)
 val set_rx_tap : t -> (bytes -> unit) -> unit
 
-val io_read : t -> int -> int
-val io_write : t -> int -> int -> unit
 val attach : t -> Io_bus.t -> base:int -> unit
 
 val frames_sent : t -> int
@@ -82,9 +77,6 @@ val tx_stalls : t -> int
 (** [stall_cycles t] — cumulative wire time added by {!stall_tx} beyond
     serialization that was already queued. *)
 val stall_cycles : t -> int64
-
-(** [tx_ring_resets t] — driver-issued TX-ring resets (command 3). *)
-val tx_ring_resets : t -> int
 
 (** {2 Checkpoint support}
 
@@ -112,6 +104,3 @@ type state = {
 
 val capture : t -> state
 val restore : t -> state -> unit
-
-(** [inflight_tx t] — frames currently serializing on the wire (tests). *)
-val inflight_tx : t -> int

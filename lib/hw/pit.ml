@@ -93,8 +93,6 @@ let attach t bus ~base =
   Io_bus.register bus ~name:"pit" ~base ~count:3 ~read:(io_read t)
     ~write:(io_write t)
 
-let running t = match t.mode with Stopped -> false | Periodic | One_shot -> true
-let reload t = t.reload
 let ticks_fired t = t.fired
 
 (* Checkpoint support.  The phase is captured {e relative} (cycles until

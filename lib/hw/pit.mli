@@ -12,8 +12,6 @@
 
 type t
 
-val input_hz : float
-
 (** [create ~engine ~costs ~raise_irq ()] — [raise_irq] fires on expiry
     (wired to PIC line 0 for the physical instance). *)
 val create :
@@ -22,11 +20,6 @@ val create :
 val io_read : t -> int -> int
 val io_write : t -> int -> int -> unit
 val attach : t -> Io_bus.t -> base:int -> unit
-
-(** [running t] and [reload t] expose programming state for tests. *)
-val running : t -> bool
-
-val reload : t -> int
 
 (** [ticks_fired t] counts expiries since creation. *)
 val ticks_fired : t -> int

@@ -366,8 +366,6 @@ let restore t s =
         ~delay:os.os_remaining)
     s.s_inflight
 
-let inflight_ops t = List.length t.inflight
-
 (* Fault injection: fail the next [n] reads at the medium. *)
 let inject_read_errors t n =
   if n < 0 then invalid_arg "Scsi.inject_read_errors: negative";

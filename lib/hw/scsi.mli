@@ -29,8 +29,6 @@ val create :
   unit ->
   t
 
-val targets : t -> int
-
 (** [set_irq t f] wires the completion interrupt. *)
 val set_irq : t -> (unit -> unit) -> unit
 
@@ -42,8 +40,6 @@ val set_tracer : t -> Vmm_obs.Tracer.t -> unit
     unwritten byte (exposed so tests and the guest can validate data). *)
 val pattern_byte : target:int -> offset:int -> int
 
-val io_read : t -> int -> int
-val io_write : t -> int -> int -> unit
 val attach : t -> Io_bus.t -> base:int -> unit
 
 (** Counters for tests/benches. *)
@@ -93,9 +89,6 @@ type state = {
 
 val capture : t -> state
 val restore : t -> state -> unit
-
-(** [inflight_ops t] — commands currently on the wire (tests). *)
-val inflight_ops : t -> int
 
 (** {2 Fault injection} *)
 

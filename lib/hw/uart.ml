@@ -35,9 +35,6 @@ let inject_rx t byte =
   Queue.add byte t.rx;
   if t.ier land 1 <> 0 then t.irq ()
 
-let rx_pending t = Queue.length t.rx
-let tx_in_flight t = t.tx_in_flight
-
 let transmit t byte =
   let now = Engine.now t.engine in
   let start = if Int64.compare t.tx_busy_until now > 0 then t.tx_busy_until else now in

@@ -33,8 +33,6 @@ val inject_rx : t -> int -> unit
     debug-link ingress, one of the nondeterministic inputs. *)
 val set_rx_tap : t -> (int -> unit) -> unit
 
-val rx_pending : t -> int
-val tx_in_flight : t -> int
 val io_read : t -> int -> int
 val io_write : t -> int -> int -> unit
 val attach : t -> Io_bus.t -> base:int -> unit

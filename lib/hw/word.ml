@@ -15,4 +15,3 @@ let byte w i = (w lsr (8 * i)) land 0xFF
 let equal a b = mask a = mask b
 let unsigned_lt a b = mask a < mask b
 let signed_lt a b = to_signed a < to_signed b
-let pp fmt w = Format.fprintf fmt "0x%08x" (mask w)

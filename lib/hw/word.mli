@@ -34,4 +34,3 @@ val equal : t -> t -> bool
 
 val unsigned_lt : t -> t -> bool
 val signed_lt : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -61,7 +61,7 @@ let counter ?help t name =
   | Some (M_counter c) -> c
   | Some _ -> kind_mismatch name
   | None ->
-    let c = Stats.counter name in
+    let c = Stats.counter () in
     Hashtbl.add t.table name (M_counter c);
     c
 
@@ -191,7 +191,7 @@ let merge registries =
           let metric = Hashtbl.find src.table name in
           match (Hashtbl.find_opt out.table name, metric) with
           | None, M_counter c ->
-            let merged = Stats.counter name in
+            let merged = Stats.counter () in
             Stats.add merged (Stats.counter_value c);
             Hashtbl.add out.table name (M_counter merged)
           | Some (M_counter acc), M_counter c ->

@@ -7,9 +7,12 @@ type event =
       tid : int;
       start : int64;
       stop : int64;
-    }
+    }  (* a closed span: Chrome phase "X" *)
   | Instant of { name : string; cat : string; tid : int; time : int64 }
+      (* a point event: Chrome phase "i" *)
   | Counter of { name : string; cat : string; time : int64; value : float }
+      (* a counter-track sample: Chrome phase "C", one Perfetto track per
+         name *)
 
 type open_span = {
   span_name : string;

@@ -14,20 +14,6 @@
     breakdown never double-counts.  Unbalanced [end_span] calls are
     counted and ignored rather than corrupting the stack. *)
 
-type event =
-  | Complete of {
-      name : string;
-      cat : string;
-      tid : int;
-      start : int64;
-      stop : int64;
-    }  (** a closed span: Chrome phase "X" *)
-  | Instant of { name : string; cat : string; tid : int; time : int64 }
-      (** a point event: Chrome phase "i" *)
-  | Counter of { name : string; cat : string; time : int64; value : float }
-      (** a counter-track sample: Chrome phase "C"; Perfetto plots one
-          track per name (used for the CPU's block-cache counters) *)
-
 type t
 
 (** [create ~engine ()] — spans are timestamped with [engine]'s clock.
@@ -61,7 +47,7 @@ val counter : t -> cat:string -> string -> float -> unit
 (** [add_complete t ?tid ~cat ~name ~start ~stop ()] records an
     already-timed span, e.g. an asynchronous device DMA whose completion
     time is known when it is scheduled.  [tid] selects the track
-    (default {!tid_dma}); these spans bypass the nesting stack and do
+    (default the device-DMA track); these spans bypass the nesting stack and do
     not feed the category breakdown (device time is not CPU time). *)
 val add_complete :
   t ->
@@ -73,15 +59,7 @@ val add_complete :
   unit ->
   unit
 
-(** The CPU track (nested spans) and the device-DMA track. *)
-val tid_cpu : int
-
-val tid_dma : int
-
 (** {2 Introspection} *)
-
-(** [events t] — retained events, oldest first. *)
-val events : t -> event list
 
 val event_count : t -> int
 

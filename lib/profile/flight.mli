@@ -48,8 +48,6 @@ val default_capacity : int
 (** [create ()] — an empty ring of [capacity] entries (default 512). *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
-
 (** [note t ~cycle ~kind ?severity detail] records one event (severity
     default [Debug]), overwriting the oldest when full.  [kind] should
     be a static string: it is stored, not copied. *)

@@ -1,4 +1,5 @@
 module Engine = Vmm_sim.Engine
+module Stats = Vmm_sim.Stats
 module Json = Vmm_obs.Json
 
 type key = {
@@ -7,16 +8,14 @@ type key = {
   k_cat : string;
 }
 
-(* Internally a bucket is a packed int — [pc lsl 8 | ring lsl 6 | cat
-   id] — so the steady-state path hashes machine integers instead of a
-   record holding a string, and the recent ring is two plain int arrays
-   (no write barriers, no boxing).  The public {!key} record is
-   reconstructed on demand.  Ring takes 2 bits (CPL is 0..3) and the
-   category id 6; category 63 doubles as an overflow bucket in the
-   unlikely event a machine grows more than 63 distinct load
-   categories. *)
-let cat_bits = 6
-let max_cats = (1 lsl cat_bits) - 1
+(* Internally a bucket is a packed int — [pc lsl 5 | ring lsl 3 |
+   category index] — so the steady-state path hashes machine integers
+   instead of a record holding a string, and the recent ring is two
+   plain int arrays (no write barriers, no boxing).  The public {!key}
+   record is reconstructed on demand.  Ring takes 2 bits (CPL is 0..3)
+   and the category index 3 (there are eight {!Stats.category}s). *)
+let cat_bits = 3
+let cat_mask = (1 lsl cat_bits) - 1
 let ring_shift = cat_bits
 let pc_shift = cat_bits + 2
 
@@ -25,16 +24,8 @@ type t = {
   mutable period : int64;
   mutable next_due : int64;
   counts : (int, int ref) Hashtbl.t; (* packed bucket -> hits *)
-  mutable cats : string array; (* category id -> name *)
-  mutable ncats : int;
-  (* One-entry caches: tight guest loops sample the same bucket over and
-     over, and the load category changes far less often than samples
-     fire.  [cat_memo] is compared physically — Stats.category hands
-     back its stored string, so only a real switch changes identity (a
-     structurally-equal-but-distinct string merely rescans the small
-     category table, which is still correct). *)
-  mutable cat_memo : string;
-  mutable cat_memo_id : int;
+  (* One-entry cache: tight guest loops sample the same bucket over and
+     over. *)
   mutable memo_packed : int;
   mutable memo_count : int ref;
   (* Bounded ring of the most recent samples, for time-resolved export
@@ -50,11 +41,6 @@ type t = {
 
 let default_period = 8192L
 
-(* A fresh 1-byte string: physically distinct from every real category
-   (zero-length strings are a shared atom, so an empty guard could
-   falsely hit). *)
-let fresh_guard () = String.make 1 '\000'
-
 let create ?(recent_capacity = 4096) ~engine () =
   if recent_capacity < 1 then
     invalid_arg "Profiler.create: recent_capacity < 1";
@@ -63,10 +49,6 @@ let create ?(recent_capacity = 4096) ~engine () =
     period = 0L;
     next_due = 0L;
     counts = Hashtbl.create 256;
-    cats = Array.make 8 "";
-    ncats = 0;
-    cat_memo = fresh_guard ();
-    cat_memo_id = 0;
     memo_packed = -1;
     memo_count = ref 0;
     recent_cycle = Array.make recent_capacity 0;
@@ -76,44 +58,16 @@ let create ?(recent_capacity = 4096) ~engine () =
     total = 0;
   }
 
-let cat_id t cat =
-  if cat == t.cat_memo then t.cat_memo_id
-  else begin
-    let rec find i =
-      if i >= t.ncats then
-        if t.ncats >= max_cats then max_cats (* overflow bucket *)
-        else begin
-          let id = t.ncats in
-          if id >= Array.length t.cats then begin
-            let bigger = Array.make (2 * Array.length t.cats) "" in
-            Array.blit t.cats 0 bigger 0 (Array.length t.cats);
-            t.cats <- bigger
-          end;
-          t.cats.(id) <- cat;
-          t.ncats <- id + 1;
-          id
-        end
-      else if String.equal t.cats.(i) cat then i
-      else find (i + 1)
-    in
-    let id = find 0 in
-    t.cat_memo <- cat;
-    t.cat_memo_id <- id;
-    id
-  end
+let pack ~pc ~ring ~cat =
+  (pc lsl pc_shift)
+  lor ((ring land 3) lsl ring_shift)
+  lor Stats.category_index cat
 
-let pack t ~pc ~ring ~cat =
-  (pc lsl pc_shift) lor ((ring land 3) lsl ring_shift) lor cat_id t cat
-
-let key_of_packed t packed =
+let key_of_packed packed =
   {
     k_pc = packed lsr pc_shift;
     k_ring = (packed lsr ring_shift) land 3;
-    k_cat =
-      (let id = packed land max_cats in
-       if id < t.ncats then t.cats.(id)
-       else if id = max_cats then "overflow"
-       else "");
+    k_cat = Stats.category_name Stats.categories.(packed land cat_mask);
   }
 
 let period t = t.period
@@ -124,7 +78,7 @@ let set_period t p =
   t.period <- p;
   t.next_due <- if enabled t then Int64.add (Engine.now t.engine) p else 0L
 
-(* [due]/[note_sampled] implement the every-N-cycles cadence for callers
+(* [due] and [sample] implement the every-N-cycles cadence for callers
    that drive sampling themselves (the CPU dispatch loop owns its own
    copy of this check so the off case costs one compare — see
    Cpu.set_sampling). *)
@@ -136,7 +90,7 @@ let due t =
    of the last bucket is an int compare plus an increment.  A miss is an
    int-keyed hashtable probe — no string hashing, no key allocation. *)
 let sample t ~pc ~ring ~cat =
-  let packed = pack t ~pc ~ring ~cat in
+  let packed = pack ~pc ~ring ~cat in
   if packed = t.memo_packed then incr t.memo_count
   else begin
     let r =
@@ -161,7 +115,7 @@ let sample t ~pc ~ring ~cat =
 let total_samples t = t.total
 
 let buckets t =
-  Hashtbl.fold (fun packed r acc -> (key_of_packed t packed, !r) :: acc)
+  Hashtbl.fold (fun packed r acc -> (key_of_packed packed, !r) :: acc)
     t.counts []
   |> List.sort (fun (ka, ca) (kb, cb) ->
          if ca <> cb then compare cb ca
@@ -171,7 +125,7 @@ let sum_by proj t =
   let table = Hashtbl.create 16 in
   Hashtbl.iter
     (fun packed r ->
-      let k = proj (key_of_packed t packed) in
+      let k = proj (key_of_packed packed) in
       match Hashtbl.find_opt table k with
       | Some acc -> acc := !acc + !r
       | None -> Hashtbl.add table k (ref !r))
@@ -192,8 +146,6 @@ let by_category t =
 
 let clear t =
   Hashtbl.reset t.counts;
-  (* category ids stay valid: names are interned for the profiler's
-     lifetime, so the cat memo survives a clear *)
   t.memo_packed <- -1;
   t.memo_count <- ref 0;
   t.recent_next <- 0;
@@ -268,9 +220,8 @@ let collapsed ?(resolve = default_resolve) t =
   List.iter
     (fun (key, count) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s;ring%d;%s %d\n"
-           (if key.k_cat = "" then "uncategorized" else key.k_cat)
-           key.k_ring (resolve key.k_pc) count))
+        (Printf.sprintf "%s;ring%d;%s %d\n" key.k_cat key.k_ring
+           (resolve key.k_pc) count))
     (buckets t);
   Buffer.contents buf
 
@@ -287,7 +238,7 @@ let perfetto_counters ?(cpu_hz = 1.26e9) ?(slices = 64) t =
     (* oldest first *)
     List.init retained (fun i ->
         let idx = (t.recent_next - retained + i + (2 * capacity)) mod capacity in
-        (Int64.of_int t.recent_cycle.(idx), key_of_packed t t.recent_packed.(idx)))
+        (Int64.of_int t.recent_cycle.(idx), key_of_packed t.recent_packed.(idx)))
   in
   match samples with
   | [] -> Json.Obj [ ("traceEvents", Json.List []) ]
@@ -321,7 +272,7 @@ let perfetto_counters ?(cpu_hz = 1.26e9) ?(slices = 64) t =
       (fun (cycle, key) ->
         let s = slice_of cycle in
         bump rings (Printf.sprintf "ring%d" key.k_ring) s;
-        bump cats (if key.k_cat = "" then "uncategorized" else key.k_cat) s)
+        bump cats key.k_cat s)
       samples;
     let counter_events name table =
       List.concat

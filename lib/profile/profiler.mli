@@ -19,7 +19,8 @@
     the simulator core, and CFG/symbol attribution plugs in from the
     debugger side. *)
 
-(** One aggregate bucket key. *)
+(** One aggregate bucket key.  [k_cat] is the sample's
+    {!Vmm_sim.Stats.category_name}. *)
 type key = {
   k_pc : int;
   k_ring : int;
@@ -54,7 +55,7 @@ val due : t -> bool
 
 (** [sample t ~pc ~ring ~cat] records one sample at the current engine
     time and re-arms the cadence. *)
-val sample : t -> pc:int -> ring:int -> cat:string -> unit
+val sample : t -> pc:int -> ring:int -> cat:Vmm_sim.Stats.category -> unit
 
 val total_samples : t -> int
 

@@ -9,9 +9,6 @@
 
 (** {2 Framing} *)
 
-(** [checksum payload] — byte sum mod 256 of the (escaped) payload. *)
-val checksum : string -> int
-
 (** [frame payload] is the complete escaped packet text. *)
 val frame : string -> string
 

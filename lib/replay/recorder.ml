@@ -61,9 +61,7 @@ let start_replay t events =
 let stop t = t.mode <- Off
 let recorded t = List.rev t.log
 let position t = match t.mode with Replay -> t.cursor | _ -> t.count
-let divergence t = t.div
 let set_muted t flag = t.muted <- flag
-let muted t = t.muted
 
 let diverge t ~expected ~actual =
   if t.div = None then begin

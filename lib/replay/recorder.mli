@@ -62,11 +62,8 @@ val decide_chaos :
   t -> cycle:int64 -> source:string -> roll:(unit -> Event.chaos_verdict) ->
   Event.chaos_verdict
 
-val divergence : t -> divergence option
-
 (** [finish_replay t] — end-of-run check: latches a divergence if
     scripted events remain unconsumed.  Returns {!divergence}. *)
 val finish_replay : t -> divergence option
 
 val set_muted : t -> bool -> unit
-val muted : t -> bool

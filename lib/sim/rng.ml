@@ -59,8 +59,6 @@ let float t bound =
   let v = Int64.to_float (bits32 t) /. 4294967296.0 in
   v *. bound
 
-let bool t = Int64.logand (bits32 t) 1L = 1L
-
 let exponential t ~mean =
   let rec positive () =
     let u = float t 1.0 in

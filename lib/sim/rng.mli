@@ -23,9 +23,6 @@ val int : t -> int -> int
 (** [float t bound] is uniform in [0, bound). *)
 val float : t -> float -> float
 
-(** [bool t] is a fair coin. *)
-val bool : t -> bool
-
 (** [exponential t ~mean] draws from Exp(1/mean); used for jittered device
     service times. *)
 val exponential : t -> mean:float -> float

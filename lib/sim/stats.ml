@@ -1,74 +1,86 @@
-type counter = {
-  name : string;
-  mutable value : int64;
-}
+type counter = { mutable value : int64 }
 
-let counter name = { name; value = 0L }
+let counter () = { value = 0L }
 let incr c = c.value <- Int64.add c.value 1L
 let add c v = c.value <- Int64.add c.value v
-let counter_name c = c.name
 let counter_value c = c.value
 let reset_counter c = c.value <- 0L
 
+type category =
+  | Guest
+  | Mon_cpu
+  | Mon_io
+  | Mon_pic
+  | Mon_pit
+  | Mon_shadow
+  | Irq
+  | Stub
+
+let categories =
+  [| Guest; Mon_cpu; Mon_io; Mon_pic; Mon_pit; Mon_shadow; Irq; Stub |]
+
+let category_index = function
+  | Guest -> 0
+  | Mon_cpu -> 1
+  | Mon_io -> 2
+  | Mon_pic -> 3
+  | Mon_pit -> 4
+  | Mon_shadow -> 5
+  | Irq -> 6
+  | Stub -> 7
+
+let category_name = function
+  | Guest -> "guest"
+  | Mon_cpu -> "mon_cpu"
+  | Mon_io -> "mon_io"
+  | Mon_pic -> "mon_pic"
+  | Mon_pit -> "mon_pit"
+  | Mon_shadow -> "mon_shadow"
+  | Irq -> "irq"
+  | Stub -> "stub"
+
 (* Busy totals are native ints so [note_busy] — called on every charge —
-   stores without boxing; [current] is the cell of the current category,
-   cached so the hot path never hashes a name. *)
+   stores without boxing; [cur] is the current category's index into
+   [by_cat]. *)
 type load = {
   mutable busy : int;
-  mutable category : string;
-  mutable current : int ref;
-  by_cat : (string, int ref) Hashtbl.t;
+  mutable cur : int;
+  by_cat : int array;
 }
 
-let default_category = "guest"
-
-let cat_ref l cat =
-  match Hashtbl.find l.by_cat cat with
-  | r -> r
-  | exception Not_found ->
-    let r = ref 0 in
-    Hashtbl.add l.by_cat cat r;
-    r
-
 let load () =
-  let by_cat = Hashtbl.create 16 in
-  let current = ref 0 in
-  Hashtbl.add by_cat default_category current;
-  { busy = 0; category = default_category; current; by_cat }
+  {
+    busy = 0;
+    cur = category_index Guest;
+    by_cat = Array.make (Array.length categories) 0;
+  }
 
 let note_busy l cycles =
   let c = Int64.to_int cycles in
   l.busy <- l.busy + c;
-  l.current := !(l.current) + c
+  l.by_cat.(l.cur) <- l.by_cat.(l.cur) + c
 
 let busy_cycles l = Int64.of_int l.busy
-
-let set_category l cat =
-  if not (String.equal cat l.category) then begin
-    l.category <- cat;
-    l.current <- cat_ref l cat
-  end
-
-let category l = l.category
+let set_category l cat = l.cur <- category_index cat
+let category l = categories.(l.cur)
 
 let with_category l cat f =
-  let prev = l.category and prev_cell = l.current in
-  set_category l cat;
+  let prev = l.cur in
+  l.cur <- category_index cat;
   match f () with
   | v ->
-    l.category <- prev;
-    l.current <- prev_cell;
+    l.cur <- prev;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    l.category <- prev;
-    l.current <- prev_cell;
+    l.cur <- prev;
     Printexc.raise_with_backtrace e bt
 
 let busy_by_category l =
-  Hashtbl.fold
-    (fun cat r acc -> if !r = 0 then acc else (cat, Int64.of_int !r) :: acc)
-    l.by_cat []
+  Array.to_list categories
+  |> List.filter_map (fun c ->
+         let v = l.by_cat.(category_index c) in
+         if v = 0 then None else Some (category_name c, Int64.of_int v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let utilization l ~elapsed =
@@ -76,10 +88,6 @@ let utilization l ~elapsed =
   else
     let u = float_of_int l.busy /. Int64.to_float elapsed in
     if u < 0.0 then 0.0 else if u > 1.0 then 1.0 else u
-
-let reset_load l =
-  l.busy <- 0;
-  Hashtbl.iter (fun _ r -> r := 0) l.by_cat
 
 type histogram = {
   width : float;

@@ -9,10 +9,9 @@
 
 type counter
 
-val counter : string -> counter
+val counter : unit -> counter
 val incr : counter -> unit
 val add : counter -> int64 -> unit
-val counter_name : counter -> string
 val counter_value : counter -> int64
 val reset_counter : counter -> unit
 
@@ -21,40 +20,63 @@ val reset_counter : counter -> unit
 type load
 
 (** [load ()] is a fresh accumulator with zero busy time, attributing to
-    {!default_category}. *)
+    [Guest]. *)
 val load : unit -> load
 
 (** [note_busy load cycles] records [cycles] of non-idle execution,
-    attributed to the current category.  Totals are native [int]s and the
-    current category's cell is cached, so this allocates nothing. *)
+    attributed to the current category.  Totals are native [int]s in an
+    array indexed by category, so this allocates nothing. *)
 val note_busy : load -> int64 -> unit
 
 (** {2 Cycle attribution}
 
-    Every busy cycle lands in exactly one named category (the one
-    current when it is charged), so the per-category totals always sum
-    to {!busy_cycles} — the invariant the Fig 3.1 breakdown relies on.
-    The monitor switches category around its trap handlers; code that
-    never calls {!set_category} books everything to the default. *)
+    Every busy cycle lands in exactly one category (the one current when
+    it is charged), so the per-category totals always sum to
+    {!busy_cycles} — the invariant the Fig 3.1 breakdown relies on.  The
+    monitor switches category around its trap handlers; code that never
+    calls {!set_category} books everything to [Guest].  The set is
+    closed: its names are the cycle-attribution taxonomy of
+    docs/OBSERVABILITY.md, and they name the tracer's CPU-track spans,
+    the profiler's buckets and the [sim.busy.*] benchmark metrics. *)
+type category =
+  | Guest  (** ["guest"]: direct guest execution (the default) *)
+  | Mon_cpu
+      (** ["mon_cpu"]: privileged-instruction emulation, hypercalls,
+          GP/undefined/machine-check handling *)
+  | Mon_io  (** ["mon_io"]: trapped port I/O emulation *)
+  | Mon_pic  (** ["mon_pic"]: virtual interrupt-controller emulation *)
+  | Mon_pit  (** ["mon_pit"]: virtual timer emulation *)
+  | Mon_shadow
+      (** ["mon_shadow"]: shadow page-table fills and page-fault handling *)
+  | Irq
+      (** ["irq"]: interrupt delivery, reflection into the guest's
+          handler table *)
+  | Stub  (** ["stub"]: the in-monitor debug stub and its serial link *)
 
-(** ["guest"] — direct guest execution. *)
-val default_category : string
+(** [category_name c] — the lowercase name above. *)
+val category_name : category -> string
+
+(** [category_index c] — [c]'s position in {!categories}, in [0, 8). *)
+val category_index : category -> int
+
+(** Every category, in {!category_index} order. *)
+val categories : category array
 
 (** [set_category load cat] routes subsequent busy cycles to [cat]. *)
-val set_category : load -> string -> unit
+val set_category : load -> category -> unit
 
 (** [category load] — the current attribution category. *)
-val category : load -> string
+val category : load -> category
 
 (** [with_category load cat f] runs [f] with the category switched to
     [cat].  On return, or when [f] raises, it restores the previous
-    category and the cell {!note_busy} writes to, without a table
-    lookup; an exception propagates with its backtrace.  Once [cat] has
-    been used, a call allocates nothing beyond [f]'s own closure. *)
-val with_category : load -> string -> (unit -> 'a) -> 'a
+    category; an exception propagates with its backtrace.  A call
+    allocates nothing beyond [f]'s own closure. *)
+val with_category : load -> category -> (unit -> 'a) -> 'a
 
-(** [busy_by_category load] — nonzero per-category busy cycles, sorted
-    by category name.  The values sum to {!busy_cycles}. *)
+(** [busy_by_category load] — nonzero per-category busy cycles keyed by
+    {!category_name}, sorted by name.  The values sum to
+    {!busy_cycles}. *)
 val busy_by_category : load -> (string * int64) list
 
 (** [busy_cycles load] is the accumulated busy time. *)
@@ -63,8 +85,6 @@ val busy_cycles : load -> int64
 (** [utilization load ~elapsed] is busy/elapsed clamped to [0,1];
     0 when [elapsed] is 0. *)
 val utilization : load -> elapsed:int64 -> float
-
-val reset_load : load -> unit
 
 (** {1 Histograms} *)
 

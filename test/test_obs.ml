@@ -391,7 +391,40 @@ let test_breakdown_sums_to_busy () =
   let has cat = List.mem_assoc cat m.Workload.breakdown in
   check bool "guest cycles present" true (has "guest");
   check bool "monitor cycles present" true (has "mon_cpu");
-  check bool "delivery cycles present" true (has "irq")
+  check bool "delivery cycles present" true (has "irq");
+  (* The category set is closed: every name in the breakdown is some
+     constructor's, and the eight names are the taxonomy table of
+     docs/OBSERVABILITY.md less its [dma] trace track. *)
+  let names =
+    List.map Stats.category_name
+      Stats.[ Guest; Mon_cpu; Mon_io; Mon_pic; Mon_pit; Mon_shadow; Irq; Stub ]
+  in
+  List.iter
+    (fun (cat, _) ->
+      check bool (cat ^ " is a category") true (List.mem cat names))
+    m.Workload.breakdown;
+  check Alcotest.(list string) "category names"
+    [ "guest"; "mon_cpu"; "mon_io"; "mon_pic"; "mon_pit"; "mon_shadow"; "irq";
+      "stub" ]
+    names;
+  (* First backquoted word of each table row under the section's
+     heading, up to the next heading. *)
+  let rec rows inside = function
+    | [] -> []
+    | line :: rest when String.starts_with ~prefix:"## " line ->
+      if inside then []
+      else rows (String.starts_with ~prefix:"## Cycle attribution" line) rest
+    | line :: rest -> (
+      match String.split_on_char '`' line with
+      | "| " :: name :: _ when inside -> name :: rows inside rest
+      | _ -> rows inside rest)
+  in
+  let table_rows =
+    In_channel.with_open_text "../docs/OBSERVABILITY.md" In_channel.input_all
+    |> String.split_on_char '\n' |> rows false
+  in
+  check Alcotest.(list string) "the documented taxonomy" (names @ [ "dma" ])
+    table_rows
 
 let test_machine_registry_wired () =
   let machine = Vmm_hw.Machine.create () in

@@ -7,6 +7,7 @@
    restarts. *)
 
 module Engine = Vmm_sim.Engine
+module Stats = Vmm_sim.Stats
 module Json = Vmm_obs.Json
 module Registry = Vmm_obs.Registry
 module Profiler = Vmm_profile.Profiler
@@ -56,7 +57,7 @@ let test_profiler_cadence () =
   check bool "not due one cycle early" false (Profiler.due p);
   Engine.advance engine 1L;
   check bool "due at the period" true (Profiler.due p);
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
   check bool "re-armed after sample" false (Profiler.due p);
   Engine.advance engine 100L;
   check bool "due again" true (Profiler.due p)
@@ -69,14 +70,14 @@ let test_profiler_buckets () =
      interleavings exercise the miss path — the counts must agree with
      a naive tally regardless of which path recorded them. *)
   for _ = 1 to 5 do
-    Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest"
+    Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest
   done;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"mon_cpu";
-  Profiler.sample p ~pc:0x1000 ~ring:3 ~cat:"guest";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Mon_cpu;
+  Profiler.sample p ~pc:0x1000 ~ring:3 ~cat:Stats.Guest;
   for _ = 1 to 2 do
-    Profiler.sample p ~pc:0x2000 ~ring:1 ~cat:"guest"
+    Profiler.sample p ~pc:0x2000 ~ring:1 ~cat:Stats.Guest
   done;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
   check int "total" 10 (Profiler.total_samples p);
   let count key =
     match List.assoc_opt key (Profiler.buckets p) with Some n -> n | None -> 0
@@ -109,14 +110,14 @@ let test_profiler_clear () =
   let engine = Engine.create () in
   let p = Profiler.create ~engine () in
   Profiler.set_period p 10L;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
   Profiler.clear p;
   check int "cleared" 0 (Profiler.total_samples p);
   check int "no buckets" 0 (List.length (Profiler.buckets p));
   check bool "period survives" true (Profiler.period p = 10L);
   (* the memoized hot bucket must not leak counts across a clear *)
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
   check int "counts from one again" 1 (Profiler.total_samples p);
   check
     (Alcotest.list (Alcotest.pair int int))
@@ -127,9 +128,9 @@ let test_profiler_dump_round_trip () =
   let p = Profiler.create ~engine () in
   Profiler.set_period p 50L;
   for _ = 1 to 3 do
-    Profiler.sample p ~pc:0x1040 ~ring:1 ~cat:"guest"
+    Profiler.sample p ~pc:0x1040 ~ring:1 ~cat:Stats.Guest
   done;
-  Profiler.sample p ~pc:0x2080 ~ring:3 ~cat:"irq";
+  Profiler.sample p ~pc:0x2080 ~ring:3 ~cat:Stats.Irq;
   let text = Profiler.dump p in
   check bool "header first" true
     (String.length text > 8 && String.sub text 0 8 = "samples=");
@@ -148,9 +149,9 @@ let test_profiler_collapsed () =
   let engine = Engine.create () in
   let p = Profiler.create ~engine () in
   Profiler.set_period p 1L;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest";
-  Profiler.sample p ~pc:0x2000 ~ring:3 ~cat:"irq";
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
+  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
+  Profiler.sample p ~pc:0x2000 ~ring:3 ~cat:Stats.Irq;
   let resolve pc = if pc = 0x1000 then "idle_loop" else "unknown" in
   let text = Profiler.collapsed ~resolve p in
   check bool "resolved frame" true (contains text "guest;ring1;idle_loop 2");
@@ -165,7 +166,7 @@ let test_profiler_perfetto_counters () =
   Profiler.set_period p 10L;
   for _ = 1 to 20 do
     Engine.advance engine 10L;
-    Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:"guest"
+    Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest
   done;
   let doc = Profiler.perfetto_counters ~slices:4 p in
   (* must be a chrome trace-event document with counter events *)

@@ -273,7 +273,7 @@ let test_rng_exponential_mean () =
 (* -- Stats -- *)
 
 let test_stats_counter () =
-  let c = Stats.counter "x" in
+  let c = Stats.counter () in
   Stats.incr c;
   Stats.incr c;
   Stats.add c 10L;
@@ -330,14 +330,22 @@ let test_stats_reset_histogram () =
   check (Alcotest.float 1e-9) "percentile of empty" 0.0
     (Stats.percentile h 50.0)
 
+let category =
+  Alcotest.testable
+    (fun ppf c -> Format.pp_print_string ppf (Stats.category_name c))
+    ( = )
+
 let test_stats_categories () =
   let l = Stats.load () in
   Stats.note_busy l 10L;
-  Stats.with_category l "mon_cpu" (fun () ->
+  Stats.with_category l Mon_cpu (fun () ->
       Stats.note_busy l 5L;
-      Stats.with_category l "irq" (fun () -> Stats.note_busy l 3L);
+      Stats.with_category l Irq (fun () -> Stats.note_busy l 3L);
       Stats.note_busy l 2L);
-  check Alcotest.string "restored" Stats.default_category (Stats.category l);
+  check category "restored" Stats.Guest (Stats.category l);
+  Array.iteri
+    (fun i c -> check int (Stats.category_name c) i (Stats.category_index c))
+    Stats.categories;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
     "per-category totals"
@@ -348,10 +356,9 @@ let test_stats_categories () =
        (fun acc (_, v) -> Int64.add acc v)
        0L (Stats.busy_by_category l));
   (* exception safety: category restored even when the body raises *)
-  (try Stats.with_category l "stub" (fun () -> failwith "boom")
+  (try Stats.with_category l Stub (fun () -> failwith "boom")
    with Failure _ -> ());
-  check Alcotest.string "restored after raise" Stats.default_category
-    (Stats.category l)
+  check category "restored after raise" Stats.Guest (Stats.category l)
 
 (* A raise whose location the backtrace must still show after
    [with_category] re-raises it. *)
@@ -367,8 +374,8 @@ let test_stats_with_category_raise () =
   in
   let recording = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
-  Stats.with_category l "mon_cpu" (fun () ->
-      (match Stats.with_category l "stub" (fun () -> Stats.note_busy l 2L; boom ()) with
+  Stats.with_category l Mon_cpu (fun () ->
+      (match Stats.with_category l Stub (fun () -> Stats.note_busy l 2L; boom ()) with
        | () -> Alcotest.fail "expected Failure"
        | exception Failure _ ->
          let bt = Printexc.get_raw_backtrace () in
@@ -382,15 +389,14 @@ let test_stats_with_category_raise () =
          in
          check (Alcotest.option int) "backtrace starts at the raise"
            (Some !boom_line) line);
-      check Alcotest.string "inner scope restored" "mon_cpu" (Stats.category l);
+      check category "inner scope restored" Stats.Mon_cpu (Stats.category l);
       Stats.note_busy l 5L);
   Printexc.record_backtrace recording;
-  check Alcotest.string "outer scope restored" Stats.default_category
-    (Stats.category l);
+  check category "outer scope restored" Stats.Guest (Stats.category l);
   Stats.note_busy l 7L;
   check Alcotest.int64 "stub kept only its own cycles" 2L (busy "stub");
   check Alcotest.int64 "cell restored after raise" 5L (busy "mon_cpu");
-  check Alcotest.int64 "guest cell restored" 7L (busy Stats.default_category);
+  check Alcotest.int64 "guest cell restored" 7L (busy "guest");
   check Alcotest.int64 "categories sum to busy" (Stats.busy_cycles l)
     (List.fold_left (fun acc (_, v) -> Int64.add acc v) 0L
        (Stats.busy_by_category l))
@@ -401,7 +407,7 @@ let test_charge_path_allocates_nothing () =
      costs at least two words, so under one word per call is none. *)
   let engine = Engine.create () and l = Stats.load () in
   let cycles = [| 3L; 40L; 1L; 250L |] in
-  Stats.set_category l "irq";
+  Stats.set_category l Irq;
   let calls = 10_000 in
   let before = Gc.minor_words () in
   for i = 1 to calls do
