@@ -4,10 +4,11 @@ module Phys_mem = Vmm_hw.Phys_mem
    of page [p] and is never mutated once made, so every checkpoint can
    hold it by reference; [gens.(p)] is the page generation at which
    memory last equalled it (-1: unknown).  Generation 0 means a page was
-   never written, so at creation such a page already equals one shared
-   zero page. *)
+   never written, so at creation such a page already equals [zero_page],
+   one page shared by every monitor and by [Full.digest]. *)
 module Pages = struct
   let page_size = 1 lsl Phys_mem.page_bits
+  let zero_page = Bytes.make page_size '\000'
 
   type t = {
     mem : Phys_mem.t;
@@ -20,11 +21,10 @@ module Pages = struct
   let create mem ~len =
     if len < 0 || len mod page_size <> 0 || len > Phys_mem.size mem then
       invalid_arg "Snapshot.Pages.create: len is not a page multiple in memory";
-    let zero = Bytes.make page_size '\000' in
     let n = len / page_size in
     {
       mem;
-      chunks = Array.make n zero;
+      chunks = Array.make n zero_page;
       gens =
         Array.init n (fun p ->
             if Phys_mem.page_generation mem (p * page_size) = 0 then 0 else -1);
@@ -174,8 +174,6 @@ module Full = struct
 
   (* Mixing a zero byte is [h * p], so mixing a whole zero page is one
      multiply by [p^page_size mod 2^64]. *)
-  let zero_page = Bytes.make Pages.page_size '\000'
-
   let zero_page_factor =
     let f = ref 1L in
     for _ = 1 to Pages.page_size do
@@ -183,10 +181,13 @@ module Full = struct
     done;
     !f
 
-  (* [Bytes.equal] is one memcmp; a chunk of another length fails it and
-     takes the byte loop. *)
+  (* A never-written page is the shared [Pages.zero_page] itself: one
+     pointer test.  A page written and then zeroed is a copy of zeros,
+     which [Bytes.equal] (one memcmp) still catches; a chunk of another
+     length fails it and takes the byte loop. *)
   let mix_page h chunk =
-    if Bytes.equal chunk zero_page then Int64.mul h zero_page_factor
+    if chunk == Pages.zero_page || Bytes.equal chunk Pages.zero_page then
+      Int64.mul h zero_page_factor
     else mix_raw h chunk
 
   (* The same byte sequence as mixing the contiguous image. *)

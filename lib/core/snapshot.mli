@@ -7,7 +7,11 @@
     whose generation moved since and shares every other copy, by
     reference, with the checkpoints before it; a restore writes a page
     only when the image's copy is not physically the cached one or the
-    page was written since.  A copy is never mutated once made. *)
+    page was written since.  A copy is never mutated once made.
+
+    Every never-written page is one zero page shared by all monitors, so
+    restoring another monitor's checkpoint skips the pages neither
+    machine wrote. *)
 module Pages : sig
   type t
 
@@ -16,7 +20,8 @@ module Pages : sig
 
   (** [create mem ~len] covers [\[0, len)] of [mem]; [len] must be a
       page multiple within [mem].  Pages never written yet share one
-      zero page; any other page is copied at the first capture. *)
+      zero page, the same one in every [Pages.t]; any other page is
+      copied at the first capture. *)
   val create : Vmm_hw.Phys_mem.t -> len:int -> t
 
   (** [capture t] is an image of the covered pages, copying only the
@@ -111,9 +116,11 @@ module Full : sig
       equal reliable-link sequence state ({!Vmm_proto.Reliable.seq_state}).
       Excludes only the absolute capture cycle.  The image is hashed as
       one contiguous byte string, a length prefix and then the pages in
-      order.  An all-zero page costs one compare and one multiply (a
-      zero byte's FNV-1a step is a multiply by the prime), so a digest
-      costs time in proportion to the non-zero pages; the value is the
-      byte-by-byte one. *)
+      order.  A never-written page, the shared zero page of {!Pages},
+      costs O(1): one pointer test and one multiply (a zero byte's
+      FNV-1a step is a multiply by the prime).  A written page that is
+      all zero costs one compare more.  So a digest costs time in
+      proportion to the written pages; the value is the byte-by-byte
+      one. *)
   val digest : t -> int64
 end

@@ -106,7 +106,7 @@ let read t ~addr ~len =
       if pos = len then Some (Bytes.to_string buf)
       else
         let vaddr = addr + pos in
-        let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
+        let room = Int.min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
         let paddr = translate t vaddr in
         if paddr < 0 then None
         else begin
@@ -124,7 +124,7 @@ let write t ~addr ~data =
     if pos = len then true
     else
       let vaddr = addr + pos in
-      let room = min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
+      let room = Int.min (len - pos) (Mmu.page_size - (vaddr land 0xFFF)) in
       let paddr = translate t vaddr in
       if paddr < 0 then false
       else begin

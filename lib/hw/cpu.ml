@@ -526,7 +526,7 @@ let copy_block t ~dst ~src ~len =
     if len > 0 then begin
       let src_room = Mmu.page_size - (src land 0xFFF) in
       let dst_room = Mmu.page_size - (dst land 0xFFF) in
-      let chunk = min len (min src_room dst_room) in
+      let chunk = Int.min len (Int.min src_room dst_room) in
       let psrc = translate t ~access:Mmu.Read ~cpl:t.cpl src in
       let pdst = translate t ~access:Mmu.Write ~cpl:t.cpl dst in
       Phys_mem.blit t.mem ~src:psrc ~dst:pdst ~len:chunk;
@@ -544,7 +544,7 @@ let checksum_block t ~addr ~len =
   let rec go addr len =
     if len > 0 then begin
       let room = Mmu.page_size - (addr land 0xFFF) in
-      let chunk = min len room in
+      let chunk = Int.min len room in
       let paddr = translate t ~access:Mmu.Read ~cpl:t.cpl addr in
       sum := Phys_mem.checksum_add t.mem ~addr:paddr ~len:chunk ~index:!index !sum;
       index := !index + chunk;
@@ -1038,7 +1038,7 @@ let compile_block t ~vpc ~ppc : jblock option =
   let w = Isa.width in
   let vroom = (Mmu.page_size - (vpc land (Mmu.page_size - 1))) / w in
   let proom = (Phys_mem.size t.mem - ppc) / w in
-  let room = min jit_max_block (min vroom proom) in
+  let room = Int.min jit_max_block (Int.min vroom proom) in
   let text = { lo = ppc; hi = ppc } in
   (* [chain k ()] is the entry of the run from instruction [k] on. *)
   let rec chain k () =

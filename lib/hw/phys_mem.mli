@@ -1,5 +1,10 @@
-(** Physical memory: a flat, byte-addressable array with little-endian
-    multi-byte access.
+(** Physical memory: byte-addressable, with little-endian multi-byte
+    access, kept as 4 KiB pages.
+
+    Every page starts as one zero page shared by all memories; the first
+    store into a page, through any path, gives it its own copy.  So a
+    memory costs the pages that were written, not its size.  Accesses
+    behave as on one contiguous array: words and ranges may cross pages.
 
     Addresses are physical; translation lives in {!Mmu}.  Out-of-range
     accesses raise {!Bus_error}, which the CPU turns into a machine check. *)
@@ -8,7 +13,9 @@ type t
 
 exception Bus_error of int
 
-(** [create ~size] is zero-filled memory of [size] bytes. *)
+(** [create ~size] is zero-filled memory of [size] bytes.  It allocates
+    the write-generation arrays below (one word per 64-byte granule,
+    about 2 MiB for 16 MiB) and one pointer per page, but no page. *)
 val create : size:int -> t
 
 val size : t -> int
@@ -72,7 +79,8 @@ val blit_to_bytes : t -> addr:int -> bytes -> off:int -> len:int -> unit
 val write_bytes : t -> addr:int -> bytes -> off:int -> len:int -> unit
 
 (** [blit t ~src ~dst ~len] copies within physical memory (used by the DMA
-    engine and the COPY instruction); handles overlap like [Bytes.blit]. *)
+    engine and the COPY instruction); handles overlap like [Bytes.blit],
+    across pages too. *)
 val blit : t -> src:int -> dst:int -> len:int -> unit
 
 (** [checksum t ~addr ~len] is the ones'-complement 16-bit sum used by the

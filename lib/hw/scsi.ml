@@ -130,7 +130,7 @@ let complete_read t target lba count dma =
     let off = base + !pos in
     let sector = off / sector_size in
     let s_off = off land (sector_size - 1) in
-    let chunk = min (count - !pos) (sector_size - s_off) in
+    let chunk = Int.min (count - !pos) (sector_size - s_off) in
     (match Hashtbl.find_opt ts.sectors sector with
      | Some b -> Phys_mem.write_bytes t.mem ~addr:(dma + !pos) b ~off:s_off ~len:chunk
      | None ->
@@ -157,7 +157,7 @@ let complete_write t target lba count =
     let off = base + !pos in
     let sector = off / sector_size in
     let s_off = off land (sector_size - 1) in
-    let chunk = min (count - !pos) (sector_size - s_off) in
+    let chunk = Int.min (count - !pos) (sector_size - s_off) in
     Bytes.blit ts.staging !pos (sector_block ~target ts sector) s_off chunk;
     pos := !pos + chunk
   done;

@@ -22,7 +22,6 @@ let pc_shift = cat_bits + 2
 type t = {
   engine : Engine.t;
   mutable period : int64;
-  mutable next_due : int64;
   counts : (int, int ref) Hashtbl.t; (* packed bucket -> hits *)
   (* One-entry cache: tight guest loops sample the same bucket over and
      over. *)
@@ -47,7 +46,6 @@ let create ?(recent_capacity = 4096) ~engine () =
   {
     engine;
     period = 0L;
-    next_due = 0L;
     counts = Hashtbl.create 256;
     memo_packed = -1;
     memo_count = ref 0;
@@ -75,15 +73,7 @@ let enabled t = Int64.compare t.period 0L > 0
 
 let set_period t p =
   if Int64.compare p 0L < 0 then invalid_arg "Profiler.set_period: negative";
-  t.period <- p;
-  t.next_due <- if enabled t then Int64.add (Engine.now t.engine) p else 0L
-
-(* [due] and [sample] implement the every-N-cycles cadence for callers
-   that drive sampling themselves (the CPU dispatch loop owns its own
-   copy of this check so the off case costs one compare — see
-   Cpu.set_sampling). *)
-let due t =
-  enabled t && Int64.compare (Engine.now t.engine) t.next_due >= 0
+  t.period <- p
 
 (* The steady-state cost of an armed profiler is this function, so the
    common path stays cheap: pack the bucket into one int, and a repeat
@@ -109,8 +99,7 @@ let sample t ~pc ~ring ~cat =
   t.recent_packed.(t.recent_next) <- packed;
   t.recent_next <- (t.recent_next + 1) mod Array.length t.recent_packed;
   t.recent_total <- t.recent_total + 1;
-  t.total <- t.total + 1;
-  t.next_due <- Int64.add (Engine.now t.engine) t.period
+  t.total <- t.total + 1
 
 let total_samples t = t.total
 

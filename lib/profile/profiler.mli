@@ -44,17 +44,14 @@ val period : t -> int64
 
 val enabled : t -> bool
 
-(** [set_period t p] sets the period ([0L] disables) and re-arms the
-    next sample one period from now.
+(** [set_period t p] records the period ([0L] disables) that dumps
+    report.  The cadence itself is the CPU's: [Machine.set_profiling]
+    sets both.
     @raise Invalid_argument on a negative period. *)
 val set_period : t -> int64 -> unit
 
-(** [due t] — the cadence check for callers driving sampling by hand:
-    enabled and at least one period elapsed since the last sample. *)
-val due : t -> bool
-
 (** [sample t ~pc ~ring ~cat] records one sample at the current engine
-    time and re-arms the cadence. *)
+    time. *)
 val sample : t -> pc:int -> ring:int -> cat:Vmm_sim.Stats.category -> unit
 
 val total_samples : t -> int

@@ -61,7 +61,6 @@ let note_busy l cycles =
   l.by_cat.(l.cur) <- l.by_cat.(l.cur) + c
 
 let busy_cycles l = Int64.of_int l.busy
-let set_category l cat = l.cur <- category_index cat
 let category l = categories.(l.cur)
 
 let with_category l cat f =

@@ -34,7 +34,7 @@ val note_busy : load -> int64 -> unit
     it is charged), so the per-category totals always sum to
     {!busy_cycles} — the invariant the Fig 3.1 breakdown relies on.  The
     monitor switches category around its trap handlers; code that never
-    calls {!set_category} books everything to [Guest].  The set is
+    runs under {!with_category} books everything to [Guest].  The set is
     closed: its names are the cycle-attribution taxonomy of
     docs/OBSERVABILITY.md, and they name the tracer's CPU-track spans,
     the profiler's buckets and the [sim.busy.*] benchmark metrics. *)
@@ -61,9 +61,6 @@ val category_index : category -> int
 
 (** Every category, in {!category_index} order. *)
 val categories : category array
-
-(** [set_category load cat] routes subsequent busy cycles to [cat]. *)
-val set_category : load -> category -> unit
 
 (** [category load] — the current attribution category. *)
 val category : load -> category

@@ -59,6 +59,39 @@ let test_mem_bounds () =
   Alcotest.check_raises "straddling u32" (Phys_mem.Bus_error 13) (fun () ->
       ignore (Phys_mem.read_u32 m 13))
 
+(* An empty range at the very end of a memory whose size is a whole
+   number of pages names no page: every path must touch nothing, and
+   one byte further is a bus error. *)
+let test_mem_empty_range_at_end () =
+  let size = 2 * 4096 in
+  let m = Phys_mem.create ~size in
+  Phys_mem.write_u8 m (size - 1) 0x5A;
+  let gen = Phys_mem.page_generation m (size - 1) in
+  check int "read_bytes" 0
+    (Bytes.length (Phys_mem.read_bytes m ~addr:size ~len:0));
+  let dst = Bytes.of_string "abcd" in
+  Phys_mem.blit_to_bytes m ~addr:size dst ~off:4 ~len:0;
+  check Alcotest.string "blit_to_bytes" "abcd" (Bytes.to_string dst);
+  check int "checksum_add" 77
+    (Phys_mem.checksum_add m ~addr:size ~len:0 ~index:1 77);
+  check int "checksum" 0xFFFF (Phys_mem.checksum m ~addr:size ~len:0);
+  Phys_mem.write_bytes m ~addr:size dst ~off:0 ~len:0;
+  Phys_mem.load_bytes m ~addr:size Bytes.empty;
+  Phys_mem.fill m ~addr:size ~len:0 0xFF;
+  Phys_mem.blit m ~src:size ~dst:0 ~len:0;
+  Phys_mem.blit m ~src:0 ~dst:size ~len:0;
+  check int "no store counted" gen (Phys_mem.page_generation m (size - 1));
+  check int "last byte kept" 0x5A (Phys_mem.read_u8 m (size - 1));
+  Alcotest.check_raises "read_bytes past the end" (Phys_mem.Bus_error size)
+    (fun () -> ignore (Phys_mem.read_bytes m ~addr:size ~len:1));
+  Alcotest.check_raises "empty read past the end"
+    (Phys_mem.Bus_error (size + 1)) (fun () ->
+      ignore (Phys_mem.read_bytes m ~addr:(size + 1) ~len:0));
+  Alcotest.check_raises "blit_to_bytes past the end" (Phys_mem.Bus_error size)
+    (fun () -> Phys_mem.blit_to_bytes m ~addr:size dst ~off:0 ~len:1);
+  Alcotest.check_raises "checksum_add past the end" (Phys_mem.Bus_error size)
+    (fun () -> ignore (Phys_mem.checksum_add m ~addr:size ~len:1 ~index:0 0))
+
 let test_mem_checksum_matches_rfc () =
   (* Independent reference implementation. *)
   let m = Phys_mem.create ~size:64 in
@@ -145,7 +178,7 @@ let checksum_mem =
     Phys_mem.write_u8 mem i (Vmm_sim.Rng.int rng 256)
   done;
   (* Runs of 0xFF make the lane sums carry; this one fills a whole
-     4 KiB drain block of the word-wide loop. *)
+     page, the most the word-wide loop sums before draining. *)
   Phys_mem.fill mem ~addr:0x1000 ~len:5000 0xFF;
   mem
 
@@ -157,6 +190,307 @@ let prop_checksum_add_matches_bytewise =
     (fun (addr, len, index, sum) ->
       Phys_mem.checksum_add checksum_mem ~addr ~len ~index sum
       = bytewise_checksum_add checksum_mem ~addr ~len ~index sum)
+
+(* The paged memory against a flat [Bytes] model: random sequences of
+   every access path, clustered at page boundaries so words straddle
+   pages and ranges span several, with overlapping blits both ways and
+   accesses past the end.  Every byte and every granule and page
+   generation must match the model, and a fresh memory must still read
+   zeros (no first write may land in the shared zero page). *)
+type mem_op =
+  | W8 of int * int
+  | W16 of int * int
+  | W32 of int * int
+  | R8 of int
+  | R16 of int
+  | R32 of int
+  | Blit of int * int * int
+  | Fill of int * int * int
+  | Write_bytes of int * string * int * int
+  | Load of int * string
+  | Read of int * int
+  | Blit_out of int * int * int
+  | Csum of int * int * int * int list
+
+let show_mem_op = function
+  | W8 (a, v) -> Printf.sprintf "w8 %x %x" a v
+  | W16 (a, v) -> Printf.sprintf "w16 %x %x" a v
+  | W32 (a, v) -> Printf.sprintf "w32 %x %x" a v
+  | R8 a -> Printf.sprintf "r8 %x" a
+  | R16 a -> Printf.sprintf "r16 %x" a
+  | R32 a -> Printf.sprintf "r32 %x" a
+  | Blit (s, d, l) -> Printf.sprintf "blit %x->%x %d" s d l
+  | Fill (a, l, v) -> Printf.sprintf "fill %x %d %x" a l v
+  | Write_bytes (a, s, o, l) ->
+    Printf.sprintf "write_bytes %x [%d] %d %d" a (String.length s) o l
+  | Load (a, s) -> Printf.sprintf "load %x %d" a (String.length s)
+  | Read (a, l) -> Printf.sprintf "read %x %d" a l
+  | Blit_out (a, o, l) -> Printf.sprintf "blit_to_bytes %x %d %d" a o l
+  | Csum (a, l, i, cuts) ->
+    Printf.sprintf "csum %x %d @%d cut [%s]" a l i
+      (String.concat "," (List.map string_of_int cuts))
+
+(* Six pages and a partial seventh: the end is not a page boundary. *)
+let model_size = (6 * 4096) + 100
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let page = 4096 in
+  let addr =
+    frequency
+      [
+        (4, int_bound (model_size - 1));
+        (4, map2 (fun p d -> (p * page) - d) (int_range 1 6) (int_range 0 17));
+        (1, map (fun d -> model_size - d) (int_range (-3) 4));
+        (1, return (-1));
+      ]
+  in
+  let len = frequency [ (3, int_bound 64); (2, int_bound (2 * page + 100)) ] in
+  let byte = int_bound 0xFF in
+  let data = string_size ~gen:char len in
+  frequency
+    [
+      (3, map2 (fun a v -> W8 (a, v)) addr byte);
+      (3, map2 (fun a v -> W16 (a, v)) addr (int_bound 0xFFFF));
+      (3, map2 (fun a v -> W32 (a, v)) addr (int_bound 0xFFFFFFFF));
+      (2, map (fun a -> R8 a) addr);
+      (2, map (fun a -> R16 a) addr);
+      (2, map (fun a -> R32 a) addr);
+      (* overlapping copies both ways, across page boundaries *)
+      ( 4,
+        map3
+          (fun s d l -> Blit (s, s + d, l))
+          addr (int_range (-200) 200) len );
+      (2, map3 (fun s d l -> Blit (s, d, l)) addr addr len);
+      ( 2,
+        map3
+          (fun a l v -> Fill (a, l, v))
+          addr len
+          (frequency [ (1, return 0); (2, byte) ]) );
+      ( 2,
+        map3
+          (fun a s (o, l) ->
+            let n = String.length s in
+            let o = o mod (n + 1) in
+            Write_bytes (a, s, o, l mod (n - o + 1)))
+          addr data
+          (pair (int_bound 1000) (int_bound 10000)) );
+      (2, map2 (fun a s -> Load (a, s)) addr data);
+      (2, map2 (fun a l -> Read (a, l)) addr len);
+      (2, map3 (fun a o l -> Blit_out (a, o, l)) addr (int_bound 16) len);
+      ( 3,
+        map3
+          (fun a l (i, cuts) -> Csum (a, l, i, List.sort compare cuts))
+          addr len
+          (pair (int_bound 1001) (list_size (int_bound 4) (int_bound 10000)))
+      );
+    ]
+
+type mem_model = {
+  bytes : Bytes.t;
+  granules : int array;
+  pages : int array;
+}
+
+let model_in_range a l = a >= 0 && a + l <= model_size
+
+let model_store md a l =
+  let gb = Phys_mem.granule_bits in
+  for g = a lsr gb to (a + l - 1) lsr gb do
+    md.granules.(g) <- md.granules.(g) + 1
+  done;
+  for p = a lsr Phys_mem.page_bits to (a + l - 1) lsr Phys_mem.page_bits do
+    md.pages.(p) <- md.pages.(p) + 1
+  done
+
+let model_word md a width =
+  let v = ref 0 in
+  for i = width - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code (Bytes.get md.bytes (a + i))
+  done;
+  !v
+
+let prop_mem_matches_flat_model =
+  QCheck.Test.make ~name:"paged memory matches a flat model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+        Gen.(list_size (int_range 1 40) gen_mem_op))
+    (fun ops ->
+      let mem = Phys_mem.create ~size:model_size in
+      let md =
+        {
+          bytes = Bytes.make model_size '\000';
+          granules =
+            Array.make (((model_size - 1) lsr Phys_mem.granule_bits) + 1) 0;
+          pages = Array.make (((model_size - 1) lsr Phys_mem.page_bits) + 1) 0;
+        }
+      in
+      (* Non-zero bytes in the first three pages, so a copy that reads a
+         source its own earlier chunk overwrote shows; the rest stays
+         the shared zero page until an op writes it. *)
+      let pattern =
+        Bytes.init ((3 * 4096) + 50) (fun i -> Char.chr (((i * 7) + 13) land 0xFF))
+      in
+      Phys_mem.load_bytes mem ~addr:0 pattern;
+      Bytes.blit pattern 0 md.bytes 0 (Bytes.length pattern);
+      model_store md 0 (Bytes.length pattern);
+      let fail op fmt =
+        Printf.ksprintf
+          (fun msg -> QCheck.Test.fail_reportf "%s: %s" (show_mem_op op) msg)
+          fmt
+      in
+      (* [run op ~bad f] runs [f], which must raise [Bus_error bad] when
+         [bad] is [Some _] and must not raise otherwise. *)
+      let run op ~bad f =
+        match (f (), bad) with
+        | (), None -> ()
+        | (), Some a -> fail op "no Bus_error %x" a
+        | exception Phys_mem.Bus_error a when bad = Some a -> ()
+        | exception Phys_mem.Bus_error a -> fail op "Bus_error %x" a
+      in
+      let bad_range a l = if model_in_range a l then None else Some a in
+      let store op a l f =
+        run op ~bad:(bad_range a l) f;
+        if model_in_range a l && l > 0 then model_store md a l
+      in
+      let write_word op a width v =
+        store op a width (fun () ->
+            match width with
+            | 1 -> Phys_mem.write_u8 mem a v
+            | 2 -> Phys_mem.write_u16 mem a v
+            | _ -> Phys_mem.write_u32 mem a v);
+        if model_in_range a width then
+          for i = 0 to width - 1 do
+            Bytes.set md.bytes (a + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+          done
+      in
+      let read_word op a width =
+        let got = ref 0 in
+        run op ~bad:(bad_range a width) (fun () ->
+            got :=
+              match width with
+              | 1 -> Phys_mem.read_u8 mem a
+              | 2 -> Phys_mem.read_u16 mem a
+              | _ -> Phys_mem.read_u32 mem a);
+        if model_in_range a width && !got <> model_word md a width then
+          fail op "read %x, model %x" !got (model_word md a width)
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | W8 (a, v) -> write_word op a 1 v
+          | W16 (a, v) -> write_word op a 2 v
+          | W32 (a, v) -> write_word op a 4 v
+          | R8 a -> read_word op a 1
+          | R16 a -> read_word op a 2
+          | R32 a -> read_word op a 4
+          | Blit (src, dst, len) ->
+            let bad =
+              if not (model_in_range src len) then Some src
+              else bad_range dst len
+            in
+            run op ~bad (fun () -> Phys_mem.blit mem ~src ~dst ~len);
+            if bad = None && len > 0 then begin
+              model_store md dst len;
+              Bytes.blit md.bytes src md.bytes dst len
+            end
+          | Fill (a, len, v) ->
+            store op a len (fun () -> Phys_mem.fill mem ~addr:a ~len v);
+            if model_in_range a len then
+              Bytes.fill md.bytes a len (Char.chr v)
+          | Write_bytes (a, s, off, len) ->
+            let src = Bytes.of_string s in
+            store op a len (fun () ->
+                Phys_mem.write_bytes mem ~addr:a src ~off ~len);
+            if model_in_range a len then Bytes.blit src off md.bytes a len
+          | Load (a, s) ->
+            let src = Bytes.of_string s in
+            store op a (Bytes.length src) (fun () ->
+                Phys_mem.load_bytes mem ~addr:a src);
+            if model_in_range a (Bytes.length src) then
+              Bytes.blit src 0 md.bytes a (Bytes.length src)
+          | Read (a, len) ->
+            run op ~bad:(bad_range a len) (fun () ->
+                let got = Phys_mem.read_bytes mem ~addr:a ~len in
+                if not (Bytes.equal got (Bytes.sub md.bytes a len)) then
+                  fail op "bytes differ")
+          | Blit_out (a, off, len) ->
+            let dst = Bytes.make (off + len + 3) '\xA5' in
+            run op ~bad:(bad_range a len) (fun () ->
+                Phys_mem.blit_to_bytes mem ~addr:a dst ~off ~len);
+            if model_in_range a len then begin
+              let want = Bytes.make (off + len + 3) '\xA5' in
+              Bytes.blit md.bytes a want off len;
+              if not (Bytes.equal dst want) then fail op "buffer differs"
+            end
+          | Csum (a, len, index, cuts) ->
+            (* a message summed in pieces cut at [cuts]; out of range,
+               in one piece, so the error names [a] *)
+            let cuts =
+              if model_in_range a len then
+                List.filter (fun c -> c < len) cuts @ [ len ]
+              else [ len ]
+            in
+            let sum = ref 0 and at = ref 0 in
+            run op ~bad:(bad_range a len) (fun () ->
+                List.iter
+                  (fun c ->
+                    sum :=
+                      Phys_mem.checksum_add mem ~addr:(a + !at) ~len:(c - !at)
+                        ~index:(index + !at) !sum;
+                    at := c)
+                  cuts);
+            if model_in_range a len then begin
+              let want = ref 0 in
+              for i = 0 to len - 1 do
+                let b = Char.code (Bytes.get md.bytes (a + i)) in
+                want := !want + if (index + i) land 1 = 0 then b else b lsl 8
+              done;
+              if !sum <> !want then fail op "sum %x, model %x" !sum !want
+            end)
+        ops;
+      if
+        not
+          (Bytes.equal md.bytes
+             (Phys_mem.read_bytes mem ~addr:0 ~len:model_size))
+      then QCheck.Test.fail_report "memory differs from the model";
+      Array.iteri
+        (fun g n ->
+          let got = Phys_mem.generation mem (g lsl Phys_mem.granule_bits) in
+          if got <> n then
+            QCheck.Test.fail_reportf "granule %d generation %d, model %d" g
+              got n)
+        md.granules;
+      Array.iteri
+        (fun p n ->
+          let got = Phys_mem.page_generation mem (p lsl Phys_mem.page_bits) in
+          if got <> n then
+            QCheck.Test.fail_reportf "page %d generation %d, model %d" p got n)
+        md.pages;
+      let fresh = Phys_mem.create ~size:model_size in
+      if
+        not
+          (Bytes.equal
+             (Bytes.make model_size '\000')
+             (Phys_mem.read_bytes fresh ~addr:0 ~len:model_size))
+      then QCheck.Test.fail_report "a fresh memory does not read zeros";
+      true)
+
+(* The footprint of a 16 MiB memory is its write-generation arrays, not
+   its bytes: pages are shared zeros until written.  A flat array of
+   bytes would allocate 16 MiB here. *)
+let test_mem_create_footprint () =
+  let size = 16 * 1024 * 1024 in
+  let before = Gc.allocated_bytes () in
+  let mem = Phys_mem.create ~size in
+  let mib = (Gc.allocated_bytes () -. before) /. 1048576. in
+  check bool
+    (Printf.sprintf "create allocates %.2f MiB, under 3" mib)
+    true (mib < 3.0);
+  Phys_mem.write_u32 mem (size - 4) 0xDEADBEEF;
+  check int "the last word is writable" 0xDEADBEEF
+    (Phys_mem.read_u32 mem (size - 4))
 
 (* -- ISA encode/decode -- *)
 
@@ -2419,12 +2753,18 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_mem_rw;
           Alcotest.test_case "bounds" `Quick test_mem_bounds;
+          Alcotest.test_case "empty range at the end" `Quick
+            test_mem_empty_range_at_end;
           Alcotest.test_case "checksum" `Quick test_mem_checksum_matches_rfc;
           Alcotest.test_case "checksum odd" `Quick test_mem_checksum_odd_len;
           Alcotest.test_case "page generations" `Quick
             test_mem_page_generations;
+          Alcotest.test_case "create footprint" `Quick
+            test_mem_create_footprint;
         ]
-        @ qsuite [ prop_checksum_add_matches_bytewise ] );
+        @ qsuite
+            [ prop_checksum_add_matches_bytewise; prop_mem_matches_flat_model ]
+      );
       ( "isa",
         [
           Alcotest.test_case "decode error" `Quick test_isa_decode_error;

@@ -15,6 +15,7 @@ module Flight = Vmm_profile.Flight
 module Bundle = Vmm_profile.Bundle
 module Machine = Vmm_hw.Machine
 module Costs = Vmm_hw.Costs
+module Asm = Vmm_hw.Asm
 module Monitor = Core.Monitor
 module Kernel = Vmm_guest.Kernel
 module Session = Vmm_debugger.Session
@@ -35,32 +36,50 @@ let test_costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 }
 
 (* -- Profiler: bucketing and cadence -- *)
 
+(* A guest that spins on one [jmp] with interrupts off. *)
+let spin_program () =
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.assemble a
+
 let test_profiler_disabled_by_default () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
+  let m = Machine.create ~costs:test_costs () in
+  let p = Machine.profiler m in
   check bool "disabled" false (Profiler.enabled p);
-  check bool "never due" false (Profiler.due p);
-  check int "no samples" 0 (Profiler.total_samples p);
+  Machine.boot m (spin_program ()) ~entry:0x1000;
+  Machine.run_for m ~cycles:10_000L;
+  check int "never sampled" 0 (Profiler.total_samples p);
   check bool "negative period refused" true
     (try
        Profiler.set_period p (-1L);
        false
      with Invalid_argument _ -> true)
 
+(* The CPU owns the cadence: a sample at the first instruction boundary
+   a period after arming or after the previous sample.  A [jmp] costs
+   one cycle, so every boundary is a cycle and samples land exactly. *)
 let test_profiler_cadence () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
-  Profiler.set_period p 100L;
+  let m = Machine.create ~costs:test_costs () in
+  let p = Machine.profiler m in
+  Machine.boot m (spin_program ()) ~entry:0x1000;
+  Machine.set_profiling m ~period:100L;
   check bool "armed" true (Profiler.enabled p);
-  check bool "not due immediately" false (Profiler.due p);
-  Engine.advance engine 99L;
-  check bool "not due one cycle early" false (Profiler.due p);
-  Engine.advance engine 1L;
-  check bool "due at the period" true (Profiler.due p);
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  check bool "re-armed after sample" false (Profiler.due p);
-  Engine.advance engine 100L;
-  check bool "due again" true (Profiler.due p)
+  check Alcotest.int64 "period reported" 100L (Profiler.period p);
+  Machine.run_for m ~cycles:99L;
+  check int "not sampled one cycle early" 0 (Profiler.total_samples p);
+  Machine.run_for m ~cycles:1L;
+  check int "sampled at the period" 1 (Profiler.total_samples p);
+  Machine.run_for m ~cycles:99L;
+  check int "re-armed after the sample" 1 (Profiler.total_samples p);
+  Machine.run_for m ~cycles:1L;
+  check int "sampled again" 2 (Profiler.total_samples p);
+  Machine.run_for m ~cycles:10_000L;
+  check int "one sample per period" 102 (Profiler.total_samples p);
+  Machine.set_profiling m ~period:0L;
+  Machine.run_for m ~cycles:10_000L;
+  check bool "disarmed" false (Profiler.enabled p);
+  check int "no sample once disarmed" 102 (Profiler.total_samples p)
 
 let test_profiler_buckets () =
   let engine = Engine.create () in

@@ -407,21 +407,25 @@ let test_charge_path_allocates_nothing () =
      costs at least two words, so under one word per call is none. *)
   let engine = Engine.create () and l = Stats.load () in
   let cycles = [| 3L; 40L; 1L; 250L |] in
-  Stats.set_category l Irq;
   let calls = 10_000 in
-  let before = Gc.minor_words () in
-  for i = 1 to calls do
-    let c = cycles.(i land 3) in
-    Engine.advance engine c;
-    Stats.note_busy l c
-  done;
-  let words = Gc.minor_words () -. before in
+  let words =
+    Stats.with_category l Irq (fun () ->
+        let before = Gc.minor_words () in
+        for i = 1 to calls do
+          let c = cycles.(i land 3) in
+          Engine.advance engine c;
+          Stats.note_busy l c
+        done;
+        Gc.minor_words () -. before)
+  in
   check bool
     (Printf.sprintf "no allocation per call (%.0f words over %d)" words calls)
     true
     (words < float_of_int calls);
   check Alcotest.int64 "clock advanced" 735_000L (Engine.now engine);
-  check Alcotest.int64 "busy counted" 735_000L (Stats.busy_cycles l)
+  check Alcotest.int64 "busy counted" 735_000L (Stats.busy_cycles l);
+  check Alcotest.int64 "all of it to irq" 735_000L
+    (List.assoc "irq" (Stats.busy_by_category l))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
