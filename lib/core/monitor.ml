@@ -450,8 +450,7 @@ let unprotect_for_step ?(for_write = false) t page =
     t.reprotect_pages <- page :: t.reprotect_pages
 
 let reprotect_after_step t pages =
-  List.iter (fun page -> Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page) pages;
-  Cpu.flush_tlb t.cpu;
+  Vcpu.shadow_unmap t.vcpu pages;
   t.reprotect_pages <- []
 
 (* An exec fault on a page carrying armed virtual breakpoints.  Hit
@@ -1037,8 +1036,8 @@ let forget_execution t =
    loaded, and armed breakpoints re-arm lazily on the cleared shadow.
    Only the pages that may differ are written, through the normal store
    path, so cached ops on those pages invalidate and cached ops on the
-   others stay valid; the shadow flush's [set_ptb] still flushes the TLB
-   and the instruction cache.  A checkpoint whose page count does not
+   others stay valid; the shadow flush's [set_ptb] still flushes the
+   TLB.  A checkpoint whose page count does not
    match this layout is refused before any state changes.  The
    instruction counter is left to the caller. *)
 let load_state t (full : Snapshot.Full.t) =
@@ -1206,9 +1205,7 @@ let flight_query t =
 
 (* -- Stub target -- *)
 
-let vbp_sync_page t addr =
-  Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:(addr land lnot 0xFFF);
-  Cpu.flush_tlb t.cpu
+let vbp_sync_page t addr = Vcpu.shadow_unmap t.vcpu [ addr land lnot 0xFFF ]
 
 (* -- Race-witness arming --
 
@@ -1301,11 +1298,7 @@ let make_target t =
         if len <= 0 || not (Watchpoints.add t.watchpoints ~addr ~len) then
           false
         else begin
-          List.iter
-            (fun page ->
-              Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page)
-            (Watchpoints.pages_of ~addr ~len);
-          Cpu.flush_tlb t.cpu;
+          Vcpu.shadow_unmap t.vcpu (Watchpoints.pages_of ~addr ~len);
           true
         end);
     clear_watch =
@@ -1313,10 +1306,7 @@ let make_target t =
         if Watchpoints.remove t.watchpoints ~addr ~len then begin
           (* Drop the read-only shadow entries; the next fault refills
              them with the guest's real permissions. *)
-          List.iter
-            (fun page -> Shadow.unmap t.vcpu.Vcpu.shadow ~vaddr:page)
-            (Watchpoints.pages_of ~addr ~len);
-          Cpu.flush_tlb t.cpu;
+          Vcpu.shadow_unmap t.vcpu (Watchpoints.pages_of ~addr ~len);
           true
         end
         else false);
@@ -1362,9 +1352,8 @@ let make_target t =
     set_replay_mute =
       (fun flag -> Recorder.set_muted (Machine.recorder t.machine) flag);
     (* Arming and disarming both just resync the page: drop its shadow
-       mapping (and with the TLB flush, every compiled block touching
-       it) so the next fetch refills with NX recomputed from the live
-       table. *)
+       mapping and flush the TLB, so the next fetch refills with NX
+       recomputed from the live table. *)
     vbp_arm = (fun ~page -> vbp_sync_page t page);
     vbp_disarm = (fun ~page -> vbp_sync_page t page);
     vbp_pass = (fun ~pc -> t.vbp_pass <- Some pc);

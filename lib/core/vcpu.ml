@@ -346,6 +346,10 @@ let shadow_map ?nx t ~vaddr ~frame ~writable ~user =
      Shadow.map ?nx t.shadow ~vaddr ~frame ~writable ~user);
   Cpu.flush_tlb t.cpu
 
+let shadow_unmap t pages =
+  List.iter (fun vaddr -> Shadow.unmap t.shadow ~vaddr) pages;
+  Cpu.flush_tlb t.cpu
+
 let fill_shadow ?nx t ~vaddr ~frame ~writable ~user =
   shadow_map ?nx t ~vaddr ~frame ~writable ~user;
   charge t t.costs.Costs.shadow_pt_sync

@@ -134,7 +134,7 @@ val load_ptb : t -> int -> unit
 (** {2 Shadow page tables} *)
 
 (** [flush_shadow t] drops every shadow mapping and reloads the real
-    page-table base (flushing the TLB and translated code). *)
+    page-table base (flushing the TLB). *)
 val flush_shadow : t -> unit
 
 (** [shadow_map ?nx t ~vaddr ~frame ~writable ~user] installs one shadow
@@ -142,6 +142,11 @@ val flush_shadow : t -> unit
     fresh one) and flushes the TLB.  No cycles charged. *)
 val shadow_map :
   ?nx:bool -> t -> vaddr:int -> frame:int -> writable:bool -> user:bool -> unit
+
+(** [shadow_unmap t pages] drops the shadow entries of [pages], so the
+    next access to each faults into the monitor, then flushes the TLB
+    once.  No cycles charged. *)
+val shadow_unmap : t -> int list -> unit
 
 (** [fill_shadow] — {!shadow_map} for a guest page fault: charges
     [shadow_pt_sync]. *)

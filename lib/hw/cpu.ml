@@ -30,8 +30,8 @@ exception Panic of string
 exception Fault_exn of fault_kind
 
 (* Instruction cache slot: physically tagged, validated against the
-   memory write generations captured at fill time and the CPU-wide flush
-   generation.  An 8-byte instruction can touch two generation granules;
+   memory write generations captured at fill time (invariant 4 at
+   [compile]).  An 8-byte instruction can touch two generation granules;
    the sum of both granule generations is stored — generations only grow,
    so any store under either granule makes the sum diverge for good.  The
    slot caches the instruction's compiled op (see [compile]), run with an
@@ -40,7 +40,6 @@ exception Fault_exn of fault_kind
 type icache_slot = {
   mutable itag : int; (* physical address, -1 = invalid *)
   mutable igen : int; (* summed Phys_mem granule generations at fill *)
-  mutable iflush : int; (* icache_gen at fill *)
   mutable iop : t -> unit;
   mutable iinterp : bool; (* [iop] is an [Interp] op *)
 }
@@ -82,7 +81,6 @@ and t = {
   mutable sample_hook : pc:int -> cpl:int -> unit;
   fetch_buf : Bytes.t;
   icache : icache_slot array;
-  mutable icache_gen : int;
   mutable ic_hits : int;
   mutable ic_misses : int;
   mutable ic_inval : int;
@@ -109,14 +107,13 @@ and t = {
    in a direct/indirect jump, call or return) compiled into a chain of
    OCaml closures — threaded code.  Like an icache slot it is physically
    tagged and validated against the granule write generations captured
-   over its whole text at compile time plus the CPU-wide flush stamp, so
-   self-modifying stores, DMA over text and LPTB/TLBFLUSH invalidate it
-   exactly as they invalidate cached instructions. *)
+   over its whole text at compile time, so self-modifying stores and DMA
+   over text invalidate it exactly as they invalidate cached
+   instructions. *)
 and jblock = {
   jb_ppc : int; (* physical address of the first instruction *)
   jb_bytes : int; (* total encoded length *)
   jb_gsum : int; (* summed granule generations over the text at compile *)
-  jb_flush : int; (* icache_gen at compile *)
   jb_entry : t -> unit; (* head of the threaded-code chain *)
   jb_reenter : bool; (* the final op stores nothing: see [run_batch] *)
 }
@@ -173,11 +170,9 @@ let create ~mem ~bus ~engine ~costs ~load () =
           {
             itag = -1;
             igen = 0;
-            iflush = 0;
             iop = jit_block_end;
             iinterp = false;
           });
-    icache_gen = 0;
     ic_hits = 0;
     ic_misses = 0;
     ic_inval = 0;
@@ -231,13 +226,11 @@ let trap_flag t = t.tf
 let set_trap_flag t v = t.tf <- v
 let ptb t = t.ptb
 
-let flush_tlb t =
-  (* The monitor flushes on every shadow-table update, so neither drop
-     walks its whole array: the TLB clears only the slots filled since
-     its last flush, and the icache and block cache drop in O(1), because
-     entries filled under an older generation stop validating. *)
-  Mmu.flush t.mmu;
-  t.icache_gen <- t.icache_gen + 1
+(* The monitor flushes on every shadow-table update, so the TLB clears
+   only the slots filled since its last flush.  Cached ops and blocks
+   survive: a mapping change cannot make them stale (invariant 4 at
+   [compile]). *)
+let flush_tlb t = Mmu.flush t.mmu
 
 let set_ptb t v =
   t.ptb <- Word.mask v;
@@ -613,14 +606,25 @@ let checksum_block t ~addr ~len =
       dispatch, loop re-entries included.  Nothing guest-visible reads
       it; misses, cycles and accessed bits are the same either way.
 
-   4. Text stability.  A block is (re)validated at every dispatch against
-      the granule write generations of its whole text plus the flush
-      stamp.  Mid-chain, the only writers are the compiled stores
-      themselves: each store checks its physical range against the
-      block's text and stops the chain short when it intersects, so the
-      remaining stale ops never run — the dispatcher revalidates,
-      recompiles from the fresh bytes and continues.  DMA and host writes
-      cannot happen mid-chain because no events dispatch mid-chain.
+   4. Text stability.  A cached op or block is valid exactly when its
+      physical tag and the summed granule write generations of its text
+      match; every store path bumps them, and they only grow.  A block
+      is revalidated at every dispatch.  Mid-chain, the only writers are
+      the compiled stores themselves: each store checks its physical
+      range against the block's text and stops the chain short when it
+      intersects, so the remaining stale ops never run — the dispatcher
+      revalidates, recompiles from the fresh bytes and continues.  DMA
+      and host writes cannot happen mid-chain because no events dispatch
+      mid-chain.  Mapping changes (a TLB flush, a new page-table base)
+      need no invalidation:
+      - [compile] captures nothing from CPU state but [costs], which is
+        constant per CPU, so an op is a function of its bytes alone;
+      - a remap changes the physical address a fetch translates to, so
+        the remapped fetch looks up a different cache key;
+      - fetch elision and loop re-entry rest on [code_resident], which
+        checks the code page's TLB slot, and the flush still clears it.
+        Mappings change only in hooks and [Interp] ops, and both end a
+        chain.
 
    Faults propagate out of an op as exceptions with pc still at the
    faulting instruction; [step] and [run_batch] flush the accumulator and
@@ -1064,7 +1068,6 @@ let compile_block t ~vpc ~ppc : jblock option =
         jb_ppc = ppc;
         jb_bytes = bytes;
         jb_gsum = jit_gsum t ~ppc ~bytes;
-        jb_flush = t.icache_gen;
         jb_entry = entry;
         jb_reenter =
           (match Isa.read t.mem (text.hi - w) with
@@ -1073,14 +1076,13 @@ let compile_block t ~vpc ~ppc : jblock option =
       }
   end
 
-(* Direct-mapped lookup with full revalidation (invariant 4): stamp and
-   generation sum must both match, else recompile from current bytes. *)
+(* Direct-mapped lookup with full revalidation (invariant 4): the
+   generation sum must match, else recompile from current bytes. *)
 let jit_block_at t ~ppc : jblock option =
   let slot = (ppc lsr 3) land jcache_mask in
   match t.jcache.(slot) with
   | Some b as cached when b.jb_ppc = ppc ->
-    if b.jb_flush = t.icache_gen && jit_gsum t ~ppc ~bytes:b.jb_bytes = b.jb_gsum
-    then begin
+    if jit_gsum t ~ppc ~bytes:b.jb_bytes = b.jb_gsum then begin
       t.jb_hits <- t.jb_hits + 1;
       cached
     end
@@ -1125,13 +1127,12 @@ let[@inline] granule_sum t paddr =
   + Phys_mem.generation t.mem (paddr + (Isa.width - 1))
 
 (* [slot] holds the op of the current bytes at [paddr]. *)
-let[@inline] slot_valid t slot paddr pgen =
-  slot.itag = paddr && slot.iflush = t.icache_gen && slot.igen = pgen
+let[@inline] slot_valid slot paddr pgen = slot.itag = paddr && slot.igen = pgen
 
 let fetch_cached t paddr =
   let slot = icache_slot t paddr in
   let pgen = granule_sum t paddr in
-  if slot_valid t slot paddr pgen then begin
+  if slot_valid slot paddr pgen then begin
     t.ic_hits <- t.ic_hits + 1;
     slot.iop
   end
@@ -1145,7 +1146,6 @@ let fetch_cached t paddr =
     in
     slot.itag <- paddr;
     slot.igen <- pgen;
-    slot.iflush <- t.icache_gen;
     slot.iop <- op;
     slot.iinterp <- interp;
     op
@@ -1160,7 +1160,7 @@ let fetch_cached t paddr =
 let interp_at t ppc =
   let slot = icache_slot t ppc in
   slot.iinterp
-  && slot_valid t slot ppc (granule_sum t ppc)
+  && slot_valid slot ppc (granule_sum t ppc)
   &&
   match Array.unsafe_get t.jcache ((ppc lsr 3) land jcache_mask) with
   | Some b -> b.jb_ppc <> ppc

@@ -91,7 +91,8 @@ val ptb : t -> int
 (** [set_ptb t v] loads the page-table base and flushes the TLB. *)
 val set_ptb : t -> int -> unit
 
-(** [flush_tlb t] drops the TLB and every cached instruction and block. *)
+(** [flush_tlb t] drops the TLB.  Cached instructions and blocks are
+    physically tagged and stay valid. *)
 val flush_tlb : t -> unit
 
 val halted : t -> bool
@@ -175,10 +176,10 @@ val icache_invalidations : t -> int
     basic-block threaded-code translator: straight-line decoded runs are
     compiled into chains of closures keyed by {e physical} pc, validated
     at every dispatch against the {!Phys_mem} granule write generations
-    of their whole text plus the icache flush stamp (self-modifying
-    code, DMA over text and [LPTB]/[TLBFLUSH] invalidate compiled blocks
-    exactly as they invalidate cached instructions), and chained across
-    taken jumps, calls and returns.  Architectural state, cycle
+    of their whole text (self-modifying code and DMA over text invalidate
+    compiled blocks exactly as they invalidate cached instructions; a
+    remap leads the fetch to a different physical key), and chained
+    across taken jumps, calls and returns.  Architectural state, cycle
     accounting, trap ordering, IRQ delivery points and profiler sample
     boundaries are bit-identical to per-instruction stepping — the
     translator is disabled automatically while a per-instruction

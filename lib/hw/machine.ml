@@ -168,7 +168,7 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
     ~help:"block-cache dispatches that revalidated a compiled block"
     (fun () -> Cpu.block_hits cpu);
   Registry.int_gauge registry "cpu_block_invalidations_total"
-    ~help:"compiled blocks dropped by generation/flush revalidation"
+    ~help:"compiled blocks dropped by write-generation revalidation"
     (fun () -> Cpu.block_invalidations cpu);
   Registry.int_gauge registry "cpu_block_chain_follows_total"
     ~help:"superblock chain follows across taken transfers" (fun () ->

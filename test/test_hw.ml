@@ -2378,6 +2378,97 @@ let test_jit_set_ptb_remap () =
   Machine.run_for m ~cycles:20_000L;
   check int "new frame's code" 22 (reg m 1)
 
+(* Cached ops and blocks are valid exactly when their physical tag and
+   text generations match, so a TLB flush keeps them, a remap reaches a
+   different frame's entries through its physical key, and one frame
+   mapped twice shares one block.  Bare ring 0 over identity tables;
+   [map vaddr frame] points one page elsewhere. *)
+let test_cached_code_survives_flush () =
+  let paged build =
+    let m = fresh_machine () in
+    let mem = Machine.mem m and cpu = Machine.cpu m in
+    build_identity_tables mem ~pd:0x40000 ~pt:0x41000 ~mbytes:1 ~user:false;
+    let a = Asm.create ~origin:0x1000 () in
+    build a;
+    Machine.boot m (Asm.assemble a) ~entry:0x1000;
+    let map vaddr frame =
+      Phys_mem.write_u32 mem
+        (0x41000 + (4 * (vaddr / 4096)))
+        (Mmu.make_pte ~frame ~writable:true ~user:false)
+    in
+    (m, mem, cpu, map)
+  in
+  let run m = Machine.run_for m ~cycles:20_000L in
+  (* A one-instruction loop, so no budget stop leaves a mid-block pc,
+     chained and then stepped: a flush costs no compile and no icache
+     miss. *)
+  let m, _, cpu, _ =
+    paged (fun a ->
+        Asm.label a "loop";
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  Cpu.set_ptb cpu 0x40000;
+  run m;
+  let compiled = Cpu.blocks_compiled cpu and hits = Cpu.block_hits cpu in
+  Cpu.flush_tlb cpu;
+  run m;
+  check int "no compile after a flush" compiled (Cpu.blocks_compiled cpu);
+  check bool "block hits after a flush" true (Cpu.block_hits cpu > hits);
+  Cpu.set_jit_enabled cpu false;
+  run m;
+  let misses = Cpu.icache_misses cpu and hits = Cpu.icache_hits cpu in
+  Cpu.flush_tlb cpu;
+  run m;
+  check int "no icache miss after a flush" misses (Cpu.icache_misses cpu);
+  check bool "icache hits after a flush" true (Cpu.icache_hits cpu > hits);
+  (* One virtual page remapped between two frames holding different
+     code: each runs its own frame's code, and coming back to the first
+     frame finds its block still cached.  Every run starts at the page's
+     first instruction. *)
+  let vaddr = 0x8000 in
+  let m, mem, cpu, map = paged Asm.hlt in
+  List.iter
+    (fun (frame, value) ->
+      Isa.write mem frame (Isa.Movi (1, value));
+      Isa.write mem (frame + Isa.width) (Isa.Jmp vaddr))
+    [ (0x10000, 11); (0x11000, 22) ];
+  let remap frame =
+    map vaddr frame;
+    Cpu.set_ptb cpu 0x40000;
+    Cpu.set_pc cpu vaddr;
+    run m
+  in
+  remap 0x10000;
+  check int "first frame's code" 11 (reg m 1);
+  remap 0x11000;
+  check int "second frame's code" 22 (reg m 1);
+  let compiled = Cpu.blocks_compiled cpu in
+  remap 0x10000;
+  check int "first frame's code again" 11 (reg m 1);
+  check int "first frame's block kept" compiled (Cpu.blocks_compiled cpu);
+  (* One frame at two virtual pages: [addi r1; jr r7] runs at both and
+     compiles once, beside the three blocks of the calling loop. *)
+  let v1 = 0x8000 and v2 = 0x9000 and frame = 0x10000 in
+  let m, mem, cpu, map =
+    paged (fun a ->
+        Asm.label a "loop";
+        Asm.movi a 7 (Asm.lbl "back1");
+        Asm.jmp a (Asm.imm v1);
+        Asm.label a "back1";
+        Asm.movi a 7 (Asm.lbl "back2");
+        Asm.jmp a (Asm.imm v2);
+        Asm.label a "back2";
+        Asm.jmp a (Asm.lbl "loop"))
+  in
+  Isa.write mem frame (Isa.Addi (1, 1, 1));
+  Isa.write mem (frame + Isa.width) (Isa.Jr 7);
+  map v1 frame;
+  map v2 frame;
+  Cpu.set_ptb cpu 0x40000;
+  run m;
+  check bool "ran through both pages" true (reg m 1 > 100);
+  check int "one block for the shared frame" 4 (Cpu.blocks_compiled cpu)
+
 (* -- Loop re-entry --
 
    A block whose chain ends at its own entry runs again without the
@@ -2901,6 +2992,8 @@ let () =
           Alcotest.test_case "breakpoint plant" `Quick
             test_jit_breakpoint_patch;
           Alcotest.test_case "set_ptb remap" `Quick test_jit_set_ptb_remap;
+          Alcotest.test_case "cached code survives a flush" `Quick
+            test_cached_code_survives_flush;
           Alcotest.test_case "loop re-enters" `Quick test_jit_loop_reenters;
           Alcotest.test_case "loop stores into its own text" `Quick
             test_jit_loop_stores_own_text;

@@ -848,6 +848,240 @@ let test_reverse_lands_pre_crash () =
   check bool "bp removed" true
     (Session.remove_breakpoint ~timeout_s:1.0 session bp)
 
+(* Reverse landing equals forward arrival.  The reverse side captures a
+   checkpoint C at [c_ms], makes an excursion to retired count M, then
+   lands on N (C < N < M) the way [rs] does: restore C, arm a retire
+   stop at N and resume.  The straight side restores its own capture of
+   C in place and runs straight on.  Both take the [Snapshot.Full]
+   digest at N and at T > M; the pairs must be equal.
+
+   The straight side restores C too because a restore leaves the shadow
+   tables and the TLB empty, and refilling them costs monitor cycles
+   that move the guest's timer phase: a run that never restored would
+   arrive at N at another phase.  The comparison therefore isolates
+   what the excursion may leak into the re-execution: cached ops and
+   blocks, page generations, the checkpoint page cache, armed pages.
+
+   Knobs that cost no guest-visible time are drawn for each side's
+   whole run: chaining, the profiler, the tracer and the monitor's own
+   checkpoint ring.  Knobs that do cost guest time act only inside the
+   excursion, which the landing undoes: a virtual breakpoint on a random
+   text address, the race witness, one guest or NIC fault, and a host
+   write of [VMCALL 0] over the instruction at the pc (a debugger's [M]
+   patch), which makes cached ops of the excursion's text stale after
+   the restore. *)
+
+type side = {
+  jit : bool;
+  profile : int64 option;  (** sampling period, cycles *)
+  tracing : bool;
+  ring : (float * int) option;  (** monitor checkpoint period (ms), keep *)
+}
+
+type landing = {
+  user_mode : bool;  (** the kernel at ring 3 over its own page tables *)
+  c_ms : float;
+  excursion_ms : float;
+  straight : side;
+  reverse : side;
+  vbp : int option;  (** text offset of a virtual breakpoint *)
+  witness : bool;
+  fault : (Vmm_fault.Plan.fault_class * float) option;
+      (** class, and when it fires as a fraction of the excursion *)
+  patch : bool;
+  n_pick : int;  (** N = C + 1 + n_pick mod (M - C - 1) *)
+  tail : int;  (** T - M *)
+}
+
+let show_side s =
+  Printf.sprintf "{jit=%b profile=%s tracing=%b ring=%s}" s.jit
+    (match s.profile with Some p -> Int64.to_string p | None -> "-")
+    s.tracing
+    (match s.ring with
+     | Some (ms, keep) -> Printf.sprintf "%.2fms/%d" ms keep
+     | None -> "-")
+
+let show_landing l =
+  Printf.sprintf
+    "user_mode=%b c=%.2fms excursion=%.2fms straight=%s reverse=%s vbp=%s \
+     witness=%b fault=%s patch=%b n_pick=%d tail=%d"
+    l.user_mode l.c_ms l.excursion_ms (show_side l.straight)
+    (show_side l.reverse)
+    (match l.vbp with Some o -> Printf.sprintf "+0x%x" o | None -> "-")
+    l.witness
+    (match l.fault with
+     | Some (cls, at) ->
+       Printf.sprintf "%s@%.2f" (Vmm_fault.Plan.name cls) at
+     | None -> "-")
+    l.patch l.n_pick l.tail
+
+let gen_side =
+  let open QCheck.Gen in
+  map4
+    (fun jit profile tracing ring -> { jit; profile; tracing; ring })
+    bool
+    (opt (oneofl [ 997L; 7_919L; 65_536L ]))
+    (frequency [ (3, return false); (1, return true) ])
+    (opt (pair (oneofl [ 0.2; 0.5; 1.0; 4.0 ]) (int_range 1 8)))
+
+let kernel_image user_mode =
+  Kernel.build
+    { (Kernel.default_config ~rate_mbps:150.0) with Kernel.user_mode }
+
+let kernel_images = lazy (kernel_image false, kernel_image true)
+
+(* Every class whose effect a restore undoes.  [Scsi_error] is left out:
+   its medium errors are the disk's, not the guest's, and outlive a
+   restore by design.  The link classes need link traffic, which this
+   property has none of. *)
+let landing_faults =
+  Vmm_fault.Plan.
+    [
+      Guest_wild_jump; Guest_wild_store; Guest_iht_clobber; Guest_ptb_clobber;
+      Guest_irq_storm; Guest_wedge; Nic_stall;
+    ]
+
+let gen_landing =
+  let open QCheck.Gen in
+  let text_len = Bytes.length (fst (Lazy.force kernel_images)).Asm.code in
+  let* user_mode = bool in
+  let* c_ms = float_range 0.5 25.0 in
+  let* excursion_ms = float_range 0.3 4.0 in
+  let* straight = gen_side in
+  let* reverse = gen_side in
+  let* vbp =
+    opt (map (fun i -> i * Isa.width) (int_bound ((text_len / Isa.width) - 1)))
+  in
+  let* witness = bool in
+  let* fault = opt (pair (oneofl landing_faults) (float_range 0.1 0.9)) in
+  let* patch = frequency [ (1, return false); (3, return true) ] in
+  let* n_pick = nat in
+  let* tail = int_range 1 3000 in
+  return
+    {
+      user_mode; c_ms; excursion_ms; straight; reverse; vbp; witness; fault;
+      patch; n_pick; tail;
+    }
+
+let boot_side ~user_mode side =
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~costs:test_costs () in
+  Vmm_hw.Cpu.set_jit_enabled (Machine.cpu m) side.jit;
+  Vmm_obs.Tracer.set_enabled (Machine.tracer m) side.tracing;
+  let mon = Monitor.install m in
+  Option.iter (fun period -> Machine.set_profiling m ~period) side.profile;
+  let images = Lazy.force kernel_images in
+  Monitor.boot_guest mon
+    (if user_mode then snd images else fst images)
+    ~entry:Kernel.entry;
+  Option.iter
+    (fun (ms, keep) ->
+      Monitor.checkpoint_start ~period_cycles:(cyc (ms /. 1000.)) ~keep mon)
+    side.ring;
+  (m, mon)
+
+let digest_now mon = Snapshot.Full.digest (Monitor.checkpoint_now mon)
+
+(* Restore [c] and run on to [n] and then [t] retired instructions,
+   taking the digest at each boundary.  The stop at [n] takes no time:
+   its callback resumes at once and arms the stop at [t]. *)
+let land_and_run m mon c ~n ~t =
+  let cpu = Machine.cpu m in
+  Monitor.restore_checkpoint mon c;
+  let at_n = ref None and at_t = ref None in
+  let stop_at target cell k =
+    Vmm_hw.Cpu.set_retire_stop cpu
+      (Some
+         ( Int64.of_int target,
+           fun cpu ->
+             cell := Some (digest_now mon);
+             Vmm_hw.Cpu.set_stopped cpu false;
+             k () ))
+  in
+  stop_at n at_n (fun () -> stop_at t at_t ignore);
+  Vmm_hw.Cpu.set_stopped cpu false;
+  let rec go budget =
+    if !at_t = None && budget > 0 then begin
+      Machine.run_for m ~cycles:(cyc 0.001);
+      go (budget - 1)
+    end
+  in
+  go 400;
+  (!at_n, !at_t)
+
+(* The wire form of a [Z0]/[z0], fed straight to the stub: no UART, so
+   no interrupt and no link state. *)
+let feed_stub mon cmd =
+  String.iter
+    (fun ch -> Stub.on_rx_byte (Monitor.stub mon) (Char.code ch))
+    (Vmm_proto.Packet.frame (Command.command_to_wire cmd))
+
+let prop_reverse_landing =
+  QCheck.Test.make ~count:120 ~name:"reverse landing equals forward arrival"
+    (QCheck.make ~print:show_landing gen_landing)
+    (fun l ->
+      let image =
+        let plain, user = Lazy.force kernel_images in
+        if l.user_mode then user else plain
+      in
+      let image_end = image.Asm.origin + Bytes.length image.Asm.code in
+      (* Reverse side: C, the excursion, then the landing. *)
+      let m, mon = boot_side ~user_mode:l.user_mode l.reverse in
+      let c_time = cyc (l.c_ms /. 1000.) in
+      let span = cyc (l.excursion_ms /. 1000.) in
+      Machine.run_until m ~time:c_time;
+      let c = Monitor.checkpoint_now mon in
+      let c_retired = Int64.to_int (Snapshot.Full.retired c) in
+      if l.witness then Monitor.set_race_witness mon true;
+      let vbp = Option.map (fun off -> image.Asm.origin + off) l.vbp in
+      Option.iter (fun a -> feed_stub mon (Command.Insert_breakpoint a)) vbp;
+      let plan = Vmm_fault.Plan.create ~seed:7L ~engine:(Machine.engine m) in
+      Option.iter
+        (fun (cls, frac) ->
+          let at =
+            Int64.add c_time (Int64.of_float (frac *. Int64.to_float span))
+          in
+          Vmm_fault.Plan.arm plan ~monitor:mon cls ~at
+            ~until:(Int64.add c_time span))
+        l.fault;
+      let mid = Int64.add c_time (Int64.div span 2L) in
+      Machine.run_until m ~time:mid;
+      (if l.patch then
+         let pc = Vmm_hw.Cpu.pc (Machine.cpu m) in
+         if pc >= image.Asm.origin && pc + Isa.width <= image_end then
+           Isa.write (Machine.mem m) pc (Isa.Vmcall 0));
+      Machine.run_until m ~time:(Int64.add c_time span);
+      let m_retired =
+        Int64.to_int (Vmm_hw.Cpu.instructions_retired (Machine.cpu m))
+      in
+      (* Undo what is not guest state, freeze at M and let the stub's
+         replies drain before landing. *)
+      Option.iter
+        (fun (cls, _) -> ignore (Vmm_fault.Plan.disarm plan cls))
+        l.fault;
+      Option.iter (fun a -> feed_stub mon (Command.Remove_breakpoint a)) vbp;
+      if l.witness then Monitor.set_race_witness mon false;
+      Vmm_hw.Cpu.set_stopped (Machine.cpu m) true;
+      Machine.run_for m ~cycles:(cyc 0.001);
+      QCheck.assume (m_retired - c_retired >= 2);
+      let n = c_retired + 1 + (l.n_pick mod (m_retired - c_retired - 1)) in
+      let t = m_retired + l.tail in
+      let reverse = land_and_run m mon c ~n ~t in
+      (* Straight side: the same C, restored in place. *)
+      let m, mon = boot_side ~user_mode:l.user_mode l.straight in
+      Machine.run_until m ~time:c_time;
+      let c' = Monitor.checkpoint_now mon in
+      if Snapshot.Full.digest c' <> Snapshot.Full.digest c then
+        QCheck.Test.fail_report "the sides disagree at C";
+      let straight = land_and_run m mon c' ~n ~t in
+      (match straight with
+       | Some _, Some _ -> ()
+       | _ -> QCheck.Test.fail_reportf "the straight side never reached %d" t);
+      if fst reverse <> fst straight then
+        QCheck.Test.fail_reportf "landing on N=%d differs from arriving" n;
+      if snd reverse <> snd straight then
+        QCheck.Test.fail_reportf "running on to T=%d after landing differs" t;
+      true)
+
 let () =
   Alcotest.run "replay (record/replay + reverse debugging)"
     [
@@ -903,5 +1137,6 @@ let () =
         [
           Alcotest.test_case "rc/rs land pre-crash" `Quick
             test_reverse_lands_pre_crash;
+          QCheck_alcotest.to_alcotest prop_reverse_landing;
         ] );
     ]
