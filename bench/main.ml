@@ -776,11 +776,7 @@ let debugload () =
          | None -> ());
         Machine.run_seconds machine 0.005
       done;
-      let elapsed = Int64.sub (Machine.now machine) t0 in
-      let busy =
-        Int64.sub (Vmm_sim.Stats.busy_cycles (Machine.load machine)) busy0
-      in
-      let load_polling = Int64.to_float busy /. Int64.to_float elapsed in
+      let load_polling = Machine.utilization machine ~since:t0 ~since_busy:busy0 in
       let mean_latency =
         match !latencies with
         | [] -> nan
@@ -953,9 +949,6 @@ let ablation_passthrough () =
     let bytes0 = Vmm_hw.Nic.bytes_sent (Machine.nic machine) in
     Machine.run_seconds machine 0.2;
     let elapsed = Int64.sub (Machine.now machine) t0 in
-    let busy =
-      Int64.sub (Vmm_sim.Stats.busy_cycles (Machine.load machine)) busy0
-    in
     let bytes =
       Int64.sub (Vmm_hw.Nic.bytes_sent (Machine.nic machine)) bytes0
     in
@@ -963,7 +956,7 @@ let ablation_passthrough () =
     let stats = Monitor.stats monitor in
     Printf.printf "%-34s %9.1f %9.1f%% %14d\n" label
       (Int64.to_float bytes *. 8.0 /. secs /. 1e6)
-      (100.0 *. Int64.to_float busy /. Int64.to_float elapsed)
+      (100.0 *. Machine.utilization machine ~since:t0 ~since_busy:busy0)
       stats.Monitor.io_emulations
   in
   Printf.printf "%-34s %9s %10s %14s\n" "configuration (at 100 Mbps)"

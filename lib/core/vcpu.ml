@@ -55,7 +55,9 @@ let create machine ~timer_irq =
       v_halted = false;
     }
   in
-  (* The monitor owns the real interrupt path and the real MMU. *)
+  (* The monitor owns the real interrupt path and the real MMU, and the
+     devices the guest drives directly may DMA into guest memory only. *)
+  Machine.set_dma_limit machine layout.Vm_layout.monitor_base;
   Pic.io_write (Machine.pic machine) 1 0x00;
   Cpu.set_interrupts_enabled cpu true;
   Cpu.set_ptb cpu (Shadow.root shadow);

@@ -36,8 +36,9 @@ type t = {
 
 (** [create machine ~timer_irq] virtualizes [machine]'s CPU: empty shadow
     tables under the real page-table base, the real PIC unmasked and real
-    IF on (the monitor owns the real interrupt path), and a virtual PIT
-    that calls [timer_irq] on every expiry.  The hypervisor hook is the
+    IF on (the monitor owns the real interrupt path), device DMA confined
+    to guest memory, below [monitor_base], and a virtual PIT that calls
+    [timer_irq] on every expiry.  The hypervisor hook is the
     caller's to install. *)
 val create : Vmm_hw.Machine.t -> timer_irq:(unit -> unit) -> t
 

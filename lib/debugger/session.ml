@@ -196,22 +196,6 @@ let read_profile_dump ?timeout_s t =
      | None -> None)
   | None -> None
 
-(* Legacy shape: collapse the buckets to per-pc totals, hottest first. *)
-let read_profile ?timeout_s t =
-  match read_profile_dump ?timeout_s t with
-  | Some (_, _, buckets) ->
-    let totals = Hashtbl.create 64 in
-    List.iter
-      (fun (key, count) ->
-        let pc = key.Vmm_profile.Profiler.k_pc in
-        Hashtbl.replace totals pc
-          (count + Option.value ~default:0 (Hashtbl.find_opt totals pc)))
-      buckets;
-    Some
-      (Hashtbl.fold (fun pc count acc -> (pc, count) :: acc) totals []
-      |> List.sort (fun (_, a) (_, b) -> compare b a))
-  | None -> None
-
 (* The [qW] payload is textual [key=value] pairs, hex-encoded on the
    wire like the console; parse into an assoc list, raw text first. *)
 let query_watchdog ?timeout_s t =

@@ -47,10 +47,6 @@ val read_profile_dump :
   (string * (string * string) list * (Vmm_profile.Profiler.key * int) list)
   option
 
-(** [read_profile t] — the profile collapsed to per-pc totals (hits
-    summed over rings and categories), hottest first. *)
-val read_profile : ?timeout_s:float -> t -> (int * int) list option
-
 (** [query_watchdog t] — the monitor's lifecycle/watchdog report ([qW]):
     the raw text plus its parsed [key=value] fields.  Keys include
     [lifecycle], [cause]/[vector]/[pc]/[chain] when crashed, the

@@ -109,10 +109,7 @@ let measure ctx program ~config ~warmup_s ~duration_s =
   let frames = Nic.frames_sent nic - frames0 in
   let costs = Machine.costs m in
   let seconds = Costs.seconds_of_cycles costs elapsed in
-  let cpu_load =
-    if Int64.compare elapsed 0L <= 0 then 0.0
-    else min 1.0 (Int64.to_float busy /. Int64.to_float elapsed)
-  in
+  let cpu_load = Machine.utilization m ~since:t0 ~since_busy:busy0 in
   let achieved_mbps =
     if seconds <= 0.0 then 0.0
     else Int64.to_float bytes *. 8.0 /. seconds /. 1e6

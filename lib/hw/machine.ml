@@ -109,7 +109,7 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
   let trace = Flight.create ~capacity:4096 () in
   let registry = Registry.create () in
   let tracer = Tracer.create ~engine () in
-  let profiler = Profiler.create ~engine () in
+  let profiler = Profiler.create () in
   Nic.set_tracer nic tracer;
   Scsi.set_tracer scsi tracer;
   (* Device metrics (subsystem_name_unit); monitor/link metrics join the
@@ -137,6 +137,9 @@ let create ?(mem_size = default_mem_size) ?(costs = Costs.default) () =
       Int64.to_float (Nic.stall_cycles nic));
   Registry.int_gauge registry "nic_tx_overflows_total" (fun () ->
       Nic.overflows nic);
+  Registry.int_gauge registry "nic_dma_refused_total"
+    ~help:"NIC frames dropped because their buffer left the DMA window"
+    (fun () -> Nic.dma_refused nic);
   Registry.int_gauge registry "scsi_reads_completed_total" (fun () ->
       Scsi.reads_completed scsi);
   Registry.int_gauge registry "scsi_writes_completed_total" (fun () ->
@@ -240,6 +243,10 @@ let set_profiling t ~period =
   Cpu.set_sampling t.cpu ~period
     ~hook:(fun ~pc ~cpl ->
       Profiler.sample t.profiler ~pc ~ring:cpl ~cat:(Stats.category t.load))
+
+let set_dma_limit t limit =
+  Scsi.set_dma_limit t.scsi limit;
+  Nic.set_dma_limit t.nic limit
 
 let now t = Engine.now t.engine
 

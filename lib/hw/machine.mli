@@ -85,6 +85,11 @@ val flight : t -> Vmm_profile.Flight.t
     behaviour (see {!Cpu.set_sampling}). *)
 val set_profiling : t -> period:int64 -> unit
 
+(** [set_dma_limit t limit] confines both DMA devices to physical
+    [\[0, limit)] (see {!Scsi.set_dma_limit}, {!Nic.set_dma_limit}).
+    A fresh machine's limit is its memory size. *)
+val set_dma_limit : t -> int -> unit
+
 (** [now t] — current simulation time in cycles. *)
 val now : t -> int64
 

@@ -30,6 +30,8 @@ type t = {
   mutable rx_addr : int;
   mutable tx_stalls : int;
   mutable stall_cycles : int64;
+  mutable dma_limit : int; (* DMA may touch [0, dma_limit) only *)
+  mutable dma_refused : int;
   mutable tracer : Vmm_obs.Tracer.t option;
   mutable epoch : int;
       (* bumped by [tx_reset]/[restore]; in-flight completion events compare
@@ -60,6 +62,8 @@ let create ~engine ~costs ~mem () =
     rx_addr = 0;
     tx_stalls = 0;
     stall_cycles = 0L;
+    dma_limit = Phys_mem.size mem;
+    dma_refused = 0;
     tracer = None;
     epoch = 0;
   }
@@ -74,6 +78,9 @@ let clear_on_frame t =
   t.on_frame <- (fun _ -> ());
   t.has_consumer <- false
 let set_tracer t tracer = t.tracer <- Some tracer
+let set_dma_limit t limit = t.dma_limit <- limit
+
+let dma_ok t ~addr ~len = addr >= 0 && len <= t.dma_limit - addr
 
 let serialization_cycles t len =
   let seconds = float_of_int (8 * len) /. (t.costs.Costs.nic_gbps *. 1e9) in
@@ -107,6 +114,10 @@ let arm_tx t ~buf ~len ~done_at =
 
 let send t =
   if t.tx_len <= 0 || t.tx_len > mtu then t.overflow <- true
+  else if not (dma_ok t ~addr:t.tx_addr ~len:t.tx_len) then begin
+    t.overflow <- true;
+    t.dma_refused <- t.dma_refused + 1
+  end
   else if t.queued >= tx_ring_slots then begin
     t.overflow <- true;
     t.overflow_count <- t.overflow_count + 1
@@ -153,7 +164,10 @@ let tx_reset t =
 let receive_into_buffer t =
   match Queue.take_opt t.rx with
   | None -> ()
-  | Some frame -> Phys_mem.load_bytes t.mem ~addr:t.rx_addr frame
+  | Some frame ->
+    if dma_ok t ~addr:t.rx_addr ~len:(Bytes.length frame) then
+      Phys_mem.load_bytes t.mem ~addr:t.rx_addr frame
+    else t.dma_refused <- t.dma_refused + 1
 
 let inject_rx t frame =
   t.rx_tap frame;
@@ -199,6 +213,7 @@ let attach t bus ~base =
 let frames_sent t = t.frames_sent
 let bytes_sent t = t.bytes_sent
 let overflows t = t.overflow_count
+let dma_refused t = t.dma_refused
 
 (* Fault injection: the wire refuses to serialize for [cycles]; frames
    submitted meanwhile queue behind the stall (and overflow the ring if

@@ -47,6 +47,13 @@ val clear_on_frame : t -> unit
     frame covering its wire serialization window. *)
 val set_tracer : t -> Vmm_obs.Tracer.t -> unit
 
+(** [set_dma_limit t limit] — frames may be read from or written to
+    physical [\[0, limit)] only (initially all of memory).  A transmit
+    whose buffer leaves it is dropped with the overflow status bit
+    raised; a receive whose buffer leaves it drops the frame.  Both
+    count in {!dma_refused}. *)
+val set_dma_limit : t -> int -> unit
+
 (** [inject_rx t frame] queues an inbound frame and raises the IRQ. *)
 val inject_rx : t -> bytes -> unit
 
@@ -60,6 +67,10 @@ val attach : t -> Io_bus.t -> base:int -> unit
 val frames_sent : t -> int
 val bytes_sent : t -> int64
 val overflows : t -> int
+
+(** [dma_refused t] — frames dropped because their DMA range left the
+    window set by {!set_dma_limit}. *)
+val dma_refused : t -> int
 
 (** [tx_queued t] — frames in the ring not yet off the wire (queue-depth
     gauge). *)

@@ -21,10 +21,18 @@ let page_mask = page_size - 1
    access that straddles a page goes byte by byte. *)
 let zero = Bytes.make page_size '\000'
 
+(* A page's granule generations live in their own small array, and
+   every page starts sharing [zero_gens] (never written) the way it
+   shares [zero]: the first store into a page gives it its own.  A
+   machine therefore does not allocate and zero-fill one word per
+   granule up front (2 MiB for 16 MiB of RAM). *)
+let granules_per_page = 1 lsl (page_bits - granule_bits)
+let zero_gens = Array.make granules_per_page 0
+
 type t = {
   pages : Bytes.t array;
   size : int;
-  granule_gens : int array;
+  granule_gens : int array array; (* per page *)
   page_gens : int array;
 }
 
@@ -36,7 +44,7 @@ let create ~size =
   {
     pages = Array.make npages zero;
     size;
-    granule_gens = Array.make (((size - 1) lsr granule_bits) + 1) 0;
+    granule_gens = Array.make npages zero_gens;
     page_gens = Array.make npages 0;
   }
 
@@ -46,9 +54,27 @@ let check t addr len =
   if addr < 0 || addr + len > t.size then raise (Bus_error addr)
 
 let generation t addr =
-  Array.unsafe_get t.granule_gens (addr lsr granule_bits)
+  Array.unsafe_get
+    (Array.unsafe_get t.granule_gens (addr lsr page_bits))
+    ((addr lsr granule_bits) land (granules_per_page - 1))
 
 let page_generation t addr = Array.unsafe_get t.page_gens (addr lsr page_bits)
+
+(* Granule [g]'s generation + 1, giving its page its own generations
+   first. *)
+let bump_granule t g =
+  let p = g lsr (page_bits - granule_bits) in
+  let gens = Array.unsafe_get t.granule_gens p in
+  let gens =
+    if gens != zero_gens then gens
+    else begin
+      let own = Array.make granules_per_page 0 in
+      Array.unsafe_set t.granule_gens p own;
+      own
+    end
+  in
+  let k = g land (granules_per_page - 1) in
+  Array.unsafe_set gens k (Array.unsafe_get gens k + 1)
 
 (* [addr, addr+len) is already bounds-checked when this runs.  A store
    within one granule is within one page, so only a multi-granule range
@@ -57,12 +83,11 @@ let bump t addr len =
   let first = addr lsr granule_bits in
   let last = (addr + len - 1) lsr granule_bits in
   let page = addr lsr page_bits in
-  Array.unsafe_set t.granule_gens first
-    (Array.unsafe_get t.granule_gens first + 1);
+  bump_granule t first;
   Array.unsafe_set t.page_gens page (Array.unsafe_get t.page_gens page + 1);
   if last > first then begin
     for g = first + 1 to last do
-      t.granule_gens.(g) <- t.granule_gens.(g) + 1
+      bump_granule t g
     done;
     for p = page + 1 to (addr + len - 1) lsr page_bits do
       t.page_gens.(p) <- t.page_gens.(p) + 1

@@ -14,8 +14,9 @@ type t
 exception Bus_error of int
 
 (** [create ~size] is zero-filled memory of [size] bytes.  It allocates
-    the write-generation arrays below (one word per 64-byte granule,
-    about 2 MiB for 16 MiB) and one pointer per page, but no page. *)
+    three words per page (pointers to the page and to its granule
+    generations, and the page's write generation) but no page and no
+    granule generations: a page gets those on its first store. *)
 val create : size:int -> t
 
 val size : t -> int

@@ -39,6 +39,7 @@ type t = {
       (* fault injection: the next N reads fail at the medium *)
   mutable read_errors : int;
   mutable writes_completed : int;
+  mutable dma_limit : int; (* DMA may touch [0, dma_limit) only *)
   mutable tracer : Vmm_obs.Tracer.t option;
   mutable epoch : int;
       (* bumped by [restore]; in-flight completion events compare their
@@ -71,6 +72,7 @@ let create ~engine ~costs ~mem ~targets () =
     inject_read_errors = 0;
     read_errors = 0;
     writes_completed = 0;
+    dma_limit = Phys_mem.size mem;
     tracer = None;
     epoch = 0;
   }
@@ -79,6 +81,7 @@ let targets t = Array.length t.target_states
 
 let set_irq t f = t.irq <- f
 let set_tracer t tracer = t.tracer <- Some tracer
+let set_dma_limit t limit = t.dma_limit <- limit
 
 let pattern_byte ~target ~offset = (offset + (7 * target) + 13) mod 251
 
@@ -189,9 +192,14 @@ let start_command t cmd =
   if target < 0 || target >= targets t then t.error <- true
   else begin
     let ts = t.target_states.(target) in
-    if ts.busy || t.sel_count <= 0 then t.error <- true
+    let count = t.sel_count and dma = t.sel_dma in
+    (* A transfer that would leave the DMA window is refused before it
+       starts: nothing moves and no staging buffer is sized from the
+       guest's count. *)
+    if ts.busy || count <= 0 || dma < 0 || count > t.dma_limit - dma then
+      t.error <- true
     else begin
-      let lba = t.sel_lba and count = t.sel_count and dma = t.sel_dma in
+      let lba = t.sel_lba in
       ts.busy <- true;
       if cmd <> 1 then begin
         (* Latch outgoing data into the target's staging buffer now; the

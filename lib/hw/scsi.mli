@@ -14,7 +14,9 @@
     - +3 DMA physical address (write)
     - +4 command (write): 1 = read, 2 = write
     - +5 status (read): bits 0..targets-1 completion flags,
-      bits 16..16+targets-1 busy flags, bit 31 command error
+      bits 16..16+targets-1 busy flags, bit 31 command error (a bad
+      target, a busy target, an empty transfer or one leaving the DMA
+      window)
     - +6 completion acknowledge (write): value = target number *)
 
 type t
@@ -35,6 +37,12 @@ val set_irq : t -> (unit -> unit) -> unit
 (** [set_tracer t tracer] — emit a ["dma"]-category span per command
     covering its media transfer window. *)
 val set_tracer : t -> Vmm_obs.Tracer.t -> unit
+
+(** [set_dma_limit t limit] — commands may transfer to or from physical
+    [\[0, limit)] only (initially all of memory).  A command whose range
+    leaves it is refused when issued: status bit 31 rises and nothing
+    transfers. *)
+val set_dma_limit : t -> int -> unit
 
 (** [pattern_byte ~target ~offset] is the synthetic content of an
     unwritten byte (exposed so tests and the guest can validate data). *)

@@ -1,12 +1,10 @@
 module Stats = Vmm_sim.Stats
 
 type metric =
-  | M_counter of Stats.counter
   | M_gauge of (unit -> float)
   | M_histogram of Stats.histogram
 
 type value =
-  | Counter of int64
   | Gauge of float
   | Histogram of {
       count : int;
@@ -54,17 +52,6 @@ let help_of t name =
   | Some text -> text
   | None -> default_help name
 
-let counter ?help t name =
-  check_name name;
-  set_help t name help;
-  match Hashtbl.find_opt t.table name with
-  | Some (M_counter c) -> c
-  | Some _ -> kind_mismatch name
-  | None ->
-    let c = Stats.counter () in
-    Hashtbl.add t.table name (M_counter c);
-    c
-
 let gauge ?help t name f =
   check_name name;
   set_help t name help;
@@ -96,7 +83,6 @@ let names t =
   |> List.sort String.compare
 
 let read = function
-  | M_counter c -> Counter (Stats.counter_value c)
   | M_gauge f -> Gauge (f ())
   | M_histogram h ->
     Histogram
@@ -130,10 +116,6 @@ let dump t =
   List.iter
     (fun name ->
       match Hashtbl.find t.table name with
-      | M_counter c ->
-        meta name "counter";
-        Buffer.add_string buf
-          (Printf.sprintf "%s %Ld\n" name (Stats.counter_value c))
       | M_gauge f ->
         meta name "gauge";
         Buffer.add_string buf (Printf.sprintf "%s %s\n" name (fmt_float (f ())))
@@ -160,51 +142,3 @@ let dump t =
           (Printf.sprintf "%s_count %d\n" name (Stats.histogram_count h)))
     (names t);
   Buffer.contents buf
-
-let reset t =
-  Hashtbl.iter
-    (fun _ metric ->
-      match metric with
-      | M_counter c -> Stats.reset_counter c
-      | M_histogram h -> Stats.reset_histogram h
-      | M_gauge _ -> ())
-    t.table
-
-(* Fleet-style collection: a pure fold over per-instance registries into
-   a fresh one — the inputs are never mutated and hold no reference to
-   the result.  Counters sum; compatible histograms merge bucket-wise;
-   gauges become a callback summing the live per-instance callbacks
-   (collecting a fleet total at read time).  A name registered with
-   different kinds (or incompatible histogram shapes) across instances
-   raises [Invalid_argument]. *)
-let merge registries =
-  let out = create () in
-  List.iter
-    (fun src ->
-      Hashtbl.iter
-        (fun name text ->
-          if not (Hashtbl.mem out.help name) then
-            Hashtbl.replace out.help name text)
-        src.help;
-      List.iter
-        (fun name ->
-          let metric = Hashtbl.find src.table name in
-          match (Hashtbl.find_opt out.table name, metric) with
-          | None, M_counter c ->
-            let merged = Stats.counter () in
-            Stats.add merged (Stats.counter_value c);
-            Hashtbl.add out.table name (M_counter merged)
-          | Some (M_counter acc), M_counter c ->
-            Stats.add acc (Stats.counter_value c)
-          | None, M_gauge f -> Hashtbl.add out.table name (M_gauge f)
-          | Some (M_gauge g), M_gauge f ->
-            Hashtbl.replace out.table name (M_gauge (fun () -> g () +. f ()))
-          | None, M_histogram h ->
-            Hashtbl.add out.table name (M_histogram (Stats.copy_histogram h))
-          | Some (M_histogram acc), M_histogram h ->
-            Hashtbl.replace out.table name
-              (M_histogram (Stats.add_histograms acc h))
-          | Some _, _ -> kind_mismatch name)
-        (names src))
-    registries;
-  out

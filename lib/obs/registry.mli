@@ -1,5 +1,5 @@
-(** Metrics registry: named counters, gauges and histograms registered
-    per subsystem, with a stable snapshot API and a Prometheus-style
+(** Metrics registry: named gauges and histograms registered per
+    subsystem, with a stable snapshot API and a Prometheus-style
     text exposition.
 
     Naming convention: [subsystem_name_unit] in [snake_case] —
@@ -8,19 +8,17 @@
     idempotent: registering an existing name with the same kind returns
     the existing instrument; a kind mismatch raises [Invalid_argument].
 
-    Counters and histograms are owned by the registry (created on
-    registration); gauges are callbacks sampled at snapshot/dump time,
-    so a subsystem can expose an internal mutable field without handing
-    out state.
+    Histograms are owned by the registry (created on registration);
+    gauges are callbacks sampled at snapshot/dump time, so a subsystem
+    can expose an internal mutable field — a monotone count included —
+    without handing out state.
 
     Registries are plain values: one per {!Vmm_hw.Machine} (and one per
-    host-side session), never a process-wide singleton, so hundreds of
-    instances can coexist per domain and be collected with {!merge}. *)
+    host-side session), never a process-wide singleton. *)
 
 type t
 
 type value =
-  | Counter of int64
   | Gauge of float
   | Histogram of {
       count : int;
@@ -31,14 +29,10 @@ type value =
 
 val create : unit -> t
 
-(** [counter t name] registers (or finds) a counter.  [?help] sets the
-    [# HELP] text (last registration wins; a readable default is derived
-    from the name otherwise). *)
-val counter : ?help:string -> t -> string -> Vmm_sim.Stats.counter
-
 (** [gauge t name f] registers a gauge sampled via [f].  Re-registering
     replaces the callback (a reattached subsystem supersedes the old
-    one). *)
+    one).  [?help] sets the [# HELP] text (last registration wins; a
+    readable default is derived from the name otherwise). *)
 val gauge : ?help:string -> t -> string -> (unit -> float) -> unit
 
 (** [int_gauge t name f] — convenience wrapper over {!gauge}. *)
@@ -65,27 +59,8 @@ val snapshot : t -> (string * value) list
 
 (** [dump t] — Prometheus text exposition, sorted by name, trailing
     newline.  Every metric gets [# HELP] and [# TYPE] comments.
-    Counters and gauges emit one sample line; histograms emit the
+    Gauges emit one sample line; histograms emit the
     scrapeable shape: cumulative [name_bucket{le="<upper>"}] samples
     (the final bucket is [le="+Inf"] and equals [name_count]), then
     [name_sum] and [name_count]. *)
 val dump : t -> string
-
-(** {2 Fleet collection}
-
-    [merge registries] — a pure fold of per-instance registries into a
-    fresh one; the inputs are never mutated.  Counters sum into new
-    counters; histograms with identical shapes sum bucket-wise into new
-    histograms; gauges compose into a callback summing the live
-    per-instance callbacks.  A name registered with different kinds (or
-    incompatible histogram shapes) across instances raises
-    [Invalid_argument]. *)
-val merge : t list -> t
-
-(** {2 Reset}
-
-    [reset t] zeroes every counter and histogram.  Gauges are live
-    callbacks into subsystem state and are deliberately left alone — a
-    benchmark that wants a clean interval snapshots before and after
-    instead. *)
-val reset : t -> unit

@@ -1,18 +1,18 @@
-(** Cycle-attribution span tracer.
+(** Span tracer.
 
-    Records begin/end spans in simulation time so every cycle of a run
-    can be attributed to a category — guest-direct execution, the
-    monitor's trap kinds, interrupt delivery, the debug stub, device DMA
-    — and exported as Chrome trace-event JSON that opens directly in
-    Perfetto or about:tracing (see docs/OBSERVABILITY.md for the
-    category taxonomy).
+    Records begin/end spans in simulation time, tagged with a category —
+    guest-direct execution, the monitor's trap kinds, interrupt
+    delivery, the debug stub, device DMA — and exports them as Chrome
+    trace-event JSON that opens directly in Perfetto or about:tracing
+    (see docs/OBSERVABILITY.md for the category taxonomy).  The
+    per-category cycle totals are {!Vmm_sim.Stats.busy_by_category}'s,
+    not the tracer's: the monitor switches the [Stats] category around
+    the same scopes it wraps in spans.
 
     The tracer starts {e disabled}: every probe is a cheap early-return
-    so instrumented hot paths pay one load and one branch.  Spans nest;
-    each completed span contributes its {e exclusive} time (duration
-    minus nested children) to its category, so the per-category
-    breakdown never double-counts.  Unbalanced [end_span] calls are
-    counted and ignored rather than corrupting the stack. *)
+    so instrumented hot paths pay one load and one branch.  Spans nest.
+    Unbalanced [end_span] calls are counted and ignored rather than
+    corrupting the stack. *)
 
 type t
 
@@ -36,19 +36,16 @@ val end_span : t -> unit
     the span even if [f] raises. *)
 val with_span : t -> cat:string -> string -> (unit -> 'a) -> 'a
 
-(** [instant t ~cat name] records a point event at the current time. *)
-val instant : t -> cat:string -> string -> unit
-
 (** [counter t ~cat name value] records a counter-track sample at the
-    current time.  Counter events bypass the nesting stack and the
-    category breakdown — they carry a value, not CPU time. *)
+    current time.  Counter events bypass the nesting stack — they carry
+    a value, not CPU time. *)
 val counter : t -> cat:string -> string -> float -> unit
 
 (** [add_complete t ?tid ~cat ~name ~start ~stop ()] records an
     already-timed span, e.g. an asynchronous device DMA whose completion
     time is known when it is scheduled.  [tid] selects the track
-    (default the device-DMA track); these spans bypass the nesting stack and do
-    not feed the category breakdown (device time is not CPU time). *)
+    (default the device-DMA track); these spans bypass the nesting
+    stack. *)
 val add_complete :
   t ->
   ?tid:int ->
@@ -67,22 +64,14 @@ val event_count : t -> int
 val depth : t -> int
 
 (** [flush_open_spans t] closes every open span at the current instant,
-    innermost first, through the normal {!end_span} path (exclusive-time
-    attribution stays exact).  Returns how many spans were flushed.
+    innermost first, through the normal {!end_span} path.  Returns how
+    many spans were flushed.
     Crash-bundle capture uses this so spans open at crash time land in
     the exported trace instead of being silently dropped. *)
 val flush_open_spans : t -> int
 
 val unbalanced_ends : t -> int
 val dropped : t -> int
-
-(** [breakdown t] — exclusive cycles per category over all {e closed}
-    CPU-track spans, sorted by category name. *)
-val breakdown : t -> (string * int64) list
-
-(** [clear t] drops events, open spans and counters (enabled state and
-    capacity survive). *)
-val clear : t -> unit
 
 (** {2 Export} *)
 

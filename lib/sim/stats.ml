@@ -1,11 +1,3 @@
-type counter = { mutable value : int64 }
-
-let counter () = { value = 0L }
-let incr c = c.value <- Int64.add c.value 1L
-let add c v = c.value <- Int64.add c.value v
-let counter_value c = c.value
-let reset_counter c = c.value <- 0L
-
 type category =
   | Guest
   | Mon_cpu
@@ -82,12 +74,6 @@ let busy_by_category l =
          if v = 0 then None else Some (category_name c, Int64.of_int v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let utilization l ~elapsed =
-  if Int64.compare elapsed 0L <= 0 then 0.0
-  else
-    let u = float_of_int l.busy /. Int64.to_float elapsed in
-    if u < 0.0 then 0.0 else if u > 1.0 then 1.0 else u
-
 type histogram = {
   width : float;
   counts : int array; (* last slot is the overflow bucket *)
@@ -123,18 +109,6 @@ let histogram_mean h = if h.total = 0 then 0.0 else h.sum /. float_of_int h.tota
 
 let histogram_sum h = h.sum
 let histogram_width h = h.width
-
-let copy_histogram h = { h with counts = Array.copy h.counts }
-
-let add_histograms a b =
-  if a.width <> b.width || Array.length a.counts <> Array.length b.counts then
-    invalid_arg "Stats.add_histograms: incompatible histogram shapes";
-  {
-    width = a.width;
-    counts = Array.mapi (fun i v -> v + b.counts.(i)) a.counts;
-    total = a.total + b.total;
-    sum = a.sum +. b.sum;
-  }
 
 let bucket_counts h = Array.copy h.counts
 

@@ -1,19 +1,10 @@
-(** Measurement helpers: counters, busy-time (CPU load) accounting and
+(** Measurement helpers: busy-time (CPU load) accounting and
     fixed-bucket histograms.
 
     CPU load is defined as in the paper's Fig 3.1: the fraction of elapsed
     cycles during which the processor was doing work (guest code, monitor
-    emulation, interrupt handling) rather than halted. *)
-
-(** {1 Counters} *)
-
-type counter
-
-val counter : unit -> counter
-val incr : counter -> unit
-val add : counter -> int64 -> unit
-val counter_value : counter -> int64
-val reset_counter : counter -> unit
+    emulation, interrupt handling) rather than halted.  The busy side is
+    accumulated here; [Machine.utilization] divides it by a window. *)
 
 (** {1 Busy-time accounting} *)
 
@@ -79,10 +70,6 @@ val busy_by_category : load -> (string * int64) list
 (** [busy_cycles load] is the accumulated busy time. *)
 val busy_cycles : load -> int64
 
-(** [utilization load ~elapsed] is busy/elapsed clamped to [0,1];
-    0 when [elapsed] is 0. *)
-val utilization : load -> elapsed:int64 -> float
-
 (** {1 Histograms} *)
 
 type histogram
@@ -106,15 +93,6 @@ val histogram_width : histogram -> float
 
 (** [bucket_counts h] includes the final overflow bucket. *)
 val bucket_counts : histogram -> int array
-
-(** [copy_histogram h] — an independent copy (mutating either side never
-    affects the other). *)
-val copy_histogram : histogram -> histogram
-
-(** [add_histograms a b] — a fresh histogram holding the bucket-wise sum;
-    neither input is mutated.
-    @raise Invalid_argument when shapes (width, bucket count) differ. *)
-val add_histograms : histogram -> histogram -> histogram
 
 (** [percentile h p] approximates the [p]-th percentile ([0 <= p <= 100])
     from bucket midpoints; 0 on an empty histogram.

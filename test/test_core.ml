@@ -658,6 +658,109 @@ let idle_guest () =
     ~gates:[ (Isa.vec_irq_base_default + Machine.Irq.timer, ("timer_handler", 0, 0)) ];
   Asm.assemble a
 
+(* -- Device DMA stays inside guest memory -- *)
+
+(* A ring-0 guest that spins until the host sets the word at [dma_go],
+   then issues each 512-byte SCSI command [(cmd, lba, dma)] on target 0
+   in turn, polls until it completes or errors, leaves the status in
+   r5, r6, ... and acknowledges it; then it spins. *)
+let dma_go = 0x8000
+
+let scsi_dma_guest cmds =
+  let scsi = Machine.Ports.scsi in
+  let a = Asm.create ~origin:0x1000 () in
+  Asm.movi a 1 (Asm.imm dma_go);
+  Asm.label a "wait";
+  Asm.ld a 2 1 0;
+  Asm.cmpi a 2 (Asm.imm 0);
+  Asm.jz a (Asm.lbl "wait");
+  List.iteri
+    (fun i (cmd, lba, dma) ->
+      let port k v =
+        Asm.movi a 2 (Asm.imm v);
+        Asm.outi a (Asm.imm (scsi + k)) 2
+      in
+      port 0 0;
+      port 1 lba;
+      port 2 512;
+      port 3 dma;
+      port 4 cmd;
+      let poll = Printf.sprintf "poll%d" i in
+      Asm.label a poll;
+      Asm.ini a (5 + i) (Asm.imm (scsi + 5));
+      Asm.movi a 3 (Asm.imm 0x80000001);
+      Asm.and_ a 3 (5 + i) 3;
+      Asm.cmpi a 3 (Asm.imm 0);
+      Asm.jz a (Asm.lbl poll);
+      port 6 0)
+    cmds;
+  Asm.label a "spin";
+  Asm.jmp a (Asm.lbl "spin");
+  Asm.assemble a
+
+(* Run [scsi_dma_guest cmds] under the monitor with monitor-private
+   memory marked 0xA5, and check that nothing from [monitor_base] up —
+   private memory and the shadow arena — changes once the guest's
+   commands go out, and that the stub still answers [g]. *)
+let run_scsi_dma_guest cmds =
+  let m, mon = fresh () in
+  let mem = Machine.mem m in
+  let base = (Monitor.layout mon).Vm_layout.monitor_base in
+  Phys_mem.fill mem ~addr:base ~len:512 0xA5;
+  let monitor_mem () =
+    Phys_mem.read_bytes mem ~addr:base ~len:(Phys_mem.size mem - base)
+  in
+  let host = attach_host m in
+  Monitor.boot_guest mon (scsi_dma_guest cmds) ~entry:0x1000;
+  run_seconds m 0.002;
+  let before = monitor_mem () in
+  Phys_mem.write_u32 mem dma_go 1;
+  run_seconds m 0.02;
+  check bool "monitor memory and shadow arena unchanged" true
+    (Bytes.equal before (monitor_mem ()));
+  send_command host Command.Read_registers;
+  (match next_reply m host with
+   | Some (Command.Registers _) -> ()
+   | _ -> Alcotest.fail "stub did not answer g");
+  m
+
+let refused = 1 lsl 31
+
+let test_scsi_dma_past_ram_refused () =
+  List.iter
+    (fun dma ->
+      let m = run_scsi_dma_guest [ (1, 0, dma) ] in
+      check int (Printf.sprintf "read to 0x%x refused" dma) refused
+        (reg m 5 land refused))
+    [ 0x1000000; 0xFFFF0000 ]
+
+let test_scsi_dma_into_monitor_refused () =
+  let layout = Vm_layout.default ~mem_size:(16 * 1024 * 1024) in
+  List.iter
+    (fun dma ->
+      let m = run_scsi_dma_guest [ (1, 0, dma) ] in
+      check int (Printf.sprintf "read to 0x%x refused" dma) refused
+        (reg m 5 land refused))
+    [ layout.Vm_layout.monitor_base; layout.Vm_layout.shadow_base ]
+
+(* A write from monitor memory would put monitor bytes on the disk,
+   where the guest could read them back. *)
+let test_scsi_write_from_monitor_refused () =
+  let layout = Vm_layout.default ~mem_size:(16 * 1024 * 1024) in
+  let m =
+    run_scsi_dma_guest
+      [ (2, 10, layout.Vm_layout.monitor_base); (1, 10, 0x30000) ]
+  in
+  check int "write refused" refused (reg m 5 land refused);
+  check int "read-back completed" 1 (reg m 6 land (refused lor 1));
+  let mem = Machine.mem m in
+  for i = 0 to 511 do
+    if
+      Phys_mem.read_u8 mem (0x30000 + i)
+      <> Vmm_hw.Scsi.pattern_byte ~target:0 ~offset:((10 * 512) + i)
+    then Alcotest.failf "read-back byte %d is not the disk's own" i
+  done
+
 let test_stub_read_registers_while_running () =
   let m, mon = fresh () in
   let host = attach_host m in
@@ -1094,6 +1197,12 @@ let () =
             test_reflect_onto_unmapped_stack;
           Alcotest.test_case "reflected frame over text refetched" `Quick
             test_reflect_frame_over_text_refetched;
+          Alcotest.test_case "scsi dma past RAM refused" `Quick
+            test_scsi_dma_past_ram_refused;
+          Alcotest.test_case "scsi dma into monitor memory refused" `Quick
+            test_scsi_dma_into_monitor_refused;
+          Alcotest.test_case "scsi write from monitor memory refused" `Quick
+            test_scsi_write_from_monitor_refused;
         ] );
       ( "hot path",
         [

@@ -268,25 +268,26 @@ let profile_window m =
 let test_session_profile () =
   let m, _, program, session, _ = rig ~rate:100.0 () in
   profile_window m;
-  match Session.read_profile session with
+  match Session.read_profile_dump session with
   | None -> Alcotest.fail "no profile reply"
-  | Some samples ->
-    check bool "samples collected" true (List.length samples > 0);
-    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 samples in
+  | Some (_, _, buckets) ->
+    check bool "samples collected" true (List.length buckets > 0);
+    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
     check bool "plausible sample count" true (total >= 10);
     (* every sampled pc lies inside the guest image *)
     let size = Bytes.length program.Asm.code in
     List.iter
-      (fun (pc, _) ->
+      (fun (key, _) ->
+        let pc = key.Vmm_profile.Profiler.k_pc in
         if pc < Kernel.entry || pc >= Kernel.entry + size then
           Alcotest.failf "sample outside guest image: 0x%x" pc)
-      samples;
-    (* the machine's profiler matches the wire view, pc for pc *)
-    check
-      Alcotest.(list (pair int int))
-      "same per-pc counts as the profiler"
-      (List.sort compare (Vmm_profile.Profiler.by_pc (Machine.profiler m)))
-      (List.sort compare samples)
+      buckets;
+    (* the machine's profiler matches the wire view, bucket for bucket *)
+    let local =
+      Vmm_profile.Profiler.(parse_dump (dump (Machine.profiler m)))
+    in
+    check bool "same buckets as the profiler" true
+      (Option.map snd local = Some buckets)
 
 let test_breakpoint_and_watchpoint_together () =
   (* Both mechanisms active at once: a breakpoint in the timer handler

@@ -486,8 +486,8 @@ let test_mem_create_footprint () =
   let mem = Phys_mem.create ~size in
   let mib = (Gc.allocated_bytes () -. before) /. 1048576. in
   check bool
-    (Printf.sprintf "create allocates %.2f MiB, under 3" mib)
-    true (mib < 3.0);
+    (Printf.sprintf "create allocates %.2f MiB, under 0.25" mib)
+    true (mib < 0.25);
   Phys_mem.write_u32 mem (size - 4) 0xDEADBEEF;
   check int "the last word is writable" 0xDEADBEEF
     (Phys_mem.read_u32 mem (size - 4))
@@ -1369,6 +1369,35 @@ let test_scsi_write_readback () =
   check int "written data read back" 0xAB (Phys_mem.read_u8 mem 0x40000);
   check int "last byte too" 0xAB (Phys_mem.read_u8 mem (0x40000 + 511))
 
+(* A command whose range leaves the DMA window is refused when issued,
+   before any staging buffer is sized from the guest's count. *)
+let test_scsi_dma_window () =
+  let m = fresh_machine () in
+  let bus = Machine.bus m in
+  let base = Machine.Ports.scsi in
+  let issue ~cmd ~count ~dma =
+    Io_bus.write bus base 0;
+    Io_bus.write bus (base + 1) 0;
+    Io_bus.write bus (base + 2) count;
+    Io_bus.write bus (base + 3) dma;
+    Io_bus.write bus (base + 4) cmd;
+    let status = Io_bus.read bus (base + 5) in
+    ignore (Engine.run_until_idle (Machine.engine m));
+    Io_bus.write bus (base + 6) 0;
+    status
+  in
+  let error = 1 lsl 31 and busy = 1 lsl 16 in
+  let before = Gc.allocated_bytes () in
+  let status = issue ~cmd:2 ~count:0xFFFFFFF0 ~dma:0 in
+  check int "4 GiB write refused" error (status land (error lor busy));
+  check bool "no staging buffer" true (Gc.allocated_bytes () -. before < 1e6);
+  Machine.set_dma_limit m 0x40000;
+  check int "read ending at the limit runs" busy
+    (issue ~cmd:1 ~count:512 ~dma:(0x40000 - 512) land (error lor busy));
+  check int "read one byte past it refused" error
+    (issue ~cmd:1 ~count:512 ~dma:(0x40000 - 511) land (error lor busy));
+  check int "one read completed" 1 (Scsi.reads_completed (Machine.scsi m))
+
 let test_scsi_streaming_rate () =
   (* Completion time of a 1 MiB read must match the configured media rate. *)
   let m = fresh_machine () in
@@ -1468,6 +1497,38 @@ let test_nic_rx () =
   check bool "frame in memory" true
     (Bytes.to_string (Phys_mem.read_bytes mem ~addr:0x60000 ~len:11)
     = "hello-frame")
+
+(* Frames whose buffer leaves the DMA window are dropped and counted:
+   past the end of RAM, and past a limit set below it. *)
+let test_nic_dma_window () =
+  let m = fresh_machine () in
+  let nic = Machine.nic m and bus = Machine.bus m and mem = Machine.mem m in
+  let base = Machine.Ports.nic in
+  let size = Phys_mem.size mem in
+  Io_bus.write bus base (size - 16);
+  Io_bus.write bus (base + 1) 64;
+  Io_bus.write bus (base + 2) 1 (* send *);
+  check int "tx past RAM flagged" 4 (Io_bus.read bus (base + 3) land 4);
+  check int "nothing queued" 0 (Nic.tx_queued nic);
+  Machine.set_dma_limit m 0x80000;
+  Io_bus.write bus (base + 4) 2 (* clear overflow *);
+  Io_bus.write bus base (0x80000 - 32);
+  Io_bus.write bus (base + 2) 1;
+  check int "tx past the limit flagged" 4 (Io_bus.read bus (base + 3) land 4);
+  Nic.inject_rx nic (Bytes.of_string "hello-frame");
+  Io_bus.write bus (base + 6) (0x80000 - 4);
+  Io_bus.write bus (base + 2) 2 (* receive *);
+  check int "rx frame consumed" 0 (Io_bus.read bus (base + 3) land 8);
+  check bool "limit untouched" true
+    (Bytes.equal (Phys_mem.read_bytes mem ~addr:0x80000 ~len:8) (Bytes.make 8 '\000'));
+  check int "three frames refused" 3 (Nic.dma_refused nic);
+  check bool "refusals exported" true
+    (List.assoc "nic_dma_refused_total"
+       (Vmm_obs.Registry.snapshot (Machine.registry m))
+    = Vmm_obs.Registry.Gauge 3.0);
+  Io_bus.write bus base (0x80000 - 64);
+  Io_bus.write bus (base + 2) 1;
+  check int "a frame inside the window queues" 1 (Nic.tx_queued nic)
 
 let test_io_bus_unclaimed () =
   let bus = Io_bus.create () in
@@ -2008,7 +2069,10 @@ let test_machine_busy_loop () =
   let t0 = Machine.now m and b0 = Vmm_sim.Stats.busy_cycles (Machine.load m) in
   Machine.run_for m ~cycles:100_000L;
   let u = Machine.utilization m ~since:t0 ~since_busy:b0 in
-  check bool "fully busy" true (u > 0.99)
+  check bool "fully busy" true (u > 0.99);
+  check (Alcotest.float 0.0) "empty window" 0.0
+    (Machine.utilization m ~since:(Machine.now m)
+       ~since_busy:(Vmm_sim.Stats.busy_cycles (Machine.load m)))
 
 (* -- Decoded-instruction cache -- *)
 
@@ -2947,6 +3011,7 @@ let () =
         [
           Alcotest.test_case "read + pattern" `Quick test_scsi_read;
           Alcotest.test_case "write readback" `Quick test_scsi_write_readback;
+          Alcotest.test_case "dma window" `Quick test_scsi_dma_window;
           Alcotest.test_case "streaming rate" `Quick test_scsi_streaming_rate;
         ] );
       ( "nic",
@@ -2955,6 +3020,7 @@ let () =
           Alcotest.test_case "wire rate" `Quick test_nic_wire_rate;
           Alcotest.test_case "clear_on_frame" `Quick test_nic_clear_on_frame;
           Alcotest.test_case "rx" `Quick test_nic_rx;
+          Alcotest.test_case "dma window" `Quick test_nic_dma_window;
         ] );
       ( "io_bus",
         [

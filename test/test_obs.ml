@@ -63,17 +63,42 @@ let test_tracer_disabled_is_silent () =
   let t = Tracer.create ~engine () in
   Tracer.begin_span t ~cat:"mon_cpu" "trap";
   Tracer.end_span t;
-  Tracer.instant t ~cat:"irq" "tick";
+  Tracer.counter t ~cat:"irq" "ticks" 1.0;
   Tracer.add_complete t ~cat:"dma" ~name:"scsi_read" ~start:0L ~stop:10L ();
   check int "no events while disabled" 0 (Tracer.event_count t);
   check int "no open spans either" 0 (Tracer.depth t)
+
+(* (name, ts, dur) of every complete event in the Chrome export, at one
+   microsecond per cycle. *)
+let spans t =
+  match
+    Option.bind
+      (Json.member "traceEvents" (Tracer.to_chrome_json ~cpu_hz:1e6 t))
+      Json.to_list_opt
+  with
+  | None -> Alcotest.fail "no traceEvents list"
+  | Some evs ->
+    List.filter_map
+      (fun ev ->
+        match
+          ( Option.bind (Json.member "name" ev) Json.to_string_opt,
+            Option.bind (Json.member "ts" ev) Json.to_float_opt,
+            Option.bind (Json.member "dur" ev) Json.to_float_opt )
+        with
+        | Some name, Some ts, Some dur -> Some (name, ts, dur)
+        | _ -> None)
+      evs
+
+let span_list =
+  Alcotest.(list (triple string (float 1e-9) (float 1e-9)))
 
 let test_tracer_nesting_exclusive () =
   let engine = Engine.create () in
   let t = Tracer.create ~engine () in
   Tracer.set_enabled t true;
-  (* outer [0, 100] with an inner [30, 70]: outer's exclusive share is
-     60, inner's is 40 — they sum to the outer wall time. *)
+  (* outer [0, 100] with an inner [30, 70]: the export nests inner
+     inside outer, so a viewer shows outer's exclusive share as 60 and
+     inner's as 40 — they sum to the outer wall time. *)
   Tracer.begin_span t ~cat:"mon_cpu" "outer";
   Engine.advance engine 30L;
   Tracer.begin_span t ~cat:"irq" "inner";
@@ -82,11 +107,9 @@ let test_tracer_nesting_exclusive () =
   Engine.advance engine 30L;
   Tracer.end_span t;
   check int "two complete events" 2 (Tracer.event_count t);
-  check
-    (Alcotest.list (Alcotest.pair string Alcotest.int64))
-    "exclusive breakdown"
-    [ ("irq", 40L); ("mon_cpu", 60L) ]
-    (Tracer.breakdown t)
+  check span_list "inner closes first, inside outer"
+    [ ("inner", 30.0, 40.0); ("outer", 0.0, 100.0) ]
+    (spans t)
 
 let test_tracer_unbalanced_end () =
   let engine = Engine.create () in
@@ -112,8 +135,8 @@ let test_tracer_capacity () =
   let engine = Engine.create () in
   let t = Tracer.create ~capacity:2 ~engine () in
   Tracer.set_enabled t true;
-  for _ = 1 to 5 do
-    Tracer.instant t ~cat:"guest" "e"
+  for i = 1 to 5 do
+    Tracer.counter t ~cat:"guest" "e" (float_of_int i)
   done;
   check int "capacity respected" 2 (Tracer.event_count t);
   check int "overflow counted" 3 (Tracer.dropped t)
@@ -148,12 +171,10 @@ let test_tracer_flush_open_spans () =
   check int "two flushed" 2 (Tracer.flush_open_spans t);
   check int "nothing open" 0 (Tracer.depth t);
   check int "both recorded as complete events" 2 (Tracer.event_count t);
-  (* innermost closed first: both categories carry their elapsed time *)
-  check
-    (Alcotest.list (Alcotest.pair string Alcotest.int64))
-    "flushed breakdown"
-    [ ("irq", 5L); ("mon_cpu", 10L) ]
-    (Tracer.breakdown t);
+  (* innermost closed first, both at the flush instant *)
+  check span_list "flushed spans"
+    [ ("inner", 10.0, 5.0); ("outer", 0.0, 15.0) ]
+    (spans t);
   (* flushing did not manufacture unbalanced ends *)
   check int "no unbalanced ends" 0 (Tracer.unbalanced_ends t);
   (* idempotent when nothing is open *)
@@ -170,7 +191,7 @@ let test_tracer_dropped_accounting () =
   let t = Tracer.create ~capacity:3 ~engine () in
   Tracer.set_enabled t true;
   for _ = 1 to 3 do
-    Tracer.instant t ~cat:"guest" "kept"
+    Tracer.counter t ~cat:"guest" "kept" 0.0
   done;
   check int "nothing dropped at capacity" 0 (Tracer.dropped t);
   for _ = 1 to 4 do
@@ -178,10 +199,7 @@ let test_tracer_dropped_accounting () =
         Engine.advance engine 1L)
   done;
   check int "events capped" 3 (Tracer.event_count t);
-  check int "every overflow counted" 4 (Tracer.dropped t);
-  Tracer.clear t;
-  check int "clear resets events" 0 (Tracer.event_count t);
-  check int "clear resets dropped" 0 (Tracer.dropped t)
+  check int "every overflow counted" 4 (Tracer.dropped t)
 
 let test_tracer_chrome_golden () =
   let engine = Engine.create () in
@@ -218,36 +236,43 @@ let test_tracer_chrome_golden () =
 
 let test_registry_idempotent () =
   let r = Registry.create () in
-  let c1 = Registry.counter r "demo_events_total" in
-  let c2 = Registry.counter r "demo_events_total" in
-  Stats.incr c1;
-  check Alcotest.int64 "same counter" 1L (Stats.counter_value c2);
   let h1 = Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0 in
   let h2 = Registry.histogram r "demo_latency_cycles" ~buckets:8 ~width:5.0 in
   Stats.observe h1 3.0;
-  check int "same histogram" 1 (Stats.histogram_count h2)
+  check int "same histogram" 1 (Stats.histogram_count h2);
+  (* a re-registered gauge supersedes the old callback *)
+  Registry.gauge r "demo_queue_depth" (fun () -> 1.0);
+  Registry.gauge r "demo_queue_depth" (fun () -> 2.0);
+  check bool "latest gauge callback" true
+    (List.assoc "demo_queue_depth" (Registry.snapshot r) = Registry.Gauge 2.0)
 
 let test_registry_kind_mismatch () =
   let r = Registry.create () in
-  ignore (Registry.counter r "demo_events_total");
-  check bool "gauge over counter raises" true
+  ignore (Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0);
+  check bool "gauge over histogram raises" true
     (try
-       Registry.gauge r "demo_events_total" (fun () -> 0.0);
+       Registry.gauge r "demo_latency_cycles" (fun () -> 0.0);
+       false
+     with Invalid_argument _ -> true);
+  Registry.gauge r "demo_queue_depth" (fun () -> 0.0);
+  check bool "histogram over gauge raises" true
+    (try
+       ignore (Registry.histogram r "demo_queue_depth" ~buckets:4 ~width:10.0);
        false
      with Invalid_argument _ -> true);
   check bool "bad name raises" true
     (try
-       ignore (Registry.counter r "Bad-Name");
+       Registry.gauge r "Bad-Name" (fun () -> 0.0);
        false
      with Invalid_argument _ -> true)
 
 let test_registry_snapshot_stable () =
   let r = Registry.create () in
-  let c = Registry.counter r "demo_events_total" in
+  let events = ref 0 in
+  Registry.int_gauge r "demo_events_total" (fun () -> !events);
   Registry.gauge r "demo_queue_depth" (fun () -> 3.0);
   let h = Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0 in
-  Stats.incr c;
-  Stats.incr c;
+  events := 2;
   Stats.observe h 17.0;
   check bool "snapshots are stable" true
     (Registry.snapshot r = Registry.snapshot r);
@@ -259,15 +284,15 @@ let test_registry_snapshot_stable () =
 
 let test_registry_dump_golden () =
   let r = Registry.create () in
-  let c = Registry.counter r "demo_events_total" in
+  let events = ref 0 in
+  Registry.int_gauge r "demo_events_total" (fun () -> !events);
   Registry.gauge r "demo_queue_depth" (fun () -> 3.0);
   let h = Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0 in
-  Stats.incr c;
-  Stats.incr c;
+  events := 2;
   Stats.observe h 17.0;
   check string "prometheus text dump"
     "# HELP demo_events_total demo events total\n\
-     # TYPE demo_events_total counter\n\
+     # TYPE demo_events_total gauge\n\
      demo_events_total 2\n\
      # HELP demo_latency_cycles demo latency cycles\n\
      # TYPE demo_latency_cycles histogram\n\
@@ -285,7 +310,8 @@ let test_registry_dump_golden () =
 
 let test_registry_help_override () =
   let r = Registry.create () in
-  ignore (Registry.counter ~help:"events seen by the demo" r "demo_events_total");
+  Registry.int_gauge ~help:"events seen by the demo" r "demo_events_total"
+    (fun () -> 0);
   Registry.gauge r "demo_queue_depth" (fun () -> 0.0);
   let dump = Registry.dump r in
   let has sub =
@@ -299,76 +325,6 @@ let test_registry_help_override () =
     (has "# HELP demo_events_total events seen by the demo\n");
   check bool "derived help text" true
     (has "# HELP demo_queue_depth demo queue depth\n")
-
-let test_registry_merge () =
-  (* Per-instance registries fold into a fleet view: counters and
-     histograms sum, gauges compose live, inputs stay untouched. *)
-  let mk live =
-    let r = Registry.create () in
-    let c = Registry.counter r "demo_events_total" in
-    Stats.incr c;
-    Stats.incr c;
-    Registry.gauge r "demo_queue_depth" (fun () -> !live);
-    let h = Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0 in
-    Stats.observe h 17.0;
-    r
-  in
-  let l1 = ref 3.0 and l2 = ref 4.0 in
-  let r1 = mk l1 and r2 = mk l2 in
-  let merged = Registry.merge [ r1; r2 ] in
-  (match List.assoc "demo_events_total" (Registry.snapshot merged) with
-   | Registry.Counter n -> check Alcotest.int64 "counters summed" 4L n
-   | _ -> Alcotest.fail "expected a counter");
-  (match List.assoc "demo_queue_depth" (Registry.snapshot merged) with
-   | Registry.Gauge g -> check (Alcotest.float 1e-9) "gauges summed" 7.0 g
-   | _ -> Alcotest.fail "expected a gauge");
-  (match List.assoc "demo_latency_cycles" (Registry.snapshot merged) with
-   | Registry.Histogram { count; _ } ->
-     check int "histograms summed" 2 count
-   | _ -> Alcotest.fail "expected a histogram");
-  (* gauges are live: moving a source moves the merged view *)
-  l2 := 10.0;
-  (match List.assoc "demo_queue_depth" (Registry.snapshot merged) with
-   | Registry.Gauge g -> check (Alcotest.float 1e-9) "gauge stays live" 13.0 g
-   | _ -> Alcotest.fail "expected a gauge");
-  (* pure fold: the inputs were not mutated *)
-  (match List.assoc "demo_events_total" (Registry.snapshot r1) with
-   | Registry.Counter n -> check Alcotest.int64 "input untouched" 2L n
-   | _ -> Alcotest.fail "expected a counter");
-  (* incompatible kinds across instances are refused *)
-  let r3 = Registry.create () in
-  Registry.gauge r3 "demo_events_total" (fun () -> 0.0);
-  check bool "kind clash raises" true
-    (try
-       ignore (Registry.merge [ r1; r3 ]);
-       false
-     with Invalid_argument _ -> true);
-  (* and so are histograms with different shapes *)
-  let r4 = Registry.create () in
-  ignore (Registry.histogram r4 "demo_latency_cycles" ~buckets:8 ~width:5.0);
-  check bool "shape clash raises" true
-    (try
-       ignore (Registry.merge [ r1; r4 ]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_registry_reset () =
-  let r = Registry.create () in
-  let c = Registry.counter r "demo_events_total" in
-  let h = Registry.histogram r "demo_latency_cycles" ~buckets:4 ~width:10.0 in
-  let live = ref 7.0 in
-  Registry.gauge r "demo_queue_depth" (fun () -> !live);
-  Stats.incr c;
-  Stats.observe h 17.0;
-  Registry.reset r;
-  check Alcotest.int64 "counter zeroed" 0L (Stats.counter_value c);
-  check int "histogram zeroed" 0 (Stats.histogram_count h);
-  (match List.assoc "demo_queue_depth" (Registry.snapshot r) with
-   | Registry.Gauge g -> check (Alcotest.float 1e-9) "gauge untouched" 7.0 g
-   | _ -> Alcotest.fail "expected a gauge");
-  (* counters keep working after a reset *)
-  Stats.incr c;
-  check Alcotest.int64 "counts again" 1L (Stats.counter_value c)
 
 (* -- End-to-end: the telemetry invariant -- *)
 
@@ -484,8 +440,6 @@ let () =
             test_registry_snapshot_stable;
           Alcotest.test_case "dump golden" `Quick test_registry_dump_golden;
           Alcotest.test_case "help override" `Quick test_registry_help_override;
-          Alcotest.test_case "merge" `Quick test_registry_merge;
-          Alcotest.test_case "reset semantics" `Quick test_registry_reset;
         ] );
       ( "telemetry",
         [

@@ -6,9 +6,7 @@
    crash bundle captured at escalation and its lifecycle across warm
    restarts. *)
 
-module Engine = Vmm_sim.Engine
 module Stats = Vmm_sim.Stats
-module Json = Vmm_obs.Json
 module Registry = Vmm_obs.Registry
 module Profiler = Vmm_profile.Profiler
 module Flight = Vmm_profile.Flight
@@ -34,6 +32,12 @@ let contains s sub =
 
 let test_costs = { Costs.default with Costs.uart_cycles_per_byte = 2000 }
 
+(* The profile as a reader sees it: the buckets of its own dump. *)
+let dumped p =
+  match Profiler.parse_dump (Profiler.dump p) with
+  | Some (_, buckets) -> buckets
+  | None -> Alcotest.fail "dump did not parse"
+
 (* -- Profiler: bucketing and cadence -- *)
 
 (* A guest that spins on one [jmp] with interrupts off. *)
@@ -46,7 +50,7 @@ let spin_program () =
 let test_profiler_disabled_by_default () =
   let m = Machine.create ~costs:test_costs () in
   let p = Machine.profiler m in
-  check bool "disabled" false (Profiler.enabled p);
+  check Alcotest.int64 "disabled" 0L (Profiler.period p);
   Machine.boot m (spin_program ()) ~entry:0x1000;
   Machine.run_for m ~cycles:10_000L;
   check int "never sampled" 0 (Profiler.total_samples p);
@@ -64,7 +68,6 @@ let test_profiler_cadence () =
   let p = Machine.profiler m in
   Machine.boot m (spin_program ()) ~entry:0x1000;
   Machine.set_profiling m ~period:100L;
-  check bool "armed" true (Profiler.enabled p);
   check Alcotest.int64 "period reported" 100L (Profiler.period p);
   Machine.run_for m ~cycles:99L;
   check int "not sampled one cycle early" 0 (Profiler.total_samples p);
@@ -78,12 +81,11 @@ let test_profiler_cadence () =
   check int "one sample per period" 102 (Profiler.total_samples p);
   Machine.set_profiling m ~period:0L;
   Machine.run_for m ~cycles:10_000L;
-  check bool "disarmed" false (Profiler.enabled p);
+  check Alcotest.int64 "disarmed" 0L (Profiler.period p);
   check int "no sample once disarmed" 102 (Profiler.total_samples p)
 
 let test_profiler_buckets () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
+  let p = Profiler.create () in
   Profiler.set_period p 1L;
   (* Repeats at one bucket exercise the memoized fast path; the
      interleavings exercise the miss path — the counts must agree with
@@ -98,8 +100,9 @@ let test_profiler_buckets () =
   done;
   Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
   check int "total" 10 (Profiler.total_samples p);
+  let buckets = dumped p in
   let count key =
-    match List.assoc_opt key (Profiler.buckets p) with Some n -> n | None -> 0
+    match List.assoc_opt key buckets with Some n -> n | None -> 0
   in
   check int "memoized bucket"
     6 (count { Profiler.k_pc = 0x1000; k_ring = 1; k_cat = "guest" });
@@ -109,50 +112,27 @@ let test_profiler_buckets () =
     1 (count { Profiler.k_pc = 0x1000; k_ring = 3; k_cat = "guest" });
   check int "pc split"
     2 (count { Profiler.k_pc = 0x2000; k_ring = 1; k_cat = "guest" });
+  check int "four buckets" 4 (List.length buckets);
   (* hottest first *)
-  (match Profiler.buckets p with
-   | (k, n) :: _ ->
-     check int "hottest count" 6 n;
-     check int "hottest pc" 0x1000 k.Profiler.k_pc
-   | [] -> Alcotest.fail "no buckets");
-  check
-    (Alcotest.list (Alcotest.pair int int))
-    "by_ring" [ (1, 9); (3, 1) ] (Profiler.by_ring p);
-  check
-    (Alcotest.list (Alcotest.pair string int))
-    "by_category" [ ("guest", 9); ("mon_cpu", 1) ] (Profiler.by_category p);
-  check
-    (Alcotest.list (Alcotest.pair int int))
-    "by_pc" [ (0x1000, 8); (0x2000, 2) ] (Profiler.by_pc p)
-
-let test_profiler_clear () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
-  Profiler.set_period p 10L;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  Profiler.clear p;
-  check int "cleared" 0 (Profiler.total_samples p);
-  check int "no buckets" 0 (List.length (Profiler.buckets p));
-  check bool "period survives" true (Profiler.period p = 10L);
-  (* the memoized hot bucket must not leak counts across a clear *)
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  check int "counts from one again" 1 (Profiler.total_samples p);
-  check
-    (Alcotest.list (Alcotest.pair int int))
-    "bucket re-counts" [ (0x1000, 1) ] (Profiler.by_pc p)
+  match buckets with
+  | (k, n) :: _ ->
+    check int "hottest count" 6 n;
+    check int "hottest pc" 0x1000 k.Profiler.k_pc
+  | [] -> Alcotest.fail "no buckets"
 
 let test_profiler_dump_round_trip () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
+  let p = Profiler.create () in
   Profiler.set_period p 50L;
   for _ = 1 to 3 do
     Profiler.sample p ~pc:0x1040 ~ring:1 ~cat:Stats.Guest
   done;
   Profiler.sample p ~pc:0x2080 ~ring:3 ~cat:Stats.Irq;
   let text = Profiler.dump p in
-  check bool "header first" true
-    (String.length text > 8 && String.sub text 0 8 = "samples=");
+  check string "dump text"
+    "samples=4 period=50 buckets=2\n\
+     pc=0x1040 ring=1 cat=guest count=3\n\
+     pc=0x2080 ring=3 cat=irq count=1\n"
+    text;
   match Profiler.parse_dump text with
   | None -> Alcotest.fail "dump did not parse"
   | Some (fields, buckets) ->
@@ -162,42 +142,50 @@ let test_profiler_dump_round_trip () =
       (List.assoc_opt "period" fields);
     check (Alcotest.option string) "buckets" (Some "2")
       (List.assoc_opt "buckets" fields);
-    check bool "buckets round-trip" true (buckets = Profiler.buckets p)
+    check bool "buckets round-trip" true
+      (buckets
+       = [
+           ({ Profiler.k_pc = 0x1040; k_ring = 1; k_cat = "guest" }, 3);
+           ({ Profiler.k_pc = 0x2080; k_ring = 3; k_cat = "irq" }, 1);
+         ])
 
-let test_profiler_collapsed () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
+(* An armed profiler runs [sample] every period, so a sample into an
+   existing bucket must allocate nothing: neither a repeat of the last
+   bucket (the memo) nor a switch between buckets (the table probe).
+   Any per-call box costs at least two words, so under one word per
+   call is none. *)
+let test_profiler_sample_allocates_nothing () =
+  let p = Profiler.create () in
   Profiler.set_period p 1L;
   Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest;
-  Profiler.sample p ~pc:0x2000 ~ring:3 ~cat:Stats.Irq;
-  let resolve pc = if pc = 0x1000 then "idle_loop" else "unknown" in
-  let text = Profiler.collapsed ~resolve p in
-  check bool "resolved frame" true (contains text "guest;ring1;idle_loop 2");
-  check bool "other frame" true (contains text "irq;ring3;unknown 1");
-  (* default resolver renders hex *)
-  check bool "hex fallback" true
-    (contains (Profiler.collapsed p) "0x1000")
-
-let test_profiler_perfetto_counters () =
-  let engine = Engine.create () in
-  let p = Profiler.create ~engine () in
-  Profiler.set_period p 10L;
-  for _ = 1 to 20 do
-    Engine.advance engine 10L;
-    Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest
-  done;
-  let doc = Profiler.perfetto_counters ~slices:4 p in
-  (* must be a chrome trace-event document with counter events *)
-  match Option.bind (Json.member "traceEvents" doc) Json.to_list_opt with
-  | Some evs ->
-    check bool "has counter events" true (List.length evs > 0);
-    List.iter
-      (fun ev ->
-        check (Alcotest.option string) "counter phase" (Some "C")
-          (Option.bind (Json.member "ph" ev) Json.to_string_opt))
-      evs
-  | None -> Alcotest.fail "no traceEvents list"
+  Profiler.sample p ~pc:0x2000 ~ring:0 ~cat:Stats.Mon_io;
+  let calls = 10_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      f i
+    done;
+    Gc.minor_words () -. before
+  in
+  let same =
+    words (fun _ -> Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest)
+  in
+  let alternating =
+    words (fun i ->
+        if i land 1 = 0 then
+          Profiler.sample p ~pc:0x1000 ~ring:1 ~cat:Stats.Guest
+        else Profiler.sample p ~pc:0x2000 ~ring:0 ~cat:Stats.Mon_io)
+  in
+  check bool
+    (Printf.sprintf "one bucket: %.0f words over %d samples" same calls)
+    true
+    (same < float_of_int calls);
+  check bool
+    (Printf.sprintf "two buckets: %.0f words over %d samples" alternating
+       calls)
+    true
+    (alternating < float_of_int calls);
+  check int "all counted" ((2 * calls) + 2) (Profiler.total_samples p)
 
 (* -- Flight recorder -- *)
 
@@ -430,12 +418,9 @@ let test_machine_profiler_live () =
   Machine.run_seconds m 0.05;
   let p = Machine.profiler m in
   check bool "samples collected" true (Profiler.total_samples p > 10);
-  (* every sample is attributed: by_ring and by_category sum to total *)
-  let sum l = List.fold_left (fun a (_, n) -> a + n) 0 l in
-  check int "rings sum to total" (Profiler.total_samples p)
-    (sum (Profiler.by_ring p));
-  check int "categories sum to total" (Profiler.total_samples p)
-    (sum (Profiler.by_category p));
+  (* every sample lands in exactly one bucket *)
+  check int "buckets sum to total" (Profiler.total_samples p)
+    (List.fold_left (fun a (_, n) -> a + n) 0 (dumped p));
   (* the monitor serves the continuous profile as the qP payload *)
   (match Profiler.parse_dump (Monitor.profile_dump mon) with
    | Some (fields, _) ->
@@ -450,8 +435,7 @@ let test_machine_profiler_live () =
     check (Alcotest.option string) "samples over the wire"
       (Some (string_of_int (Profiler.total_samples p)))
       (List.assoc_opt "samples" fields);
-    check int "buckets over the wire" (List.length (Profiler.buckets p))
-      (List.length buckets)
+    check bool "buckets over the wire" true (buckets = dumped p)
   | None -> Alcotest.fail "no qP reply"
 
 let test_query_flight_live () =
@@ -555,12 +539,10 @@ let () =
             test_profiler_disabled_by_default;
           Alcotest.test_case "cadence" `Quick test_profiler_cadence;
           Alcotest.test_case "buckets" `Quick test_profiler_buckets;
-          Alcotest.test_case "clear" `Quick test_profiler_clear;
           Alcotest.test_case "dump round trip" `Quick
             test_profiler_dump_round_trip;
-          Alcotest.test_case "collapsed" `Quick test_profiler_collapsed;
-          Alcotest.test_case "perfetto counters" `Quick
-            test_profiler_perfetto_counters;
+          Alcotest.test_case "sample allocates nothing" `Quick
+            test_profiler_sample_allocates_nothing;
         ] );
       ( "flight",
         [

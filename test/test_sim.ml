@@ -272,23 +272,20 @@ let test_rng_exponential_mean () =
 
 (* -- Stats -- *)
 
-let test_stats_counter () =
-  let c = Stats.counter () in
-  Stats.incr c;
-  Stats.incr c;
-  Stats.add c 10L;
-  check Alcotest.int64 "value" 12L (Stats.counter_value c);
-  Stats.reset_counter c;
-  check Alcotest.int64 "reset" 0L (Stats.counter_value c)
-
+(* The CPU load Fig 3.1 reports is the busy share of its measurement
+   window, the one formula [Machine.utilization] computes. *)
 let test_stats_load () =
-  let l = Stats.load () in
-  Stats.note_busy l 25L;
-  Stats.note_busy l 25L;
-  check (Alcotest.float 1e-9) "utilization" 0.5
-    (Stats.utilization l ~elapsed:100L);
-  check (Alcotest.float 1e-9) "clamped" 1.0 (Stats.utilization l ~elapsed:10L);
-  check (Alcotest.float 1e-9) "zero elapsed" 0.0 (Stats.utilization l ~elapsed:0L)
+  let m, _ =
+    Vmm_harness.Workload.run Vmm_harness.Workload.Lightweight_vmm
+      ~rate_mbps:50.0 ~duration_s:0.02
+  in
+  let open Vmm_harness.Workload in
+  check bool "a busy window" true
+    (Int64.compare m.busy_cycles 0L > 0
+    && Int64.compare m.busy_cycles m.elapsed_cycles < 0);
+  check (Alcotest.float 0.0) "busy over elapsed"
+    (Int64.to_float m.busy_cycles /. Int64.to_float m.elapsed_cycles)
+    m.cpu_load
 
 let test_stats_histogram () =
   let h = Stats.histogram ~buckets:10 ~width:1.0 in
@@ -461,7 +458,6 @@ let () =
         @ qsuite [ prop_rng_float_range ] );
       ( "stats",
         [
-          Alcotest.test_case "counter" `Quick test_stats_counter;
           Alcotest.test_case "load" `Quick test_stats_load;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "percentile pins" `Quick
